@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tiscc_core::instruction::Instruction;
-use tiscc_estimator::compiler::{AnalyticArtifact, CompileRequest, Compiler, EstimateMode};
+use tiscc_estimator::compiler::{CompileRequest, Compiler};
 use tiscc_estimator::program::{estimate_program, ProgramEstimateSpec};
 use tiscc_estimator::verify::{Fiducial, SingleTile};
 use tiscc_hw::{HardwareSpec, ResourceReport};
@@ -69,36 +69,14 @@ fn bench(c: &mut Criterion) {
         b.iter(|| ResourceReport::from_stream_with_spec(&artifact.rounds, &layout, &spec))
     });
 
-    // The analytic estimate mode. Capture is one physical compile at
-    // dt = ANALYTIC_DT_CAP (so its cost tracks `templated/*` at small dt);
-    // derive replays the captured round arithmetically for a target dt
-    // without touching the scheduler or router, so it is linear in dt with
-    // a much smaller constant than compiling. `derive/idle/d9` uses the
-    // same dt = d = 9 as `templated/idle/d9` to make the two directly
-    // comparable.
-    group.bench_function("analytic/capture/idle/d5", |b| {
-        b.iter(|| {
-            AnalyticArtifact::capture(Instruction::Idle, 5, 5, HardwareSpec::h1())
-                .unwrap()
-                .expect("idle captures analytically")
-        })
-    });
-    let captured = AnalyticArtifact::capture(Instruction::Idle, 9, 9, HardwareSpec::h1())
-        .unwrap()
-        .expect("idle captures analytically");
-    group.bench_function("analytic/derive/idle/d9", |b| {
-        b.iter(|| captured.derive(9).expect("dt=9 is derivable"))
-    });
-
-    // Whole-pipeline analytic estimates on generated workloads at
+    // Whole-pipeline estimates on generated workloads at
     // N ∈ {64, 1k, 10k, 100k} instructions: place + schedule + budget +
-    // analytic pricing with a warm compiler (the first estimate below
-    // pays the captures; the measured iterations are what a cached
-    // `tiscc estimate --mode analytic` re-run costs).
+    // pricing with a warm compiler (the first estimate below pays the
+    // compiles; the measured iterations are what a cached re-run costs).
     for n in [64usize, 1024, 10_240, 102_400] {
         let workload = GenSpec::new(Family::RandomCliffordT).with_n(n).with_seed(7);
         let program = generate(&workload).expect("valid spec");
-        let est = ProgramEstimateSpec::new(1e-6).with_mode(EstimateMode::Analytic);
+        let est = ProgramEstimateSpec::new(1e-6);
         estimate_program(&program, &est, &compiler).expect("estimates");
         group.bench_with_input(
             BenchmarkId::new("workload_estimate/random-clifford-t", n),

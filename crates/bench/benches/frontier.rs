@@ -6,7 +6,7 @@
 //! latency regression for `tiscc serve`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tiscc_estimator::compiler::{Compiler, EstimateMode};
+use tiscc_estimator::compiler::Compiler;
 use tiscc_frontier::{matrix_from_csv, matrix_to_csv, pareto_flags, run_frontier, FrontierSpec};
 use tiscc_hw::HardwareSpec;
 use tiscc_program::{examples, LayoutSpec};
@@ -38,13 +38,12 @@ fn bench(c: &mut Criterion) {
         vec![LayoutSpec::row_major(), LayoutSpec::checkerboard()],
         vec![HardwareSpec::h1(), HardwareSpec::projected()],
     )
-    .with_distances(3, 9)
-    .with_mode(EstimateMode::Analytic);
+    .with_distances(3, 9);
     let compiler = Compiler::new();
     // Warm the memo once; the measured runs then price the whole matrix
     // without a single physical compile.
     let report = run_frontier(&program, &spec, &compiler, None).expect("runs");
-    assert!(report.stats.analytic_captures > 0);
+    assert_eq!(compiler.cache().len(), report.stats.jobs);
     group.bench_function("warm_run/adder", |b| {
         b.iter(|| run_frontier(&program, &spec, &compiler, None).expect("runs"))
     });
@@ -63,8 +62,7 @@ fn bench(c: &mut Criterion) {
         let workload = GenSpec::new(Family::RandomCliffordT).with_n(n).with_seed(7);
         let program = generate(&workload).expect("valid spec");
         let spec = FrontierSpec::new(vec![LayoutSpec::single_lane()], vec![HardwareSpec::h1()])
-            .with_distances(3, 5)
-            .with_mode(EstimateMode::Analytic);
+            .with_distances(3, 5);
         run_frontier(&program, &spec, &compiler, None).expect("warms");
         group.bench_with_input(
             BenchmarkId::new("workload_warm_run/random-clifford-t", n),

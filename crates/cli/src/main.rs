@@ -21,14 +21,15 @@
 //! comma-separated list).
 //!
 //! Every subcommand reports bad arguments (unknown instruction, unreadable
-//! program file, unknown profile, malformed flag values) as a one-line
-//! message on stderr and exit code 2; runtime failures exit with code 1.
+//! program file, unknown profile, unknown flag, malformed flag values) as a
+//! one-line message on stderr and exit code 2; runtime failures exit with
+//! code 1. `tiscc <subcommand> --help` (or `-h`) prints the usage text.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use tiscc_core::instruction::Instruction;
-use tiscc_estimator::compiler::{CompileRequest, Compiler, EstimateMode};
+use tiscc_estimator::compiler::{CompileRequest, Compiler};
 use tiscc_estimator::program::{estimate_program_with, EstimateError, ProgramEstimateSpec};
 use tiscc_estimator::sweep::{parse_csv, run_sweep_with, CompileCache, DtPolicy, SweepSpec};
 use tiscc_estimator::tables;
@@ -60,7 +61,6 @@ subcommands:
           [--grid HxW]                   tile-grid size, e.g. --grid 8x8
           [--show-layout]                print the ASCII floorplan
           [--simd-width N]               SIMD gate-batching width (default 1)
-          [--mode compiled|analytic]     estimation strategy (default compiled)
           [--trace[=tree|json]]          per-phase span trace on stderr
   gen <family>                           generate a parametric workload program
           [--n N]                        size: bit width / qubit count / lattice
@@ -77,7 +77,6 @@ subcommands:
           [--grids RxC[,...]]            grids applied to auto-sized layouts
           [--dmin N] [--dmax N]          code-distance range (default 3..13)
           [--profile NAME[,NAME...]]     hardware profiles (default h1)
-          [--mode compiled|analytic]     estimation strategy (default compiled)
           [--p-phys X] [--p-th X]        per-step error model parameters
           [--prefactor X]
           [--cache-dir DIR]              persistent compile cache (reused and
@@ -94,7 +93,6 @@ subcommands:
          [--profile NAME]
   sweep [--dmax N] [--dt N|d]            batched resource sweep (CSV + JSON)
         [--profile NAME[,NAME...]]       sweep the grid once per profile
-        [--mode compiled|analytic]       estimation strategy (default compiled)
         [--out F.csv] [--json F.json]    write artifacts (default: CSV to stdout)
         [--trace[=tree|json]]            per-phase span trace on stderr
         [--quiet]                        suppress stderr stats
@@ -108,7 +106,8 @@ subcommands:
                                         becomes a `trace/<path>` measurement
          [--filter SUBSTR]              gate only ids containing SUBSTR
 
-flags take a value as `--flag VALUE` or `--flag=VALUE`
+flags take a value as `--flag VALUE` or `--flag=VALUE`; unknown flags are
+rejected; `tiscc <subcommand> --help` prints this text
 
 profiles: h1 (default) projected slow_junction
 instructions: prepare_z prepare_x inject_y inject_t measure_z measure_x
@@ -144,7 +143,10 @@ struct Args {
 
 /// Flags that never take a value (so they never swallow a following
 /// positional argument).
-const BOOLEAN_FLAGS: &[&str] = &["show-layout", "stdin-json", "trace", "quiet"];
+const BOOLEAN_FLAGS: &[&str] = &["show-layout", "stdin-json", "trace", "quiet", "help"];
+
+/// The flags `compile` (and the bare `tiscc <instruction>` form) accepts.
+const COMPILE_FLAGS: &str = "profile simd-width trace";
 
 impl Args {
     fn parse(raw: &[String]) -> Args {
@@ -152,7 +154,9 @@ impl Args {
         let mut flags = Vec::new();
         let mut it = raw.iter().peekable();
         while let Some(arg) = it.next() {
-            if let Some(name) = arg.strip_prefix("--") {
+            if arg == "-h" {
+                flags.push(("help".to_string(), String::new()));
+            } else if let Some(name) = arg.strip_prefix("--") {
                 if let Some((name, value)) = name.split_once('=') {
                     flags.push((name.to_string(), value.to_string()));
                     continue;
@@ -219,15 +223,6 @@ impl Args {
                 .iter()
                 .map(|name| resolve_profile(name))
                 .collect(),
-        }
-    }
-
-    /// Resolves `--mode` to an estimate mode (default: compiled, which
-    /// keeps existing invocations byte-identical).
-    fn estimate_mode(&self) -> Result<EstimateMode, CliError> {
-        match self.flag("mode") {
-            None => Ok(EstimateMode::default()),
-            Some(v) => v.parse().map_err(CliError::usage),
         }
     }
 
@@ -304,35 +299,55 @@ fn run(raw: &[String]) -> Result<(), CliError> {
         eprintln!("{USAGE}");
         return Err(CliError { code: 2, message: String::new() });
     };
-    let args = Args::parse(&raw[1..]);
-    match subcommand.as_str() {
-        "compile" => cmd_compile(&args),
-        "estimate" => cmd_estimate(&args),
-        "gen" => cmd_gen(&args),
-        "frontier" => cmd_frontier(&args),
-        "serve" => cmd_serve(&args),
-        "tables" => cmd_tables(&args),
-        "sweep" => cmd_sweep(&args),
-        "profiles" => cmd_profiles(),
-        "verify" => cmd_verify(&args),
-        "bench-report" => cmd_bench_report(&args),
+    let mut args = Args::parse(&raw[1..]);
+    type Command = fn(&Args) -> Result<(), CliError>;
+    // Each subcommand's flag whitelist, space-separated.
+    let (command, known_flags): (Command, &str) = match subcommand.as_str() {
+        "compile" => (cmd_compile, COMPILE_FLAGS),
+        "estimate" => (
+            cmd_estimate,
+            "budget profile dmax p-phys p-th prefactor layout grid show-layout simd-width trace",
+        ),
+        "gen" => (cmd_gen, "n seed t-frac qubits steps j h out"),
+        "frontier" => (
+            cmd_frontier,
+            "layouts grids dmin dmax profile p-phys p-th prefactor cache-dir out json stats-json \
+             trace quiet",
+        ),
+        "serve" => (cmd_serve, "stdin-json cache-dir"),
+        "tables" => (cmd_tables, "d dt profile"),
+        "sweep" => (cmd_sweep, "dmax dt profile out json trace quiet"),
+        "profiles" => (|_| cmd_profiles(), ""),
+        "verify" => (cmd_verify, "seed"),
+        "bench-report" => (cmd_bench_report, "out baseline tolerance trace filter"),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
-            Ok(())
+            return Ok(());
+        }
+        // Backwards compatibility with the original single-purpose CLI:
+        // `tiscc prepare_z 3` behaves as `tiscc compile prepare_z 3`.
+        other if Instruction::from_id(other).is_ok() => {
+            args.positional.insert(0, other.to_string());
+            (cmd_compile, COMPILE_FLAGS)
         }
         other => {
-            // Backwards compatibility with the original single-purpose CLI:
-            // `tiscc prepare_z 3` behaves as `tiscc compile prepare_z 3`.
-            if Instruction::from_id(other).is_ok() {
-                let mut compat = vec![other.to_string()];
-                compat.extend(args.positional.iter().cloned());
-                return cmd_compile(&Args { positional: compat, flags: args.flags });
-            }
-            Err(CliError::usage(format!(
+            return Err(CliError::usage(format!(
                 "unknown subcommand '{other}' (run 'tiscc help' for usage)"
             )))
         }
+    };
+    if args.flag("help").is_some() {
+        println!("{USAGE}");
+        return Ok(());
     }
+    if let Some((name, _)) =
+        args.flags.iter().find(|(name, _)| !known_flags.split_whitespace().any(|f| f == name))
+    {
+        return Err(CliError::usage(format!(
+            "unknown flag --{name} for '{subcommand}' (run 'tiscc {subcommand} --help' for usage)"
+        )));
+    }
+    command(&args)
 }
 
 fn cmd_compile(args: &Args) -> Result<(), CliError> {
@@ -354,6 +369,11 @@ fn cmd_compile(args: &Args) -> Result<(), CliError> {
     let dx = distance(1, "dx", 3)?;
     let dz = distance(2, "dz", dx)?;
     let dt = distance(3, "dt", dz.max(dx))?;
+    if dx < 2 || dz < 2 || dt < 1 {
+        return Err(CliError::usage(format!(
+            "distances must satisfy dx, dz >= 2 and dt >= 1 (got dx={dx} dz={dz} dt={dt})"
+        )));
+    }
     let mut spec = args.profile()?;
     spec.simd_width = args.simd_width()?;
     let fmt = trace_format(args)?;
@@ -510,7 +530,6 @@ fn cmd_estimate(args: &Args) -> Result<(), CliError> {
             .collect(),
         d_max: args.flag_usize("dmax", 49)?,
         layout,
-        mode: args.estimate_mode()?,
     };
 
     if args.flag("show-layout").is_some() {
@@ -593,8 +612,8 @@ fn cmd_frontier(args: &Args) -> Result<(), CliError> {
     let Some(path) = args.positional.first() else {
         return Err(CliError::usage(
             "usage: tiscc frontier <program.tql> [--layouts L[@RxC][,...]] [--grids RxC[,...]] \
-             [--dmin N] [--dmax N] [--profile NAME[,NAME...]] [--mode compiled|analytic] \
-             [--cache-dir DIR] [--out F.csv] [--json F.json] [--stats-json F.json] \
+             [--dmin N] [--dmax N] [--profile NAME[,NAME...]] [--cache-dir DIR] \
+             [--out F.csv] [--json F.json] [--stats-json F.json] \
              [--trace[=tree|json]] [--quiet]",
         ));
     };
@@ -614,7 +633,6 @@ fn cmd_frontier(args: &Args) -> Result<(), CliError> {
         d_min: args.flag_usize("dmin", 3)?,
         d_max: args.flag_usize("dmax", 13)?,
         profiles: args.profile_list()?,
-        mode: args.estimate_mode()?,
         model: error_model(args)?,
     };
     let disk = open_cache(args)?;
@@ -748,7 +766,7 @@ fn cmd_profiles() -> Result<(), CliError> {
 fn cmd_sweep(args: &Args) -> Result<(), CliError> {
     let dmax = args.flag_usize("dmax", 5)?.max(2);
     let profiles = args.profile_list()?;
-    let mut spec = SweepSpec::paper(dmax).with_profiles(profiles).with_mode(args.estimate_mode()?);
+    let mut spec = SweepSpec::paper(dmax).with_profiles(profiles);
     if let Some(dt) = args.flag("dt") {
         if dt != "d" {
             let dt = dt.parse::<usize>().map_err(|_| {

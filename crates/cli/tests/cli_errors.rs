@@ -31,6 +31,37 @@ fn bad_arguments_exit_2_with_one_line_messages() {
     assert_usage_error(&["sweep", "--dt", "soon"], "--dt expects a number or 'd'");
     assert_usage_error(&["compile", "idle", "bogus"], "dx expects a number");
     assert_usage_error(&["compile", "idle", "3", "x"], "dz expects a number");
+    assert_usage_error(&["compile", "idle", "0", "0", "0"], "dx, dz >= 2 and dt >= 1");
+    assert_usage_error(&["compile", "idle", "3", "3", "0"], "dt >= 1");
+}
+
+/// Every subcommand has a flag whitelist: a misspelt or removed flag is a
+/// usage error naming it, never silently ignored.
+#[test]
+fn unknown_flags_exit_2_naming_the_flag() {
+    let program =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/programs/bell.tql");
+    let program = program.to_str().unwrap();
+    assert_usage_error(&["estimate", program, "--bugdet", "1e-3"], "unknown flag --bugdet");
+    assert_usage_error(&["estimate", program, "--mode", "analytic"], "unknown flag --mode");
+    assert_usage_error(&["sweep", "--mode=analytic"], "unknown flag --mode");
+    assert_usage_error(&["frontier", program, "--mode", "compiled"], "unknown flag --mode");
+    // A flag valid for one subcommand is still unknown to another.
+    assert_usage_error(&["tables", "--dmax", "3"], "unknown flag --dmax for 'tables'");
+    assert_usage_error(&["idle", "3", "--budget", "1"], "unknown flag --budget");
+}
+
+/// `--help` and `-h` print the usage text and exit 0 instead of running
+/// the subcommand (a bare `sweep` would compile the whole paper sweep).
+#[test]
+fn subcommand_help_prints_usage_without_running() {
+    for args in [&["sweep", "--help"][..], &["sweep", "-h"], &["estimate", "--help"]] {
+        let out = tiscc(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage: tiscc"), "{args:?}: {stdout}");
+        assert!(out.stderr.is_empty(), "{args:?} ran the command: {:?}", out.stderr);
+    }
 }
 
 /// Floorplan arguments have the same contract: unknown strategies,

@@ -57,7 +57,7 @@ fn every_family_feeds_the_estimator() {
         let out = tiscc(&["gen", family, "--n", "3", "--out", path]);
         assert!(out.status.success(), "gen {family} failed: {:?}", out);
         assert!(out.stdout.is_empty(), "--out must not also print to stdout");
-        let est = tiscc(&["estimate", path, "--budget", "1e-4", "--mode", "analytic"]);
+        let est = tiscc(&["estimate", path, "--budget", "1e-4"]);
         assert!(
             est.status.success(),
             "estimate of generated {family} failed: {}",

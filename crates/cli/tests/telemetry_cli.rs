@@ -24,10 +24,10 @@ fn program(stem: &str) -> String {
 #[test]
 fn trace_leaves_stdout_byte_identical() {
     let adder = program("adder");
-    let plain = tiscc(&["estimate", &adder, "--budget", "1e-3", "--mode", "analytic"]);
+    let plain = tiscc(&["estimate", &adder, "--budget", "1e-3"]);
     assert!(plain.status.success());
     for format in ["--trace", "--trace=tree", "--trace=json"] {
-        let traced = tiscc(&["estimate", &adder, "--budget", "1e-3", "--mode", "analytic", format]);
+        let traced = tiscc(&["estimate", &adder, "--budget", "1e-3", format]);
         assert!(traced.status.success(), "{format} failed");
         assert_eq!(traced.stdout, plain.stdout, "{format} changed stdout");
         assert!(!traced.stderr.is_empty(), "{format} wrote no trace");
@@ -54,8 +54,8 @@ fn unknown_trace_format_exits_2() {
 /// the CSV on stdout untouched.
 #[test]
 fn sweep_quiet_silences_stderr_but_not_stdout() {
-    let loud = tiscc(&["sweep", "--dmax", "2", "--mode", "analytic"]);
-    let quiet = tiscc(&["sweep", "--dmax", "2", "--mode", "analytic", "--quiet"]);
+    let loud = tiscc(&["sweep", "--dmax", "2"]);
+    let quiet = tiscc(&["sweep", "--dmax", "2", "--quiet"]);
     assert!(loud.status.success() && quiet.status.success());
     assert_eq!(loud.stdout, quiet.stdout);
     assert!(String::from_utf8_lossy(&loud.stderr).contains("cold sweep"));
@@ -76,8 +76,6 @@ fn frontier_stats_json_embeds_the_trace() {
         "3",
         "--dmax",
         "3",
-        "--mode",
-        "analytic",
         "--quiet",
         "--stats-json",
         stats_path.to_str().unwrap(),
@@ -86,7 +84,7 @@ fn frontier_stats_json_embeds_the_trace() {
     assert!(out.stderr.is_empty(), "{:?}", String::from_utf8_lossy(&out.stderr));
     let stats = std::fs::read_to_string(&stats_path).unwrap();
     for needle in [
-        "\"schema\":\"tiscc.frontier-stats.v1\"",
+        "\"schema\":\"tiscc.frontier-stats.v2\"",
         "\"program\":\"bell\"",
         "\"jobs\":",
         "\"elapsed_s\":",

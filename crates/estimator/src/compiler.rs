@@ -12,68 +12,20 @@
 //! requests differing only in their spec.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use tiscc_core::instruction::{
     apply_instruction, apply_two_tile_instruction, Instruction, InstructionReport,
 };
 use tiscc_core::CoreError;
-use tiscc_grid::Layout;
-use tiscc_hw::rounds::replay_round;
 use tiscc_hw::{
-    batch_ops, batch_rounds, Circuit, CompiledRounds, HardwareModel, HardwareSpec, OpStream,
-    OpView, ResourceReport, RoundBatchStats, TimedOp, UnknownProfile,
+    batch_rounds, Circuit, CompiledRounds, HardwareModel, HardwareSpec, ResourceReport,
+    RoundBatchStats, UnknownProfile,
 };
 
 use crate::sweep::{CompileCache, SweepKey};
 use crate::tables::ResourceRow;
 use crate::verify::{Fiducial, SingleTile, TwoTiles};
-
-/// How the estimator turns a compile request into resource numbers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum EstimateMode {
-    /// Compile the instruction at the requested `dt` and measure the
-    /// resulting schedule (the default; every released output was produced
-    /// this way).
-    #[default]
-    Compiled,
-    /// Capture **one** syndrome round per `(instruction, dx, dz, profile)`
-    /// cell and derive the resources of any requested `dt` by closed-form
-    /// arithmetic over the captured [`CompiledRounds`] — no scheduling, no
-    /// routing, no materialization. Instructions whose round structure
-    /// cannot be proven derivable fall back to [`EstimateMode::Compiled`]
-    /// transparently (the numbers are identical either way).
-    Analytic,
-}
-
-impl EstimateMode {
-    /// The CLI-facing name of the mode.
-    pub fn name(self) -> &'static str {
-        match self {
-            EstimateMode::Compiled => "compiled",
-            EstimateMode::Analytic => "analytic",
-        }
-    }
-}
-
-impl std::fmt::Display for EstimateMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for EstimateMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "compiled" => Ok(EstimateMode::Compiled),
-            "analytic" => Ok(EstimateMode::Analytic),
-            other => Err(format!("unknown estimate mode '{other}' (expected compiled|analytic)")),
-        }
-    }
-}
 
 /// Scheduling-pass observables of one compiled instruction: how often the
 /// contention-aware scheduler stalled an op on a saturated junction, and how
@@ -181,379 +133,13 @@ impl CompileArtifact {
     }
 }
 
-/// The `dt` every analytic capture compiles at.
-///
-/// Chosen so one representative syndrome round is captured *and* replicated
-/// at least twice (`repeats = dt − 1 = 3`), which lets
-/// [`AnalyticArtifact::capture`] verify structurally that the instruction's
-/// round count is affine in `dt` with unit slope: a round sequence whose
-/// length is **not** `dt` shows up as `repeats ≠ ANALYTIC_DT_CAP − 1` (or as
-/// no span at all for a 0/1/2-round fixed sequence, which is `dt`-invariant
-/// and equally derivable) and the capture reports itself non-derivable.
-pub const ANALYTIC_DT_CAP: usize = 4;
-
-/// How a captured epilogue operation's start time arises, so it can be
-/// recomputed for any number of round occurrences.
-///
-/// After the analytic replication of a round sequence the model's barrier
-/// sits at the final round's makespan and every busy time is at or before
-/// it, so an epilogue op can only start at that barrier or at the end of an
-/// earlier epilogue op — both recomputable from the derived final barrier by
-/// the same addition chain the scheduler performs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum EpiPred {
-    /// The op starts at the barrier after the final round occurrence.
-    Barrier,
-    /// The op starts at the end of epilogue op `i` (an earlier one).
-    Chain(usize),
-    /// The op starts at the end of epilogue op `i` plus the junction
-    /// recovery window (it waited out op `i`'s recool time).
-    ChainRecovery(usize),
-}
-
-/// Junction-stall counts of a capture split by circuit segment, so the
-/// total for any `dt` is `prologue + repeats × round + epilogue` — every
-/// round occurrence replays the representative round's schedule (and thus
-/// its stalls) verbatim.
-#[derive(Clone, Copy, Debug, Default)]
-struct SegmentStalls {
-    prologue: usize,
-    round: usize,
-    epilogue: usize,
-}
-
-/// One analytic capture: the compiled shape of an instruction at
-/// [`ANALYTIC_DT_CAP`] rounds, plus enough structure (epilogue predecessor
-/// chains) to derive the [`ResourceReport`] of **any** supported `dt` by
-/// arithmetic alone. Produced by [`AnalyticArtifact::capture`]; shared per
-/// `(instruction, dx, dz, profile)` cell via
-/// [`Compiler::analytic_artifact`].
-#[derive(Clone, Debug)]
-pub struct AnalyticArtifact {
-    /// The capture request (`dt == ANALYTIC_DT_CAP`).
-    request: CompileRequest,
-    /// Compiler-side accounting (dt-independent by construction).
-    report: InstructionReport,
-    /// The captured periodic circuit.
-    rounds: CompiledRounds,
-    /// Measured resources of the capture itself (`dt == ANALYTIC_DT_CAP`).
-    resources: ResourceReport,
-    /// The grid layout the capture was compiled on.
-    layout: Layout,
-    /// Epilogue start-time provenance (empty when the capture has no
-    /// periodic part — then every derived `dt` returns the capture
-    /// verbatim).
-    epi_preds: Vec<EpiPred>,
-    /// Junction stalls of the capture, split by segment for scaling.
-    stalls: SegmentStalls,
-    /// SIMD batching statistics of the capture, split by segment.
-    batch: RoundBatchStats,
-}
-
-impl AnalyticArtifact {
-    /// Compiles `instruction` once at [`ANALYTIC_DT_CAP`] and captures its
-    /// round structure. Returns `Ok(None)` when the instruction is not
-    /// provably derivable under this profile — a round capture fell back to
-    /// materialization, the instruction compiled more than one periodic
-    /// sequence, the round count is not `dt`, an epilogue op's start could
-    /// not be attributed, or the self-check failed — in which case callers
-    /// use [`EstimateMode::Compiled`] for every `dt` of this cell.
-    pub fn capture(
-        instruction: Instruction,
-        dx: usize,
-        dz: usize,
-        spec: HardwareSpec,
-    ) -> Result<Option<AnalyticArtifact>, CoreError> {
-        let request = CompileRequest { instruction, dx, dz, dt: ANALYTIC_DT_CAP, spec };
-        let (hw, before, report) = compile_physical(&request)?;
-        if hw.round_fallbacks() > 0 {
-            // A round sequence was materialized without leaving a span: the
-            // circuit's dt-dependence is invisible to span inspection.
-            return Ok(None);
-        }
-        let rounds_raw = CompiledRounds::extract(hw.circuit(), before);
-        // Batch through the same pass a real compile runs. The epilogue's
-        // raw→pulse remap is recomputed here (batching is deterministic) so
-        // each batched pulse can be traced back to an absolute start time.
-        let (epi_remap, rounds, batch) = if request.spec.simd_width > 1 {
-            let remap = batch_ops(rounds_raw.epilogue.ops(), &request.spec).1;
-            let (batched, stats) = batch_rounds(&rounds_raw, &request.spec);
-            (remap, batched, stats)
-        } else {
-            (
-                (0..rounds_raw.epilogue.len()).collect::<Vec<_>>(),
-                rounds_raw,
-                RoundBatchStats::default(),
-            )
-        };
-        let resources =
-            ResourceReport::from_stream_with_spec(&rounds, hw.grid().layout(), hw.spec());
-        let layout = hw.grid().layout().clone();
-        let circuit = hw.circuit();
-        let flags = hw.stall_flags();
-        let count = |r: std::ops::Range<usize>| flags[r].iter().filter(|&&stalled| stalled).count();
-        let spans: Vec<_> = circuit.spans().iter().filter(|s| s.op_end > before).collect();
-        let (epi_preds, stalls) = match spans.as_slice() {
-            [] => (
-                Vec::new(),
-                SegmentStalls { prologue: count(before..flags.len()), ..Default::default() },
-            ),
-            [span] => {
-                if rounds.repeats != ANALYTIC_DT_CAP - 1 {
-                    // The periodic part is not `dt` rounds long; scaling it
-                    // with `dt` would be wrong.
-                    return Ok(None);
-                }
-                let stalls = SegmentStalls {
-                    prologue: count(before..span.op_start),
-                    round: count(span.op_start..span.op_end),
-                    epilogue: count(span.op_end..flags.len()),
-                };
-                let barrier = span.end_makespan_us;
-                // Attribution runs in ABSOLUTE time (the scheduler's own
-                // frame) so derived addition chains are bit-exact. For a
-                // batched epilogue the pulses' absolute starts are
-                // reconstructed from the raw ops through the remap (a
-                // pulse starts when its first member did).
-                let raw_epilogue = &circuit.ops()[span.op_end..];
-                let mut abs_starts = vec![f64::NAN; rounds.epilogue.len()];
-                for (raw_idx, &pulse) in epi_remap.iter().enumerate() {
-                    if abs_starts[pulse].is_nan() {
-                        abs_starts[pulse] = raw_epilogue[raw_idx].start_us;
-                    }
-                }
-                let recovery = request.spec.junction_recovery_us;
-                let mut preds = Vec::with_capacity(rounds.epilogue.len());
-                let mut ends: Vec<f64> = Vec::with_capacity(rounds.epilogue.len());
-                for (pulse, op) in rounds.epilogue.ops().iter().enumerate() {
-                    let start = abs_starts[pulse];
-                    // The recovery comparison replays the scheduler's own
-                    // `end + recovery` addition, so the match is bit-exact.
-                    let pred = if start == barrier {
-                        EpiPred::Barrier
-                    } else if let Some(i) = ends.iter().rposition(|&e| e == start) {
-                        EpiPred::Chain(i)
-                    } else if let Some(i) = (recovery > 0.0)
-                        .then(|| ends.iter().rposition(|&e| e + recovery == start))
-                        .flatten()
-                    {
-                        EpiPred::ChainRecovery(i)
-                    } else {
-                        return Ok(None);
-                    };
-                    preds.push(pred);
-                    ends.push(start + op.duration_us);
-                }
-                (preds, stalls)
-            }
-            _ => return Ok(None),
-        };
-        let artifact = AnalyticArtifact {
-            request,
-            report,
-            rounds,
-            resources,
-            layout,
-            epi_preds,
-            stalls,
-            batch,
-        };
-        // Self-check: deriving at the capture's own `dt` must reproduce the
-        // measured report bit-for-bit, or the capture is unusable.
-        if artifact.derive(ANALYTIC_DT_CAP).as_ref() != Some(&artifact.resources) {
-            return Ok(None);
-        }
-        Ok(Some(artifact))
-    }
-
-    /// The capture's compiler-side accounting report.
-    pub fn report(&self) -> &InstructionReport {
-        &self.report
-    }
-
-    /// The template occurrence count a compile at `dt` would produce, or
-    /// `None` when that `dt` is outside the derivable range. With SIMD
-    /// batching active (`simd_width > 1`) a target of exactly one
-    /// occurrence is also non-derivable: a real compile at that `dt` leaves
-    /// no replicated span, so its whole stream batches as one flat segment
-    /// — a different (usually tighter) grouping than the capture's
-    /// segmented prologue/template/epilogue batching. Those dts fall back
-    /// to [`EstimateMode::Compiled`] and are counted.
-    fn derived_repeats(&self, dt: usize) -> Option<usize> {
-        let repeats =
-            (self.rounds.repeats + dt).checked_sub(ANALYTIC_DT_CAP).filter(|&r| r >= 1)?;
-        if self.request.spec.simd_width > 1 && repeats < 2 {
-            return None;
-        }
-        Some(repeats)
-    }
-
-    /// Derives the [`ResourceReport`] of this instruction at `dt` rounds
-    /// per logical time-step, by arithmetic over the captured round — no
-    /// scheduling, routing, or materialization. Returns `None` when `dt` is
-    /// out of the derivable range (`dt == 0`, or `dt < 2` for an
-    /// instruction with a periodic part).
-    ///
-    /// Durations reproduce the compiled schedule exactly for profiles whose
-    /// native durations are dyadic (every preset except `projected`'s
-    /// transport chains); elsewhere the derived makespan can differ from
-    /// the compiled one by at most 1 ulp per epilogue timing tie.
-    pub fn derive(&self, dt: usize) -> Option<ResourceReport> {
-        if dt == 0 {
-            return None;
-        }
-        if self.rounds.repeats == 0 {
-            // No periodic part: the instruction runs no dt-dependent rounds
-            // and its resources are the same at every dt.
-            return Some(self.resources.clone());
-        }
-        let repeats = self.derived_repeats(dt)?;
-        let grown = repeats as isize - self.rounds.repeats as isize;
-        let measurements = self.rounds.measurements.len() as isize
-            + grown * self.rounds.template.meas_per_round as isize;
-        let measurements = usize::try_from(measurements).ok()?;
-        let stream = DerivedStream {
-            rounds: &self.rounds,
-            repeats,
-            epilogue: self.derived_epilogue(repeats),
-            measurements,
-        };
-        Some(ResourceReport::from_stream_with_spec(&stream, &self.layout, &self.request.spec))
-    }
-
-    /// [`AnalyticArtifact::derive`] packaged as a resource-table row,
-    /// indistinguishable from [`CompileArtifact::row`] at the same `dt`.
-    pub fn derive_row(&self, dt: usize) -> Option<ResourceRow> {
-        Some(ResourceRow {
-            name: self.request.instruction.name().to_string(),
-            dx: self.request.dx,
-            dz: self.request.dz,
-            logical_time_steps: self.report.logical_time_steps,
-            tiles: self.report.tiles,
-            profile: self.request.spec.name.clone(),
-            resources: self.derive(dt)?,
-        })
-    }
-
-    /// Derives the [`CompileStats`] of this instruction at `dt` rounds per
-    /// logical time-step: every round occurrence replays the captured
-    /// round's schedule verbatim, so its stalls and batches scale linearly
-    /// with the occurrence count. Same derivable range as
-    /// [`AnalyticArtifact::derive`].
-    pub fn derive_stats(&self, dt: usize) -> Option<CompileStats> {
-        if dt == 0 {
-            return None;
-        }
-        if self.rounds.repeats == 0 {
-            return Some(CompileStats {
-                junction_stalls: self.stalls.prologue + self.stalls.epilogue,
-                batched_pulses: self.batch.total_batched_pulses(0),
-            });
-        }
-        let repeats = self.derived_repeats(dt)?;
-        Some(CompileStats {
-            junction_stalls: self.stalls.prologue
-                + repeats * self.stalls.round
-                + self.stalls.epilogue,
-            batched_pulses: self.batch.total_batched_pulses(repeats),
-        })
-    }
-
-    /// Rebuilds the epilogue for `repeats` round occurrences: replays the
-    /// round chain to the final barrier, then re-derives each epilogue op's
-    /// start from its recorded provenance — exactly the addition chain the
-    /// scheduler performs, so times match a real compile bit-for-bit.
-    fn derived_epilogue(&self, repeats: usize) -> Circuit {
-        let t = &self.rounds.template;
-        let mut barrier = t.ops.iter().map(TimedOp::end_us).fold(t.base_us, f64::max);
-        let (mut starts, mut ends) = (Vec::new(), Vec::new());
-        for _ in 1..repeats {
-            barrier =
-                replay_round(&t.ops, &t.preds, barrier, t.recovery_us, &mut starts, &mut ends);
-        }
-        let mut ops = Vec::with_capacity(self.epi_preds.len());
-        let mut abs_ends: Vec<f64> = Vec::with_capacity(self.epi_preds.len());
-        for (op, pred) in self.rounds.epilogue.ops().iter().zip(&self.epi_preds) {
-            let abs_start = match *pred {
-                EpiPred::Barrier => barrier,
-                EpiPred::Chain(i) => abs_ends[i],
-                EpiPred::ChainRecovery(i) => abs_ends[i] + t.recovery_us,
-            };
-            abs_ends.push(abs_start + op.duration_us);
-            let mut op = op.clone();
-            op.start_us = abs_start - self.rounds.rebase_us;
-            ops.push(op);
-        }
-        Circuit::from_ops(ops)
-    }
-}
-
-/// A captured periodic circuit re-targeted to a different occurrence count:
-/// the capture's prologue and template, `repeats` occurrences, and a
-/// re-derived epilogue. Streams exactly like the [`CompiledRounds`] a real
-/// compile at the target `dt` would produce (modulo epilogue measurement
-/// indices, which resource accounting never reads), so
-/// [`ResourceReport::from_stream_with_spec`] over it runs the identical
-/// accumulation arithmetic.
-struct DerivedStream<'a> {
-    rounds: &'a CompiledRounds,
-    repeats: usize,
-    epilogue: Circuit,
-    measurements: usize,
-}
-
-impl OpStream for DerivedStream<'_> {
-    fn for_each_op(&self, f: &mut dyn FnMut(OpView<'_>)) {
-        let t = &self.rounds.template;
-        self.rounds.prologue.for_each_op(f);
-        for op in &t.ops {
-            f(OpView {
-                op,
-                start_us: op.start_us - self.rounds.rebase_us,
-                measurement: op.measurement,
-            });
-        }
-        let mut base = t.ops.iter().map(TimedOp::end_us).fold(t.base_us, f64::max);
-        let (mut starts, mut ends) = (Vec::new(), Vec::new());
-        for r in 1..self.repeats {
-            base = replay_round(&t.ops, &t.preds, base, t.recovery_us, &mut starts, &mut ends);
-            let meas_shift = r * t.meas_per_round;
-            for (i, op) in t.ops.iter().enumerate() {
-                f(OpView {
-                    op,
-                    start_us: starts[i] - self.rounds.rebase_us,
-                    measurement: op.measurement.map(|m| m + meas_shift),
-                });
-            }
-        }
-        self.epilogue.for_each_op(f);
-    }
-
-    fn for_each_distinct_op(&self, f: &mut dyn FnMut(&TimedOp)) {
-        self.rounds.prologue.for_each_distinct_op(f);
-        for op in &self.rounds.template.ops {
-            f(op);
-        }
-        self.epilogue.for_each_distinct_op(f);
-    }
-
-    fn measurement_count(&self) -> usize {
-        self.measurements
-    }
-}
-
 /// The front-door compiler: turns [`CompileRequest`]s into
 /// [`CompileArtifact`]s, memoizing finished resource rows in a shared
-/// [`CompileCache`] keyed on configuration × spec fingerprint, and — in
-/// [`EstimateMode::Analytic`] — sharing one [`AnalyticArtifact`] per
-/// `(instruction, dx, dz, profile)` cell across every `dt`.
+/// [`CompileCache`] keyed on configuration × spec fingerprint.
 #[derive(Default)]
 pub struct Compiler {
     cache: CompileCache,
-    analytic: Mutex<HashMap<SweepKey, Option<Arc<AnalyticArtifact>>>>,
-    captures: AtomicUsize,
     stats: Mutex<HashMap<SweepKey, CompileStats>>,
-    analytic_fallbacks: AtomicUsize,
 }
 
 impl Compiler {
@@ -568,24 +154,8 @@ impl Compiler {
         &self.cache
     }
 
-    /// How many physical analytic captures ([`AnalyticArtifact::capture`]
-    /// compiles) this compiler has performed. A batch engine fed entirely
-    /// from a warm persistent cache reports zero — the counter is the
-    /// observable that distinguishes "served from cache" from "recomputed
-    /// and happened to match".
-    pub fn analytic_captures(&self) -> usize {
-        self.captures.load(Ordering::Relaxed)
-    }
-
-    /// How many [`EstimateMode::Analytic`] requests this compiler answered
-    /// by falling back to a real compile (non-derivable cell, or `dt`
-    /// outside the derivable range). Fallbacks are counted, never silent.
-    pub fn analytic_fallbacks(&self) -> usize {
-        self.analytic_fallbacks.load(Ordering::Relaxed)
-    }
-
     /// The scheduling-pass statistics recorded for the request, or zeros if
-    /// the request was never compiled (or derived) through this compiler.
+    /// the request was never compiled through this compiler.
     /// Rows served from the in-process cache keep the stats their original
     /// compile recorded — the key is the same.
     pub fn stats_for(&self, request: &CompileRequest) -> CompileStats {
@@ -621,70 +191,6 @@ impl Compiler {
         self.cache.insert(key, row.clone());
         Ok(row)
     }
-
-    /// Compiles a request to a resource-table row under the given
-    /// [`EstimateMode`]. `Compiled` is exactly [`Compiler::compile_row`];
-    /// `Analytic` derives the row from the cell's shared
-    /// [`AnalyticArtifact`], falling back to a real compile when the cell
-    /// is not derivable or `dt` is out of the derivable range.
-    pub fn estimate_row(
-        &self,
-        request: &CompileRequest,
-        mode: EstimateMode,
-    ) -> Result<ResourceRow, CoreError> {
-        match mode {
-            EstimateMode::Compiled => self.compile_row(request),
-            EstimateMode::Analytic => match self.analytic_artifact(request)? {
-                Some(artifact) => match artifact.derive_row(request.dt) {
-                    Some(row) => {
-                        let stats =
-                            artifact.derive_stats(request.dt).expect("row derivable => stats too");
-                        self.stats.lock().expect("stats map poisoned").insert(request.key(), stats);
-                        Ok(row)
-                    }
-                    None => {
-                        self.analytic_fallbacks.fetch_add(1, Ordering::Relaxed);
-                        self.compile_row(request)
-                    }
-                },
-                None => {
-                    self.analytic_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    self.compile_row(request)
-                }
-            },
-        }
-    }
-
-    /// The shared analytic capture for the request's `(instruction, dx, dz,
-    /// profile)` cell: captured on first use (one physical compile at
-    /// [`ANALYTIC_DT_CAP`]), then served from the compiler's analytic cache
-    /// for every `dt`. `Ok(None)` means the cell is not analytically
-    /// derivable and is remembered as such.
-    pub fn analytic_artifact(
-        &self,
-        request: &CompileRequest,
-    ) -> Result<Option<Arc<AnalyticArtifact>>, CoreError> {
-        let key = CompileRequest { dt: ANALYTIC_DT_CAP, ..request.clone() }.key();
-        if let Some(hit) = self.analytic.lock().expect("analytic cache poisoned").get(&key) {
-            return Ok(hit.clone());
-        }
-        self.captures.fetch_add(1, Ordering::Relaxed);
-        let captured = AnalyticArtifact::capture(
-            request.instruction,
-            request.dx,
-            request.dz,
-            request.spec.clone(),
-        )?
-        .map(Arc::new);
-        // First writer wins on a race; both computed the same capture.
-        Ok(self
-            .analytic
-            .lock()
-            .expect("analytic cache poisoned")
-            .entry(key)
-            .or_insert(captured)
-            .clone())
-    }
 }
 
 /// The stateless compile pipeline behind [`Compiler::compile`]: needs no
@@ -692,21 +198,8 @@ impl Compiler {
 /// bring their own memoization call it directly without constructing a
 /// throwaway [`Compiler`] per row.
 pub(crate) fn compile_uncached(request: &CompileRequest) -> Result<CompileArtifact, CoreError> {
-    let (hw, before, report) = compile_physical(request)?;
-    let (rounds, resources, stats) = instruction_rounds_with_stats(&hw, before);
-    Ok(CompileArtifact { request: request.clone(), rounds, report, resources, stats })
-}
-
-/// The physical compile behind both [`compile_uncached`] and
-/// [`AnalyticArtifact::capture`]: builds the fixture, prepares input tiles
-/// as required, applies the instruction, and hands back the hardware model
-/// (for post-hoc circuit inspection) together with the instruction's first
-/// op index and the compiler-side report.
-fn compile_physical(
-    request: &CompileRequest,
-) -> Result<(HardwareModel, usize, InstructionReport), CoreError> {
     let CompileRequest { instruction, dx, dz, dt, ref spec } = *request;
-    if instruction.tiles() == 2 {
+    let (hw, before, report) = if instruction.tiles() == 2 {
         let mut fixture = match instruction {
             Instruction::MeasureZZ => TwoTiles::new_horizontal_with_spec(dx, dz, dt, spec.clone())?,
             _ => TwoTiles::with_spec(dx, dz, dt, spec.clone())?,
@@ -721,7 +214,7 @@ fn compile_physical(
             &mut fixture.upper,
             &mut fixture.lower,
         )?;
-        Ok((fixture.hw, before, report))
+        (fixture.hw, before, report)
     } else {
         let mut fixture = SingleTile::with_spec(dx, dz, dt, spec.clone())?;
         fixture.hw.set_round_templating(true);
@@ -738,8 +231,10 @@ fn compile_physical(
         }
         let before = fixture.hw.circuit().len();
         let report = apply_instruction(&mut fixture.hw, instruction, &mut fixture.patch)?;
-        Ok((fixture.hw, before, report))
-    }
+        (fixture.hw, before, report)
+    };
+    let (rounds, resources, stats) = instruction_rounds_with_stats(&hw, before);
+    Ok(CompileArtifact { request: request.clone(), rounds, report, resources, stats })
 }
 
 /// Extracts the sub-range of `hw` starting at operation index `start_op` as
@@ -846,56 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn estimate_mode_parses_and_renders() {
-        assert_eq!("analytic".parse::<EstimateMode>().unwrap(), EstimateMode::Analytic);
-        assert_eq!("Compiled".parse::<EstimateMode>().unwrap(), EstimateMode::Compiled);
-        assert_eq!(EstimateMode::default(), EstimateMode::Compiled);
-        assert_eq!(EstimateMode::Analytic.to_string(), "analytic");
-        let err = "turbo".parse::<EstimateMode>().unwrap_err();
-        assert!(err.contains("turbo") && err.contains("analytic"));
-    }
-
-    #[test]
-    fn analytic_rows_match_compiled_rows_bit_for_bit() {
-        let compiler = Compiler::new();
-        for instruction in [Instruction::Idle, Instruction::MeasureZZ, Instruction::MeasureX] {
-            for dt in [2usize, 3, 5, 7] {
-                let req = CompileRequest::new(instruction, 3, 3, dt);
-                let analytic = compiler.estimate_row(&req, EstimateMode::Analytic).unwrap();
-                let compiled = compile_uncached(&req).unwrap().row();
-                assert_eq!(analytic, compiled, "{instruction:?} dt={dt}");
-            }
-        }
-    }
-
-    #[test]
-    fn analytic_captures_are_shared_across_dt() {
-        let compiler = Compiler::new();
-        for dt in 2..=6 {
-            let req = CompileRequest::new(Instruction::Idle, 2, 2, dt);
-            compiler.estimate_row(&req, EstimateMode::Analytic).unwrap();
-        }
-        // One capture serves every dt: the compiled-row cache saw no
-        // traffic beyond (possibly) fallback dts — for Idle, none.
-        assert_eq!(compiler.cache().len(), 0, "analytic rows never populate the compiled cache");
-        assert_eq!(compiler.analytic.lock().unwrap().len(), 1);
-        assert_eq!(compiler.analytic_captures(), 1, "one physical capture serves every dt");
-    }
-
-    #[test]
-    fn analytic_mode_falls_back_outside_the_derivable_range() {
-        let compiler = Compiler::new();
-        // dt = 1 cannot be derived from a periodic capture; the row must
-        // come from a real compile and still be exact.
-        let req = CompileRequest::new(Instruction::Idle, 2, 2, 1);
-        let analytic = compiler.estimate_row(&req, EstimateMode::Analytic).unwrap();
-        let compiled = compile_uncached(&req).unwrap().row();
-        assert_eq!(analytic, compiled);
-        assert_eq!(compiler.cache().len(), 1, "the fallback is a compiled-cache entry");
-        assert_eq!(compiler.analytic_fallbacks(), 1, "the fallback is counted, never silent");
-    }
-
-    #[test]
     fn default_knobs_report_zero_stats() {
         let compiler = Compiler::new();
         let req = CompileRequest::new(Instruction::Idle, 3, 3, 3);
@@ -921,19 +366,5 @@ mod tests {
             batched.resources.execution_time_s.to_bits(),
             plain.resources.execution_time_s.to_bits()
         );
-    }
-
-    #[test]
-    fn analytic_stats_match_compiled_stats() {
-        let mut spec = HardwareSpec::h1();
-        spec.simd_width = 2;
-        for dt in [2usize, 3, 5, 7] {
-            let req = CompileRequest::new(Instruction::MeasureZZ, 3, 3, dt).with_spec(spec.clone());
-            let analytic = Compiler::new();
-            let row = analytic.estimate_row(&req, EstimateMode::Analytic).unwrap();
-            let compiled = compile_uncached(&req).unwrap();
-            assert_eq!(row, compiled.row(), "dt={dt}");
-            assert_eq!(analytic.stats_for(&req), compiled.stats, "dt={dt}");
-        }
     }
 }

@@ -33,8 +33,6 @@ pub mod sweep;
 pub mod tables;
 pub mod verify;
 
-pub use compiler::{
-    AnalyticArtifact, CompileArtifact, CompileRequest, Compiler, EstimateMode, ANALYTIC_DT_CAP,
-};
+pub use compiler::{CompileArtifact, CompileRequest, Compiler};
 pub use program::{estimate_program, estimate_program_with, ProgramEstimate, ProgramEstimateSpec};
 pub use sweep::{run_sweep, run_sweep_with, CompileCache, SweepResult, SweepSpec};

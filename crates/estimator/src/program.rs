@@ -43,7 +43,7 @@ use tiscc_program::{
 };
 use tiscc_telemetry::{Span, Telemetry};
 
-use crate::compiler::{CompileRequest, CompileStats, Compiler, EstimateMode};
+use crate::compiler::{CompileRequest, CompileStats, Compiler};
 
 /// What to estimate: the error budget, the per-step error model, the
 /// floorplan, the hardware profiles to compare, and the distance-search
@@ -60,9 +60,6 @@ pub struct ProgramEstimateSpec {
     pub d_max: usize,
     /// The floorplan: placement strategy and optional tile-grid size.
     pub layout: LayoutSpec,
-    /// How per-instruction resources are obtained (compiled schedules or
-    /// closed-form analytic derivation).
-    pub mode: EstimateMode,
 }
 
 impl ProgramEstimateSpec {
@@ -75,19 +72,12 @@ impl ProgramEstimateSpec {
             profiles: vec![HardwareSpec::default()],
             d_max: 49,
             layout: LayoutSpec::default(),
-            mode: EstimateMode::default(),
         }
     }
 
     /// Replaces the hardware-profile axis.
     pub fn with_profiles(mut self, profiles: Vec<HardwareSpec>) -> Self {
         self.profiles = profiles;
-        self
-    }
-
-    /// Replaces the estimate mode.
-    pub fn with_mode(mut self, mode: EstimateMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -137,8 +127,6 @@ pub struct ProfileEstimate {
     /// Multi-op SIMD pulses across the program (summed per instruction
     /// instance; zero at `simd_width = 1`).
     pub batched_pulses: usize,
-    /// How this row's per-instruction resources were obtained.
-    pub estimate_mode: EstimateMode,
 }
 
 /// A program-level space–time resource estimate.
@@ -204,10 +192,9 @@ impl ProgramEstimate {
             "  routing: {} routed merge(s), parallel_merges {}, routing_stalls {}\n\n",
             self.routed_merges, self.parallel_merges, self.routing_stalls
         ));
-        // The mode and scheduling-stat columns appear only when some row
-        // carries a non-default value, so default-knob compiled reports are
-        // byte-identical to releases that predate these columns.
-        let show_mode = self.rows.iter().any(|r| r.estimate_mode != EstimateMode::Compiled);
+        // The scheduling-stat columns appear only when some row carries a
+        // non-default value, so default-knob reports are byte-identical to
+        // releases that predate these columns.
         let show_stats = self.rows.iter().any(|r| r.junction_stalls > 0 || r.batched_pulses > 0);
         out.push_str(&format!(
             "  {:<14} {:>4} {:>12} {:>12} {:>8} {:>12} {:>14}",
@@ -215,9 +202,6 @@ impl ProgramEstimate {
         ));
         if show_stats {
             out.push_str(&format!(" {:>15} {:>14}", "junction_stalls", "batched_pulses"));
-        }
-        if show_mode {
-            out.push_str(&format!(" {:>9}", "mode"));
         }
         out.push('\n');
         for row in &self.rows {
@@ -233,9 +217,6 @@ impl ProgramEstimate {
             ));
             if show_stats {
                 out.push_str(&format!(" {:>15} {:>14}", row.junction_stalls, row.batched_pulses));
-            }
-            if show_mode {
-                out.push_str(&format!(" {:>9}", row.estimate_mode.name()));
             }
             out.push('\n');
         }
@@ -318,8 +299,8 @@ pub fn estimate_program(
 /// [`estimate_program`] with telemetry: each pipeline phase (`validate`,
 /// `place`, `schedule`, `select_distance`, `compile`, `assemble`) opens a
 /// child span under `parent`, and the compile phase records the
-/// `compile.cache_hits` / `compile.cache_misses` /
-/// `compile.analytic_captures` deltas of `compiler` across the fan-out.
+/// `compile.cache_hits` / `compile.cache_misses` deltas of `compiler`
+/// across the fan-out.
 /// Passing a span from [`Telemetry::off`] makes this identical to
 /// [`estimate_program`].
 pub fn estimate_program_with(
@@ -361,7 +342,6 @@ pub fn estimate_program_with(
     let compile_span = parent.child("compile");
     let hits_before = compiler.cache().hits();
     let misses_before = compiler.cache().misses();
-    let captures_before = compiler.analytic_captures();
     let requests: Vec<(usize, CompileRequest)> = spec
         .profiles
         .iter()
@@ -375,7 +355,7 @@ pub fn estimate_program_with(
     let compiled: Result<Vec<_>, CoreError> = requests
         .into_par_iter()
         .map(|(pi, request)| {
-            compiler.estimate_row(&request, spec.mode).map(|row| {
+            compiler.compile_row(&request).map(|row| {
                 (
                     (pi, request.instruction),
                     (row.resources.execution_time_s, compiler.stats_for(&request)),
@@ -406,10 +386,6 @@ pub fn estimate_program_with(
         "compile.cache_misses",
         compiler.cache().misses().saturating_sub(misses_before) as u64,
     );
-    compile_span.add(
-        "compile.analytic_captures",
-        compiler.analytic_captures().saturating_sub(captures_before) as u64,
-    );
     compile_span.finish();
 
     // The machine footprint depends only on the placement and the selected
@@ -435,7 +411,6 @@ pub fn estimate_program_with(
                 qubit_rounds: zones as u64 * sched.logical_time_steps as u64 * d as u64,
                 junction_stalls,
                 batched_pulses,
-                estimate_mode: spec.mode,
             }
         })
         .collect();

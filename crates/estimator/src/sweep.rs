@@ -35,7 +35,6 @@ use tiscc_core::CoreError;
 use tiscc_hw::{HardwareSpec, SpecFingerprint};
 use tiscc_telemetry::{Span, Telemetry};
 
-use crate::compiler::{AnalyticArtifact, EstimateMode};
 use crate::tables::{compile_instruction_row_with, csv_header, render_csv, ResourceRow};
 
 /// How the temporal code distance `dt` (rounds of error correction per
@@ -95,12 +94,6 @@ pub struct SweepSpec {
     /// Hardware profiles to compile under (usually a single entry; the
     /// constructors default to [`HardwareSpec::h1`]).
     pub profiles: Vec<HardwareSpec>,
-    /// How rows are produced: compiled schedules (the default) or one
-    /// analytic capture per `(instruction, dx, dz, profile)` cell shared
-    /// across the `dt` axis. Analytic rows land in the same
-    /// [`CompileCache`] — they agree with compiled rows bit-for-bit on
-    /// dyadic-duration profiles and to ≤ 1 ulp on durations elsewhere.
-    pub mode: EstimateMode,
 }
 
 impl SweepSpec {
@@ -112,7 +105,6 @@ impl SweepSpec {
             distances: distances.iter().map(|&d| (d, d)).collect(),
             dts: vec![DtPolicy::EqualsDistance],
             profiles: vec![HardwareSpec::default()],
-            mode: EstimateMode::default(),
         }
     }
 
@@ -127,12 +119,6 @@ impl SweepSpec {
     /// per profile.
     pub fn with_profiles(mut self, profiles: Vec<HardwareSpec>) -> Self {
         self.profiles = profiles;
-        self
-    }
-
-    /// Replaces the estimate mode (see [`SweepSpec::mode`]).
-    pub fn with_mode(mut self, mode: EstimateMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -405,58 +391,16 @@ pub fn run_sweep_with(
 
     // Parallel fan-out over the missing configurations only.
     let compile_span = parent.child("compile");
-    let compiled: Result<Vec<(SweepKey, ResourceRow)>, CoreError> = match spec.mode {
-        EstimateMode::Compiled => missing
-            .into_par_iter()
-            .map(|key| {
-                let profile = profiles
-                    .get(&key.spec)
-                    .expect("every resolved key's fingerprint maps to a spec profile");
-                compile_instruction_row_with(profile, key.instruction, key.dx, key.dz, key.dt)
-                    .map(|row| (key, row))
-            })
-            .collect(),
-        EstimateMode::Analytic => {
-            // One capture per (instruction, dx, dz, profile) cell serves
-            // the whole dt axis; non-derivable dts compile individually.
-            let mut groups: HashMap<(Instruction, usize, usize, SpecFingerprint), Vec<SweepKey>> =
-                HashMap::new();
-            for key in missing {
-                groups.entry((key.instruction, key.dx, key.dz, key.spec)).or_default().push(key);
-            }
-            let groups: Vec<Vec<SweepKey>> = groups.into_values().collect();
-            groups
-                .into_par_iter()
-                .map(|keys| {
-                    let lead = keys[0];
-                    let profile = profiles
-                        .get(&lead.spec)
-                        .expect("every resolved key's fingerprint maps to a spec profile");
-                    let artifact = AnalyticArtifact::capture(
-                        lead.instruction,
-                        lead.dx,
-                        lead.dz,
-                        (*profile).clone(),
-                    )?;
-                    keys.into_iter()
-                        .map(|key| match artifact.as_ref().and_then(|a| a.derive_row(key.dt)) {
-                            Some(row) => Ok((key, row)),
-                            None => compile_instruction_row_with(
-                                profile,
-                                key.instruction,
-                                key.dx,
-                                key.dz,
-                                key.dt,
-                            )
-                            .map(|row| (key, row)),
-                        })
-                        .collect::<Result<Vec<_>, CoreError>>()
-                })
-                .collect::<Result<Vec<Vec<_>>, CoreError>>()
-                .map(|per_cell| per_cell.into_iter().flatten().collect())
-        }
-    };
-    let compiled = compiled?;
+    let compiled: Vec<(SweepKey, ResourceRow)> = missing
+        .into_par_iter()
+        .map(|key| {
+            let profile = profiles
+                .get(&key.spec)
+                .expect("every resolved key's fingerprint maps to a spec profile");
+            compile_instruction_row_with(profile, key.instruction, key.dx, key.dz, key.dt)
+                .map(|row| (key, row))
+        })
+        .collect::<Result<_, CoreError>>()?;
     let compiled_count = compiled.len();
     for (key, row) in compiled {
         cache.insert(key, row);
@@ -683,17 +627,5 @@ mod tests {
     fn dt_policy_resolution() {
         assert_eq!(DtPolicy::Fixed(4).resolve(3, 5), 4);
         assert_eq!(DtPolicy::EqualsDistance.resolve(3, 5), 5);
-    }
-
-    #[test]
-    fn analytic_sweep_reproduces_the_compiled_sweep() {
-        let mut spec = small_spec();
-        spec.dts = vec![DtPolicy::Fixed(2), DtPolicy::Fixed(3), DtPolicy::Fixed(5)];
-        let compiled = run_sweep(&spec, &CompileCache::new()).unwrap();
-        let analytic =
-            run_sweep(&spec.clone().with_mode(EstimateMode::Analytic), &CompileCache::new())
-                .unwrap();
-        assert_eq!(compiled.keys, analytic.keys);
-        assert_eq!(compiled.rows, analytic.rows, "h1 durations are dyadic: rows match exactly");
     }
 }

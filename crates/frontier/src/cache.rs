@@ -4,7 +4,7 @@
 //! versioned directory:
 //!
 //! ```text
-//! <root>/v1/<instruction>-dx3-dz3-dt3-<fingerprint>-analytic.entry
+//! <root>/v2/<instruction>-dx3-dz3-dt3-<fingerprint>.entry
 //! ```
 //!
 //! Each entry holds a two-line header (format version, the entry's own
@@ -26,7 +26,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use tiscc_estimator::compiler::EstimateMode;
 use tiscc_estimator::sweep::SweepKey;
 use tiscc_estimator::tables::ResourceRow;
 
@@ -35,10 +34,10 @@ use crate::spec::FrontierError;
 /// Version of the on-disk entry format. Bump on any change to the entry
 /// layout; each version lives in its own `v<N>/` subdirectory, so a
 /// mismatched cache directory is simply empty, never misinterpreted.
-pub const CACHE_FORMAT_VERSION: u32 = 1;
+pub const CACHE_FORMAT_VERSION: u32 = 2;
 
 /// A persistent, versioned, corruption-tolerant store of estimator rows
-/// keyed by `(`[`SweepKey`]`, `[`EstimateMode`]`)`.
+/// keyed by [`SweepKey`].
 #[derive(Debug)]
 pub struct DiskCache {
     dir: PathBuf,
@@ -130,10 +129,9 @@ impl DiskCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Returns the stored row for `(key, mode)`, if an intact entry
-    /// exists.
-    pub fn get(&self, key: &SweepKey, mode: EstimateMode) -> Option<ResourceRow> {
-        let row = self.entries.lock().unwrap().get(&entry_stem(key, mode)).cloned();
+    /// Returns the stored row for `key`, if an intact entry exists.
+    pub fn get(&self, key: &SweepKey) -> Option<ResourceRow> {
+        let row = self.entries.lock().unwrap().get(&entry_stem(key)).cloned();
         match &row {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -144,13 +142,8 @@ impl DiskCache {
     /// Persists a freshly computed row. The entry is written to a
     /// temporary file and atomically renamed into place, so readers never
     /// observe a half-written entry even if the process dies mid-write.
-    pub fn insert(
-        &self,
-        key: &SweepKey,
-        mode: EstimateMode,
-        row: &ResourceRow,
-    ) -> Result<(), FrontierError> {
-        let stem = entry_stem(key, mode);
+    pub fn insert(&self, key: &SweepKey, row: &ResourceRow) -> Result<(), FrontierError> {
+        let stem = entry_stem(key);
         let text = encode_entry(&stem, row);
         let tmp = self.dir.join(format!("{stem}.tmp"));
         let dest = self.dir.join(format!("{stem}.entry"));
@@ -163,19 +156,11 @@ impl DiskCache {
     }
 }
 
-/// The file stem an entry for `(key, mode)` is stored under. Built only
-/// from filename-safe pieces: instruction ids are `snake_case`, the
-/// fingerprint is fixed-width hex, and the mode tag is a lowercase word.
-fn entry_stem(key: &SweepKey, mode: EstimateMode) -> String {
-    format!(
-        "{}-dx{}-dz{}-dt{}-{}-{}",
-        key.instruction.id(),
-        key.dx,
-        key.dz,
-        key.dt,
-        key.spec,
-        mode.name()
-    )
+/// The file stem an entry for `key` is stored under. Built only from
+/// filename-safe pieces: instruction ids are `snake_case` and the
+/// fingerprint is fixed-width hex.
+fn entry_stem(key: &SweepKey) -> String {
+    format!("{}-dx{}-dz{}-dt{}-{}", key.instruction.id(), key.dx, key.dz, key.dt, key.spec)
 }
 
 fn encode_entry(stem: &str, row: &ResourceRow) -> String {
@@ -222,7 +207,7 @@ mod tests {
         let spec = HardwareSpec::h1();
         let request = CompileRequest::new(Instruction::PrepareZ, 3, 3, 3).with_spec(spec);
         let compiler = Compiler::default();
-        let row = compiler.estimate_row(&request, EstimateMode::Compiled).unwrap();
+        let row = compiler.compile_row(&request).unwrap();
         (request.key(), row)
     }
 
@@ -231,14 +216,14 @@ mod tests {
         let root = scratch_dir("reopen");
         let (key, row) = sample_row();
         let cache = DiskCache::open(&root).unwrap();
-        assert!(cache.get(&key, EstimateMode::Compiled).is_none());
+        assert!(cache.get(&key).is_none());
         assert_eq!(cache.misses(), 1);
-        cache.insert(&key, EstimateMode::Compiled, &row).unwrap();
+        cache.insert(&key, &row).unwrap();
 
         let warm = DiskCache::open(&root).unwrap();
         assert_eq!(warm.len(), 1);
         assert_eq!(warm.corrupt_entries(), 0);
-        let loaded = warm.get(&key, EstimateMode::Compiled).unwrap();
+        let loaded = warm.get(&key).unwrap();
         assert_eq!(warm.hits(), 1);
         assert_eq!(loaded, row);
         assert_eq!(
@@ -250,27 +235,16 @@ mod tests {
     }
 
     #[test]
-    fn modes_are_cached_separately() {
-        let root = scratch_dir("modes");
-        let (key, row) = sample_row();
-        let cache = DiskCache::open(&root).unwrap();
-        cache.insert(&key, EstimateMode::Analytic, &row).unwrap();
-        assert!(cache.get(&key, EstimateMode::Compiled).is_none());
-        assert!(cache.get(&key, EstimateMode::Analytic).is_some());
-        fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
     fn version_mismatch_orphans_entries() {
         let root = scratch_dir("version");
         let (key, row) = sample_row();
         let cache = DiskCache::open(&root).unwrap();
-        cache.insert(&key, EstimateMode::Compiled, &row).unwrap();
+        cache.insert(&key, &row).unwrap();
         drop(cache);
 
         let next = DiskCache::open_versioned(&root, CACHE_FORMAT_VERSION + 1).unwrap();
         assert!(next.is_empty(), "a new format version must not see old entries");
-        assert!(next.get(&key, EstimateMode::Compiled).is_none());
+        assert!(next.get(&key).is_none());
         // The old version's entries are untouched on disk.
         let old = DiskCache::open(&root).unwrap();
         assert_eq!(old.len(), 1);
@@ -282,7 +256,7 @@ mod tests {
         let root = scratch_dir("corrupt");
         let (key, row) = sample_row();
         let cache = DiskCache::open(&root).unwrap();
-        cache.insert(&key, EstimateMode::Compiled, &row).unwrap();
+        cache.insert(&key, &row).unwrap();
         let dir = cache.dir().to_path_buf();
         drop(cache);
 
@@ -299,13 +273,13 @@ mod tests {
         let reopened = DiskCache::open(&root).unwrap();
         assert_eq!(reopened.corrupt_entries(), 2);
         assert!(reopened.is_empty());
-        assert!(reopened.get(&key, EstimateMode::Compiled).is_none(), "bad entries never served");
+        assert!(reopened.get(&key).is_none(), "bad entries never served");
 
         // Recomputing and re-inserting heals the cache in place.
-        reopened.insert(&key, EstimateMode::Compiled, &row).unwrap();
+        reopened.insert(&key, &row).unwrap();
         let healed = DiskCache::open(&root).unwrap();
         assert_eq!(healed.corrupt_entries(), 1, "only the pure-garbage file remains corrupt");
-        assert_eq!(healed.get(&key, EstimateMode::Compiled).unwrap(), row);
+        assert_eq!(healed.get(&key).unwrap(), row);
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -314,19 +288,41 @@ mod tests {
         let root = scratch_dir("renamed");
         let (key, row) = sample_row();
         let cache = DiskCache::open(&root).unwrap();
-        cache.insert(&key, EstimateMode::Compiled, &row).unwrap();
+        cache.insert(&key, &row).unwrap();
         let dir = cache.dir().to_path_buf();
         drop(cache);
 
         // Copy the intact entry under a different instruction's stem: the
         // stem header check must refuse to serve it as that instruction.
-        let src = dir.join(format!("{}.entry", entry_stem(&key, EstimateMode::Compiled)));
-        let forged_stem = entry_stem(&key, EstimateMode::Compiled).replace("prepare_z", "idle");
+        let src = dir.join(format!("{}.entry", entry_stem(&key)));
+        let forged_stem = entry_stem(&key).replace("prepare_z", "idle");
         fs::copy(&src, dir.join(format!("{forged_stem}.entry"))).unwrap();
 
         let reopened = DiskCache::open(&root).unwrap();
         assert_eq!(reopened.corrupt_entries(), 1);
         assert_eq!(reopened.len(), 1, "the genuine entry still loads");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn version_one_entries_are_invisible_and_left_in_place() {
+        let root = scratch_dir("v1");
+        let (key, row) = sample_row();
+        // A version-1 directory as older binaries wrote it: the stem
+        // carried an estimate-mode suffix and the header said `v1`.
+        let old_dir = root.join("v1");
+        fs::create_dir_all(&old_dir).unwrap();
+        let old_stem = format!("{}-compiled", entry_stem(&key));
+        let old_entry = old_dir.join(format!("{old_stem}.entry"));
+        let old_text = format!("tiscc-frontier-cache v1\nstem={old_stem}\n{}", row.to_record());
+        fs::write(&old_entry, &old_text).unwrap();
+
+        let cache = DiskCache::open(&root).unwrap();
+        assert!(cache.is_empty());
+        assert_eq!(cache.corrupt_entries(), 0, "old entries are not corrupt, just unseen");
+        assert!(cache.get(&key).is_none());
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        assert_eq!(fs::read_to_string(&old_entry).unwrap(), old_text, "old files are untouched");
         fs::remove_dir_all(&root).unwrap();
     }
 }

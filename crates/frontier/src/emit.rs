@@ -105,17 +105,11 @@ pub fn report_to_json(report: &FrontierReport) -> String {
     out.push_str(&format!("\"program\":{},", json_string(&report.program)));
     out.push_str(&format!("\"logical_qubits\":{},", report.logical_qubits));
     out.push_str(&format!("\"instructions\":{},", report.instructions));
-    out.push_str(&format!("\"mode\":{},", json_string(report.mode.name())));
     let s = &report.stats;
     out.push_str(&format!(
         "\"stats\":{{\"jobs\":{},\"disk_hits\":{},\"computed\":{},\"corrupt_entries\":{},\
-         \"analytic_captures\":{},\"duplicates_dropped\":{}}},",
-        s.jobs,
-        s.disk_hits,
-        s.computed,
-        s.corrupt_entries,
-        s.analytic_captures,
-        s.duplicates_dropped
+         \"duplicates_dropped\":{}}},",
+        s.jobs, s.disk_hits, s.computed, s.corrupt_entries, s.duplicates_dropped
     ));
     out.push_str("\"points\":[");
     for (i, p) in report.points.iter().enumerate() {
@@ -160,19 +154,17 @@ fn point_to_json(p: &FrontierPoint) -> String {
 pub fn stats_to_json(report: &FrontierReport, elapsed_s: f64, trace_json: Option<&str>) -> String {
     let s = &report.stats;
     format!(
-        "{{\"schema\":\"tiscc.frontier-stats.v1\",\"program\":{},\"mode\":{},\
+        "{{\"schema\":\"tiscc.frontier-stats.v2\",\"program\":{},\
          \"matrix_points\":{},\"frontier_points\":{},\"jobs\":{},\"disk_hits\":{},\
-         \"computed\":{},\"corrupt_entries\":{},\"analytic_captures\":{},\
-         \"duplicates_dropped\":{},\"elapsed_s\":{},\"trace\":{}}}\n",
+         \"computed\":{},\"corrupt_entries\":{},\"duplicates_dropped\":{},\"elapsed_s\":{},\
+         \"trace\":{}}}\n",
         json_string(&report.program),
-        json_string(report.mode.name()),
         report.points.len(),
         report.frontier().len(),
         s.jobs,
         s.disk_hits,
         s.computed,
         s.corrupt_entries,
-        s.analytic_captures,
         s.duplicates_dropped,
         json_f64(elapsed_s),
         trace_json.map_or("null", str::trim_end),
@@ -213,7 +205,7 @@ mod tests {
     use super::*;
     use crate::engine::run_frontier;
     use crate::spec::FrontierSpec;
-    use tiscc_estimator::compiler::{Compiler, EstimateMode};
+    use tiscc_estimator::compiler::Compiler;
     use tiscc_hw::HardwareSpec;
     use tiscc_program::examples;
 
@@ -224,8 +216,7 @@ mod tests {
             vec![LayoutSpec::default(), LayoutSpec::checkerboard().with_grid(4, 4)],
             vec![HardwareSpec::h1(), HardwareSpec::projected()],
         )
-        .with_distances(3, 5)
-        .with_mode(EstimateMode::Analytic);
+        .with_distances(3, 5);
         run_frontier(&program, &spec, &compiler, None).unwrap()
     }
 

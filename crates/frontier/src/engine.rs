@@ -57,8 +57,7 @@ pub struct FrontierPoint {
 
 /// Where the per-instruction rows behind a frontier run came from, plus
 /// matrix bookkeeping. These numbers are the observable proof of cache
-/// behaviour: a fully warm run reports `computed == 0` and
-/// `analytic_captures == 0`.
+/// behaviour: a fully warm run reports `computed == 0`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FrontierStats {
     /// Distinct compile jobs the matrix needed (kinds × distances ×
@@ -71,8 +70,6 @@ pub struct FrontierStats {
     pub computed: usize,
     /// Corrupt persistent entries found when the cache was opened.
     pub corrupt_entries: usize,
-    /// Fresh analytic captures performed this run (0 on a warm run).
-    pub analytic_captures: usize,
     /// Duplicate layout/profile entries dropped by spec normalization.
     pub duplicates_dropped: usize,
 }
@@ -88,8 +85,6 @@ pub struct FrontierReport {
     pub logical_qubits: usize,
     /// Instructions in the program.
     pub instructions: usize,
-    /// How per-instruction resources were obtained.
-    pub mode: tiscc_estimator::compiler::EstimateMode,
     /// Every evaluated configuration, in deterministic matrix order.
     pub points: Vec<FrontierPoint>,
     /// Cache provenance and matrix bookkeeping.
@@ -104,24 +99,19 @@ impl FrontierReport {
     }
 
     /// Renders the run's provenance as an aligned text report. The
-    /// `computed` and `analytic capture` lines are the warm-start
-    /// witnesses CI greps for.
+    /// `computed` count is the warm-start witness CI greps for.
     pub fn render_stats(&self) -> String {
         let s = &self.stats;
         let mut out = format!(
-            "frontier: {} matrix point(s), {} on the Pareto frontier ({} mode)\n",
+            "frontier: {} matrix point(s), {} on the Pareto frontier\n",
             self.points.len(),
-            self.frontier().len(),
-            self.mode.name()
+            self.frontier().len()
         );
         out.push_str(&format!(
             "  compile jobs: {} total, {} from persistent cache, {} computed\n",
             s.jobs, s.disk_hits, s.computed
         ));
-        out.push_str(&format!(
-            "  analytic captures this run: {}\n  corrupt cache entries skipped: {}\n",
-            s.analytic_captures, s.corrupt_entries
-        ));
+        out.push_str(&format!("  corrupt cache entries skipped: {}\n", s.corrupt_entries));
         if s.duplicates_dropped > 0 {
             out.push_str(&format!("  duplicate spec entries dropped: {}\n", s.duplicates_dropped));
         }
@@ -189,12 +179,11 @@ pub fn run_frontier_with(
     let kinds = distinct_kinds(program);
     let (times, stats) = {
         let resolve_span = parent.child("resolve");
-        let (times, stats) = resolve_rows(&kinds, &norm, spec, compiler, disk)?;
+        let (times, stats) = resolve_rows(&kinds, &norm, compiler, disk)?;
         resolve_span.add("frontier.jobs", stats.jobs as u64);
         resolve_span.add("frontier.disk_hits", stats.disk_hits as u64);
         resolve_span.add("frontier.computed", stats.computed as u64);
         resolve_span.add("frontier.corrupt_entries", stats.corrupt_entries as u64);
-        resolve_span.add("frontier.analytic_captures", stats.analytic_captures as u64);
         resolve_span.add("frontier.duplicates_dropped", norm.duplicates_dropped as u64);
         (times, stats)
     };
@@ -245,7 +234,6 @@ pub fn run_frontier_with(
         program: program.name().to_string(),
         logical_qubits: program.qubit_count(),
         instructions: program.len(),
-        mode: spec.mode,
         points,
         stats: FrontierStats { duplicates_dropped: norm.duplicates_dropped, ..stats },
     })
@@ -268,7 +256,6 @@ fn distinct_kinds(program: &LogicalProgram) -> Vec<Instruction> {
 fn resolve_rows(
     kinds: &[Instruction],
     norm: &NormalizedSpec,
-    spec: &FrontierSpec,
     compiler: &Compiler,
     disk: Option<&DiskCache>,
 ) -> Result<(HashMap<SweepKey, f64>, FrontierStats), FrontierError> {
@@ -294,7 +281,7 @@ fn resolve_rows(
     let mut missing: Vec<CompileRequest> = Vec::new();
     for request in requests {
         let key = request.key();
-        match disk.and_then(|cache| cache.get(&key, spec.mode)) {
+        match disk.and_then(|cache| cache.get(&key)) {
             Some(row) => {
                 times.insert(key, row.resources.execution_time_s);
             }
@@ -304,23 +291,21 @@ fn resolve_rows(
     stats.disk_hits = stats.jobs - missing.len();
     stats.computed = missing.len();
 
-    let captures_before = compiler.analytic_captures();
     let computed: Result<Vec<_>, _> = missing
         .into_par_iter()
         .map(|request| {
             compiler
-                .estimate_row(&request, spec.mode)
+                .compile_row(&request)
                 .map(|row| (request.key(), row))
                 .map_err(|e| FrontierError::Compile(e.to_string()))
         })
         .collect();
     for (key, row) in computed? {
         if let Some(cache) = disk {
-            cache.insert(&key, spec.mode, &row)?;
+            cache.insert(&key, &row)?;
         }
         times.insert(key, row.resources.execution_time_s);
     }
-    stats.analytic_captures = compiler.analytic_captures() - captures_before;
     Ok((times, stats))
 }
 
@@ -346,7 +331,6 @@ fn duration_s(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tiscc_estimator::compiler::EstimateMode;
     use tiscc_hw::HardwareSpec;
     use tiscc_program::examples;
 
@@ -356,7 +340,6 @@ mod tests {
             vec![HardwareSpec::h1(), HardwareSpec::projected()],
         )
         .with_distances(3, 5)
-        .with_mode(EstimateMode::Analytic)
     }
 
     #[test]
@@ -381,8 +364,7 @@ mod tests {
         let program = examples::bell_pair();
         let compiler = Compiler::new();
         let spec = FrontierSpec::new(vec![LayoutSpec::default()], vec![HardwareSpec::h1()])
-            .with_distances(3, 7)
-            .with_mode(EstimateMode::Analytic);
+            .with_distances(3, 7);
         let report = run_frontier(&program, &spec, &compiler, None).unwrap();
         let [p3, p5, p7] = &report.points[..] else { panic!("expected 3 points") };
         assert!(p3.duration_s < p5.duration_s && p5.duration_s < p7.duration_s);
@@ -402,9 +384,8 @@ mod tests {
         let program = examples::teleportation();
         let compiler = Compiler::new();
         let layout = LayoutSpec::row_major().with_grid(6, 6);
-        let frontier_spec = FrontierSpec::new(vec![layout], vec![HardwareSpec::h1()])
-            .with_distances(5, 5)
-            .with_mode(EstimateMode::Compiled);
+        let frontier_spec =
+            FrontierSpec::new(vec![layout], vec![HardwareSpec::h1()]).with_distances(5, 5);
         let report = run_frontier(&program, &frontier_spec, &compiler, None).unwrap();
         let point = &report.points[0];
 
@@ -429,14 +410,12 @@ mod tests {
         let program = examples::ripple_adder();
         let compiler = Compiler::new();
         let one = FrontierSpec::new(vec![LayoutSpec::default()], vec![HardwareSpec::h1()])
-            .with_distances(3, 3)
-            .with_mode(EstimateMode::Analytic);
+            .with_distances(3, 3);
         let two = FrontierSpec::new(
             vec![LayoutSpec::default(), LayoutSpec::checkerboard().with_grid(8, 8)],
             vec![HardwareSpec::h1()],
         )
-        .with_distances(3, 3)
-        .with_mode(EstimateMode::Analytic);
+        .with_distances(3, 3);
         let r1 = run_frontier(&program, &one, &compiler, None).unwrap();
         let r2 = run_frontier(&program, &two, &compiler, None).unwrap();
         assert_eq!(r1.stats.jobs, r2.stats.jobs, "adding layouts must not add compile jobs");
@@ -449,7 +428,7 @@ mod tests {
         let report = run_frontier(&program, &small_spec(), &compiler, None).unwrap();
         let text = report.render_stats();
         assert!(text.contains("from persistent cache"), "{text}");
-        assert!(text.contains("analytic captures this run:"), "{text}");
+        assert!(text.contains(" computed\n"), "{text}");
         assert!(report.stats.computed > 0);
         assert_eq!(report.stats.disk_hits, 0, "no disk cache was attached");
     }

@@ -24,7 +24,7 @@
 //!   --stdin-json` loop.
 //!
 //! ```
-//! use tiscc_estimator::compiler::{Compiler, EstimateMode};
+//! use tiscc_estimator::compiler::Compiler;
 //! use tiscc_frontier::engine::run_frontier;
 //! use tiscc_frontier::spec::FrontierSpec;
 //! use tiscc_hw::HardwareSpec;
@@ -35,8 +35,7 @@
 //!     vec![LayoutSpec::single_lane(), LayoutSpec::checkerboard().with_grid(4, 4)],
 //!     vec![HardwareSpec::h1()],
 //! )
-//! .with_distances(3, 7)
-//! .with_mode(EstimateMode::Analytic);
+//! .with_distances(3, 7);
 //! let report = run_frontier(&program, &spec, &Compiler::new(), None).unwrap();
 //! assert_eq!(report.points.len(), 2 * 3);
 //! assert!(!report.frontier().is_empty());

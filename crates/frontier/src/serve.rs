@@ -11,12 +11,13 @@
 //! {"cmd":"ping"}
 //! {"cmd":"estimate","program":"adder.tql","budget":1e-9,"profiles":"h1"}
 //! {"cmd":"frontier","program":"adder.tql","layouts":"row,checkerboard",
-//!  "dmin":3,"dmax":13,"profiles":"h1,projected","mode":"analytic"}
+//!  "dmin":3,"dmax":13,"profiles":"h1,projected"}
 //! {"op":"metrics"}
 //! ```
 //!
-//! `"op"` is accepted as an alias for `"cmd"`. Every response is one
-//! line: `{"ok":true,...}` on success,
+//! `"op"` is accepted as an alias for `"cmd"`. A key the op does not
+//! define is a `bad_request` naming the key, never silently ignored.
+//! Every response is one line: `{"ok":true,...}` on success,
 //! `{"ok":false,"error":"...","kind":"..."}` on failure, where `kind` is
 //! one of `oversized_line` (the line exceeds [`MAX_REQUEST_BYTES`]),
 //! `malformed_json`, `unknown_op` or `bad_request`. A malformed line
@@ -34,7 +35,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use tiscc_estimator::compiler::{Compiler, EstimateMode};
+use tiscc_estimator::compiler::Compiler;
 use tiscc_estimator::program::{estimate_program_with, ProgramEstimateSpec};
 use tiscc_hw::HardwareSpec;
 use tiscc_program::{ErrorModel, LayoutSpec, LogicalProgram};
@@ -82,6 +83,14 @@ impl ServeError {
     }
 }
 
+/// The keys `estimate` accepts besides `"cmd"`/`"op"`.
+const ESTIMATE_KEYS: &[&str] =
+    &["program", "layout", "budget", "profiles", "dmax", "p_phys", "p_th", "prefactor"];
+
+/// The keys `frontier` accepts besides `"cmd"`/`"op"`.
+const FRONTIER_KEYS: &[&str] =
+    &["program", "layouts", "dmin", "dmax", "profiles", "p_phys", "p_th", "prefactor"];
+
 /// Handles one request line, returning exactly one JSON response line
 /// (without a trailing newline). Never panics on malformed input.
 pub fn handle_line(line: &str, state: &ServeState) -> String {
@@ -121,35 +130,40 @@ fn handle(line: &str, state: &ServeState) -> Result<String, ServeError> {
         Some(_) => return Err(ServeError::bad_request("\"cmd\" must be a string".to_string())),
         None => return Err(ServeError::bad_request("request is missing \"cmd\"".to_string())),
     };
+    let keys: &[&str] = match cmd {
+        "ping" | "metrics" => &[],
+        "estimate" => ESTIMATE_KEYS,
+        "frontier" => FRONTIER_KEYS,
+        other => {
+            return Err(ServeError {
+                kind: "unknown_op",
+                message: format!(
+                    "unknown cmd {other:?} (expected \"ping\", \"estimate\", \"frontier\" or \
+                     \"metrics\")"
+                ),
+            })
+        }
+    };
+    state.tel.add(&format!("serve.requests.{cmd}"), 1);
+    if let Some((key, _)) =
+        fields.iter().find(|(k, _)| k != "cmd" && k != "op" && !keys.contains(&k.as_str()))
+    {
+        return Err(ServeError::bad_request(format!("unknown key {key:?} for cmd {cmd:?}")));
+    }
     match cmd {
-        "ping" => {
-            state.tel.add("serve.requests.ping", 1);
-            Ok(format!(
-                "{{\"ok\":true,\"reply\":\"pong\",\"cache_entries\":{}}}",
-                state.disk.as_ref().map_or(0, |c| c.len())
-            ))
-        }
-        "metrics" => {
-            state.tel.add("serve.requests.metrics", 1);
-            Ok(handle_metrics(state))
-        }
+        "ping" => Ok(format!(
+            "{{\"ok\":true,\"reply\":\"pong\",\"cache_entries\":{}}}",
+            state.disk.as_ref().map_or(0, |c| c.len())
+        )),
+        "metrics" => Ok(handle_metrics(state)),
         "estimate" => {
-            state.tel.add("serve.requests.estimate", 1);
             let span = state.tel.root("estimate");
             handle_estimate(&fields, state, &span).map_err(ServeError::bad_request)
         }
-        "frontier" => {
-            state.tel.add("serve.requests.frontier", 1);
+        _ => {
             let span = state.tel.root("frontier");
             handle_frontier(&fields, state, &span).map_err(ServeError::bad_request)
         }
-        other => Err(ServeError {
-            kind: "unknown_op",
-            message: format!(
-                "unknown cmd {other:?} (expected \"ping\", \"estimate\", \"frontier\" or \
-                 \"metrics\")"
-            ),
-        }),
     }
 }
 
@@ -164,8 +178,8 @@ fn handle_metrics(state: &ServeState) -> String {
          \"requests_frontier\":{},\"requests_metrics\":{},\"errors\":{},\
          \"errors_malformed_json\":{},\"errors_unknown_op\":{},\"errors_oversized_line\":{},\
          \"errors_bad_request\":{},\"request_us_total\":{},\"compile_cache_hits\":{},\
-         \"compile_cache_misses\":{},\"compile_cache_entries\":{},\"analytic_captures\":{},\
-         \"disk_entries\":{},\"disk_corrupt\":{}}}",
+         \"compile_cache_misses\":{},\"compile_cache_entries\":{},\"disk_entries\":{},\
+         \"disk_corrupt\":{}}}",
         tel.counter("serve.requests"),
         tel.counter("serve.requests.ping"),
         tel.counter("serve.requests.estimate"),
@@ -180,7 +194,6 @@ fn handle_metrics(state: &ServeState) -> String {
         state.compiler.cache().hits(),
         state.compiler.cache().misses(),
         state.compiler.cache().len(),
-        state.compiler.analytic_captures(),
         state.disk.as_ref().map_or(0, |c| c.len()),
         state.disk.as_ref().map_or(0, |c| c.corrupt_entries()),
     )
@@ -230,10 +243,6 @@ fn field_str<'a>(
         Some((_, JsonValue::Str(s))) => Ok(s.as_str()),
         Some(_) => Err(format!("{name:?} must be a string")),
     }
-}
-
-fn parse_mode(name: &str) -> Result<EstimateMode, String> {
-    name.parse::<EstimateMode>().map_err(|e| e.to_string())
 }
 
 /// Splits a comma-separated list field: entries are trimmed, empties
@@ -303,7 +312,6 @@ fn handle_estimate(
         profiles: parse_profiles(field_str(fields, "profiles", "h1")?)?,
         d_max: field_usize(fields, "dmax", 49)?,
         layout,
-        mode: parse_mode(field_str(fields, "mode", "compiled")?)?,
     };
     let est =
         estimate_program_with(&program, &spec, &state.compiler, span).map_err(|e| e.to_string())?;
@@ -346,7 +354,6 @@ fn handle_frontier(
         d_min: field_usize(fields, "dmin", 3)?,
         d_max: field_usize(fields, "dmax", 13)?,
         profiles: parse_profiles(field_str(fields, "profiles", "h1")?)?,
-        mode: parse_mode(field_str(fields, "mode", "compiled")?)?,
         model: model_from(fields)?,
     };
     let report = run_frontier_with(&program, &spec, &state.compiler, state.disk.as_ref(), span)
@@ -354,12 +361,11 @@ fn handle_frontier(
     let frontier = report.frontier();
     let mut out = format!(
         "{{\"ok\":true,\"program\":{},\"matrix_points\":{},\"disk_hits\":{},\"computed\":{},\
-         \"analytic_captures\":{},\"frontier\":[",
+         \"frontier\":[",
         json_string(&report.program),
         report.points.len(),
         report.stats.disk_hits,
-        report.stats.computed,
-        report.stats.analytic_captures
+        report.stats.computed
     );
     for (i, p) in frontier.iter().enumerate() {
         if i > 0 {
@@ -627,7 +633,7 @@ mod tests {
 
         let request = format!(
             "{{\"cmd\":\"frontier\",\"program\":{},\"layouts\":\"lane,lane\",\"dmin\":3,\
-             \"dmax\":5,\"profiles\":\"h1\",\"mode\":\"analytic\"}}",
+             \"dmax\":5,\"profiles\":\"h1\"}}",
             json_string(path.to_str().unwrap())
         );
         let reply = handle_line(&request, &state);
@@ -636,9 +642,11 @@ mod tests {
         assert!(reply.contains("\"frontier\":[{"), "non-empty frontier: {reply}");
 
         // The second identical request reuses the warm compiler memo: no
-        // new analytic captures.
+        // new compile-cache entries.
+        let entries = state.compiler.cache().len();
         let reply2 = handle_line(&request, &state);
-        assert!(reply2.contains("\"analytic_captures\":0"), "{reply2}");
+        assert_eq!(reply2, reply, "a warm reply is identical");
+        assert_eq!(state.compiler.cache().len(), entries, "served from the warm memo");
         let _ = std::fs::remove_file(Path::new(&path));
     }
 
@@ -698,6 +706,35 @@ mod tests {
         assert_eq!(metric(&reply, "errors_oversized_line"), 1);
         assert_eq!(metric(&reply, "errors_bad_request"), 1);
         assert_eq!(metric(&reply, "requests_metrics"), 1);
+    }
+
+    #[test]
+    fn unknown_keys_are_bad_requests_naming_the_key() {
+        let path = write_program("serve_keys");
+        let program = json_string(path.to_str().unwrap());
+        let state = ServeState::new(None);
+        for (request, key) in [
+            (
+                format!("{{\"cmd\":\"estimate\",\"program\":{program},\"mode\":\"analytic\"}}"),
+                "mode",
+            ),
+            (format!("{{\"cmd\":\"estimate\",\"program\":{program},\"bogus\":1}}"), "bogus"),
+            // `layouts` belongs to frontier, `layout` to estimate.
+            (
+                format!("{{\"cmd\":\"estimate\",\"program\":{program},\"layouts\":\"lane\"}}"),
+                "layouts",
+            ),
+            (format!("{{\"cmd\":\"frontier\",\"program\":{program},\"budget\":0.001}}"), "budget"),
+            ("{\"op\":\"ping\",\"verbose\":true}".to_string(), "verbose"),
+        ] {
+            let reply = handle_line(&request, &state);
+            assert!(reply.contains("\"kind\":\"bad_request\""), "{request} -> {reply}");
+            assert!(reply.contains(&format!("unknown key \\\"{key}\\\"")), "{request} -> {reply}");
+        }
+        let metrics = handle_line("{\"op\":\"metrics\"}", &state);
+        assert_eq!(metric(&metrics, "errors_bad_request"), 5, "{metrics}");
+        assert_eq!(metric(&metrics, "compile_cache_entries"), 0, "rejected before any compile");
+        let _ = std::fs::remove_file(Path::new(&path));
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! The frontier search specification: which slice of the
 //! (layout × distance × profile) design space to evaluate.
 
-use tiscc_estimator::compiler::EstimateMode;
 use tiscc_hw::{HardwareSpec, SpecFingerprint};
 use tiscc_program::{BudgetError, ErrorModel, LayoutSpec};
 
 /// A Pareto-frontier search specification: the floorplans, code distances
-/// and hardware profiles to cross, the estimate mode to evaluate them
-/// under, and the per-patch-step error model that prices each distance.
+/// and hardware profiles to cross, and the per-patch-step error model that
+/// prices each distance.
 ///
 /// Unlike `tiscc estimate`, a frontier search has **no error budget**: it
 /// evaluates every odd distance in `[d_min, d_max]` and reports the
@@ -24,8 +23,6 @@ pub struct FrontierSpec {
     pub d_max: usize,
     /// Hardware profiles to evaluate under.
     pub profiles: Vec<HardwareSpec>,
-    /// How per-instruction resources are obtained.
-    pub mode: EstimateMode,
     /// The per-patch-step logical error model pricing each distance.
     pub model: ErrorModel,
 }
@@ -34,26 +31,13 @@ impl FrontierSpec {
     /// A spec over the given layouts and profiles with the default error
     /// model and the conventional `d ∈ [3, 13]` sweep range.
     pub fn new(layouts: Vec<LayoutSpec>, profiles: Vec<HardwareSpec>) -> Self {
-        FrontierSpec {
-            layouts,
-            d_min: 3,
-            d_max: 13,
-            profiles,
-            mode: EstimateMode::default(),
-            model: ErrorModel::default(),
-        }
+        FrontierSpec { layouts, d_min: 3, d_max: 13, profiles, model: ErrorModel::default() }
     }
 
     /// Replaces the distance range.
     pub fn with_distances(mut self, d_min: usize, d_max: usize) -> Self {
         self.d_min = d_min;
         self.d_max = d_max;
-        self
-    }
-
-    /// Replaces the estimate mode.
-    pub fn with_mode(mut self, mode: EstimateMode) -> Self {
-        self.mode = mode;
         self
     }
 

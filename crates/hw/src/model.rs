@@ -96,7 +96,6 @@ pub struct HardwareModel {
     spec: HardwareSpec,
     templating: bool,
     capture: Option<CaptureState>,
-    round_fallbacks: usize,
 }
 
 impl HardwareModel {
@@ -117,7 +116,6 @@ impl HardwareModel {
             spec,
             templating: false,
             capture: None,
-            round_fallbacks: 0,
         }
     }
 
@@ -151,16 +149,6 @@ impl HardwareModel {
     /// [`HardwareModel::junction_stalls`]).
     pub fn stall_flags(&self) -> &[bool] {
         &self.stall_flags
-    }
-
-    /// How many round captures could not be proven replicable and fell back
-    /// to materializing every round (see
-    /// [`HardwareModel::replicate_captured_round`]). A non-zero count means
-    /// the compiled circuit may contain syndrome rounds that left no
-    /// [`ReplicatedSpan`], so round structure cannot be inferred from the
-    /// spans alone — analytic consumers must treat the circuit as opaque.
-    pub fn round_fallbacks(&self) -> usize {
-        self.round_fallbacks
     }
 
     /// Enables (or disables) round templating: when on, round-compiling
@@ -317,7 +305,6 @@ impl HardwareModel {
         let cap = self.capture.take()?;
         let op_end = self.circuit.len();
         if cap.poisoned || op_end == cap.op_start || self.grid.snapshot() != cap.snapshot {
-            self.round_fallbacks += 1;
             return None;
         }
         let meas_per_round = self.circuit.measurements().len() - cap.meas_start;

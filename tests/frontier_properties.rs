@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
-use tiscc::estimator::compiler::{Compiler, EstimateMode};
+use tiscc::estimator::compiler::Compiler;
 use tiscc::frontier::engine::run_frontier;
 use tiscc::frontier::{
     matrix_to_csv, pareto_flags, pareto_flags_bruteforce, DiskCache, FrontierSpec,
@@ -69,12 +69,11 @@ fn adder_spec() -> FrontierSpec {
         vec![HardwareSpec::h1(), HardwareSpec::projected()],
     )
     .with_distances(3, 7)
-    .with_mode(EstimateMode::Analytic)
 }
 
 /// A second run against the same cache directory reproduces the first run
 /// bit-for-bit while compiling nothing: every job is a disk hit, and the
-/// compiler performs zero fresh analytic captures.
+/// fresh compiler's memo is never consulted.
 #[test]
 fn warm_cache_dir_rerun_is_bit_identical_and_compile_free() {
     let root = scratch_root("warm");
@@ -86,7 +85,7 @@ fn warm_cache_dir_rerun_is_bit_identical_and_compile_free() {
     let cold = run_frontier(&program, &spec, &cold_compiler, Some(&cold_cache)).unwrap();
     assert_eq!(cold.stats.disk_hits, 0);
     assert_eq!(cold.stats.computed, cold.stats.jobs);
-    assert!(cold.stats.analytic_captures > 0, "analytic mode captures on a cold run");
+    assert_eq!(cold_compiler.cache().misses(), cold.stats.jobs, "a cold run compiles every job");
     assert_eq!(cold_cache.len(), cold.stats.jobs, "every computed row was persisted");
 
     // Fresh process simulation: new cache handle, new compiler memo.
@@ -95,8 +94,8 @@ fn warm_cache_dir_rerun_is_bit_identical_and_compile_free() {
     let warm = run_frontier(&program, &spec, &warm_compiler, Some(&warm_cache)).unwrap();
     assert_eq!(warm.stats.computed, 0, "warm run compiles nothing");
     assert_eq!(warm.stats.disk_hits, warm.stats.jobs);
-    assert_eq!(warm.stats.analytic_captures, 0, "zero fresh analytic captures when warm");
-    assert_eq!(warm_compiler.analytic_captures(), 0);
+    assert_eq!(warm_compiler.cache().misses(), 0, "the warm compiler compiles nothing");
+    assert!(warm_compiler.cache().is_empty());
 
     // Bit-identical, not approximately equal: the full CSV artifact (all
     // floats rendered shortest-round-trip) matches byte for byte.
@@ -116,8 +115,7 @@ fn cache_version_mismatch_forces_recompute() {
     let root = scratch_root("version");
     let program = examples::bell_pair();
     let spec = FrontierSpec::new(vec![LayoutSpec::default()], vec![HardwareSpec::h1()])
-        .with_distances(3, 5)
-        .with_mode(EstimateMode::Analytic);
+        .with_distances(3, 5);
 
     let cache = DiskCache::open(&root).unwrap();
     let cold = run_frontier(&program, &spec, &Compiler::new(), Some(&cache)).unwrap();
@@ -143,8 +141,7 @@ fn corrupt_cache_entries_fall_back_to_recompute() {
     let root = scratch_root("corrupt");
     let program = examples::bell_pair();
     let spec = FrontierSpec::new(vec![LayoutSpec::default()], vec![HardwareSpec::h1()])
-        .with_distances(3, 5)
-        .with_mode(EstimateMode::Analytic);
+        .with_distances(3, 5);
 
     let cache = DiskCache::open(&root).unwrap();
     let cold = run_frontier(&program, &spec, &Compiler::new(), Some(&cache)).unwrap();

@@ -15,8 +15,9 @@ use proptest::prelude::*;
 
 use tiscc::core::instruction::{apply_instruction, apply_two_tile_instruction, Instruction};
 use tiscc::estimator::program::{estimate_program, ProgramEstimateSpec};
+use tiscc::estimator::tables::ResourceRow;
 use tiscc::estimator::verify::{Fiducial, SingleTile, TwoTiles};
-use tiscc::estimator::{CompileRequest, Compiler, EstimateMode};
+use tiscc::estimator::{CompileRequest, Compiler};
 use tiscc::hw::validity::{check_circuit, check_stream};
 use tiscc::hw::{CompiledRounds, HardwareModel, HardwareSpec, ResourceReport};
 use tiscc::program::{LayoutSpec, LogicalProgram};
@@ -176,124 +177,85 @@ fn extension_rounds_replicate_equivalently() {
     }
 }
 
-/// Distance (in representable doubles) between two same-sign finite
-/// floats; 0 iff bit-identical.
-fn ulp_diff(a: f64, b: f64) -> u64 {
-    (a.to_bits() as i64 - b.to_bits() as i64).unsigned_abs()
-}
-
-/// The analytic estimate mode agrees with the compiled mode on every
-/// profile, instruction arity, distance and round count: bit-for-bit on
-/// the dyadic-duration profiles (`h1`, `slow_junction`), and to ≤ 1 ulp on
-/// the float-summed durations of `projected` (whose non-dyadic gate times
-/// can tie-break epilogue timing differently; the space-time volume is a
-/// product of two such values, so it gets 2).
+/// The measured round count is affine in `dt` on every profile: each
+/// extra round of error correction adds the same ops and measurement
+/// records, while the accounting and footprint do not depend on `dt` at
+/// all. Compiled rows served from the memo are the rows a fresh compile
+/// produces.
 #[test]
-fn analytic_rows_match_compiled_rows_on_every_profile() {
+fn rows_scale_affinely_in_dt_on_every_profile() {
     let compiler = Compiler::new();
     for spec in HardwareSpec::presets() {
-        let dyadic = spec.name != "projected";
         for instruction in [Instruction::Idle, Instruction::PrepareZ, Instruction::MeasureZZ] {
             for d in [2usize, 3] {
-                // dt = 1 exercises the out-of-range fallback to compiled.
-                for dt in [1usize, 2, 3, 5] {
-                    let request =
-                        CompileRequest::new(instruction, d, d, dt).with_spec(spec.clone());
-                    let compiled = compiler.estimate_row(&request, EstimateMode::Compiled).unwrap();
-                    let analytic = compiler.estimate_row(&request, EstimateMode::Analytic).unwrap();
-                    let ctx = format!("{instruction:?} d={d} dt={dt} profile={}", spec.name);
-                    if dyadic {
-                        assert_eq!(analytic, compiled, "{ctx}");
-                        continue;
-                    }
+                let rows: Vec<_> = [1usize, 2, 3, 5]
+                    .iter()
+                    .map(|&dt| {
+                        let request =
+                            CompileRequest::new(instruction, d, d, dt).with_spec(spec.clone());
+                        let row = compiler.compile_row(&request).unwrap();
+                        assert_eq!(row, compiler.compile(&request).unwrap().row());
+                        row
+                    })
+                    .collect();
+                let ctx = format!("{instruction:?} d={d} profile={}", spec.name);
+                for row in &rows[1..] {
+                    assert_eq!(row.logical_time_steps, rows[0].logical_time_steps, "{ctx}");
+                    assert_eq!(row.tiles, rows[0].tiles, "{ctx}");
+                    assert_eq!(row.resources.trapping_zones, rows[0].resources.trapping_zones);
                     assert_eq!(
-                        (&analytic.name, analytic.dx, analytic.dz, &analytic.profile),
-                        (&compiled.name, compiled.dx, compiled.dz, &compiled.profile),
-                        "{ctx}"
+                        row.resources.area_m2.to_bits(),
+                        rows[0].resources.area_m2.to_bits()
                     );
-                    assert_eq!(analytic.logical_time_steps, compiled.logical_time_steps, "{ctx}");
-                    assert_eq!(analytic.tiles, compiled.tiles, "{ctx}");
-                    let (a, c) = (&analytic.resources, &compiled.resources);
-                    assert_eq!(a.op_counts, c.op_counts, "{ctx}");
-                    assert_eq!(a.total_ops, c.total_ops, "{ctx}");
-                    assert_eq!(a.measurements, c.measurements, "{ctx}");
-                    assert_eq!(a.trapping_zones, c.trapping_zones, "{ctx}");
-                    assert_eq!(a.junctions, c.junctions, "{ctx}");
-                    assert_eq!(a.area_m2.to_bits(), c.area_m2.to_bits(), "{ctx}");
-                    for (x, y, tol, what) in [
-                        (a.execution_time_s, c.execution_time_s, 1, "execution_time_s"),
-                        (a.zone_seconds, c.zone_seconds, 2, "zone_seconds"),
-                        (a.active_zone_seconds, c.active_zone_seconds, 1, "active_zone_seconds"),
-                        (a.spacetime_volume_s_m2, c.spacetime_volume_s_m2, 2, "volume"),
-                    ] {
-                        assert!(
-                            ulp_diff(x, y) <= tol,
-                            "{what} differs by more than {tol} ulp ({x:?} vs {y:?}) {ctx}"
-                        );
-                    }
                 }
+                let [_, r2, r3, r5] = &rows[..] else { unreachable!() };
+                let ops = |r: &ResourceRow| r.resources.total_ops;
+                let meas = |r: &ResourceRow| r.resources.measurements;
+                assert_eq!(ops(r5) - ops(r3), 2 * (ops(r3) - ops(r2)), "{ctx}");
+                assert_eq!(meas(r5) - meas(r3), 2 * (meas(r3) - meas(r2)), "{ctx}");
+                assert!(r2.resources.execution_time_s <= r5.resources.execution_time_s, "{ctx}");
             }
         }
     }
+    assert_eq!(compiler.cache().misses(), 3 * 3 * 2 * 4, "every configuration compiled once");
 }
 
-/// The batched/contended axis of the analytic cross-validation: with the
-/// scheduling-realism knobs on, [`EstimateMode::Analytic`] either derives
-/// the batched/stalled rounds bit-for-bit or falls back to the compiled
-/// path — and every fallback is counted, never silent.
+/// With the scheduling-realism knobs on (junction recovery windows, SIMD
+/// batching, and both together) the memoized row and its scheduling
+/// statistics are exactly those of a fresh compile, at every `dt`.
 #[test]
-fn analytic_mode_handles_batched_and_contended_specs() {
+fn batched_and_contended_rows_keep_their_stats() {
     let instructions = [Instruction::Idle, Instruction::PrepareZ, Instruction::MeasureZZ];
-
-    // Contended (junction recovery window, width 1): replication replays
-    // recovery edges exactly, so every row derives — zero fallbacks.
-    let compiler = Compiler::new();
-    for instruction in instructions {
-        for dt in [2usize, 3, 5] {
-            let request =
-                CompileRequest::new(instruction, 3, 3, dt).with_spec(HardwareSpec::slow_junction());
-            let compiled = compiler.estimate_row(&request, EstimateMode::Compiled).unwrap();
-            let analytic = compiler.estimate_row(&request, EstimateMode::Analytic).unwrap();
-            assert_eq!(analytic, compiled, "{instruction:?} dt={dt} slow_junction");
-        }
-    }
-    assert_eq!(
-        compiler.analytic_fallbacks(),
-        0,
-        "recovery-stretched rounds must derive analytically, not fall back"
-    );
-
-    // Batched (SIMD width > 1), alone and combined with recovery: rows
-    // always agree (a fallback lands on the compiled path), the
-    // non-derivable dts are counted, and at least some dts do derive.
-    for base in [HardwareSpec::h1(), HardwareSpec::slow_junction()] {
+    for (base, simd_width) in [
+        (HardwareSpec::slow_junction(), 1),
+        (HardwareSpec::h1(), 2),
+        (HardwareSpec::slow_junction(), 2),
+    ] {
         let compiler = Compiler::new();
         let mut spec = base.clone();
-        spec.simd_width = 2;
-        let mut rows = 0usize;
+        spec.simd_width = simd_width;
+        let mut batched = 0usize;
         for instruction in instructions {
-            // dt = 1 is the pre-existing out-of-range fallback; dt = 2
-            // compiles to a single template occurrence, which batches as
-            // one flat segment and must also fall back.
             for dt in [1usize, 2, 3, 5] {
                 let request = CompileRequest::new(instruction, 3, 3, dt).with_spec(spec.clone());
-                let compiled = compiler.estimate_row(&request, EstimateMode::Compiled).unwrap();
-                let analytic = compiler.estimate_row(&request, EstimateMode::Analytic).unwrap();
-                assert_eq!(analytic, compiled, "{instruction:?} dt={dt} {} width=2", base.name);
-                rows += 1;
+                let ctx = format!("{instruction:?} dt={dt} {} width={simd_width}", base.name);
+                let row = compiler.compile_row(&request).unwrap();
+                let fresh = compiler.compile(&request).unwrap();
+                assert_eq!(row, fresh.row(), "{ctx}");
+                assert_eq!(compiler.stats_for(&request), fresh.stats, "{ctx}");
+                batched += fresh.stats.batched_pulses;
             }
         }
-        let fallbacks = compiler.analytic_fallbacks();
-        assert!(fallbacks > 0, "{}: non-derivable batched dts must be counted", base.name);
-        assert!(fallbacks < rows, "{}: some batched dts must derive analytically", base.name);
+        assert_eq!(batched > 0, simd_width > 1, "{} width={simd_width}", base.name);
     }
 }
 
-/// Whole-program estimates agree between the modes on both 2D floorplans,
-/// with the same ulp discipline as the per-instruction comparison. The
-/// analytic rows must also say they are analytic.
+/// Whole-program estimates of the teleport circuit on both floorplans: the
+/// selected distance, error and footprint are profile-independent, the
+/// faster profile finishes sooner, and a warm re-estimate is bit-identical
+/// without compiling anything.
 #[test]
-fn analytic_program_estimates_match_compiled_across_layouts() {
+fn teleport_estimates_are_consistent_across_layouts() {
     let text = std::fs::read_to_string("examples/programs/teleport.tql").unwrap();
     let program = LogicalProgram::parse("teleport", &text).unwrap();
     let compiler = Compiler::new();
@@ -303,49 +265,38 @@ fn analytic_program_estimates_match_compiled_across_layouts() {
             ..ProgramEstimateSpec::new(1e-3)
                 .with_profiles(vec![HardwareSpec::h1(), HardwareSpec::projected()])
         };
-        let compiled = estimate_program(&program, &spec, &compiler).unwrap();
-        let analytic = estimate_program(
-            &program,
-            &ProgramEstimateSpec { mode: EstimateMode::Analytic, ..spec },
-            &compiler,
-        )
-        .unwrap();
-        assert_eq!(compiled.rows.len(), analytic.rows.len());
-        for (c, a) in compiled.rows.iter().zip(&analytic.rows) {
-            let ctx = format!("layout={layout} profile={}", c.profile);
-            assert_eq!(a.estimate_mode, EstimateMode::Analytic, "{ctx}");
-            assert_eq!(c.estimate_mode, EstimateMode::Compiled, "{ctx}");
-            assert_eq!(a.profile, c.profile, "{ctx}");
-            assert_eq!(a.distance, c.distance, "{ctx}");
-            assert_eq!(a.achieved_error.to_bits(), c.achieved_error.to_bits(), "{ctx}");
-            assert_eq!(a.trapping_zones, c.trapping_zones, "{ctx}");
-            assert_eq!(a.qubit_rounds, c.qubit_rounds, "{ctx}");
-            assert_eq!(a.area_m2.to_bits(), c.area_m2.to_bits(), "{ctx}");
-            let tol = if c.profile == "projected" { 1 } else { 0 };
-            assert!(
-                ulp_diff(a.duration_s, c.duration_s) <= tol,
-                "duration {:?} vs {:?} exceeds {tol} ulp {ctx}",
-                a.duration_s,
-                c.duration_s
-            );
-        }
+        let estimate = estimate_program(&program, &spec, &compiler).unwrap();
+        let [h1, projected] = &estimate.rows[..] else { panic!("expected two rows") };
+        let ctx = format!("layout={layout}");
+        assert_eq!((h1.profile.as_str(), projected.profile.as_str()), ("h1", "projected"));
+        assert_eq!(h1.distance, projected.distance, "{ctx}");
+        assert_eq!(h1.distance % 2, 1, "{ctx}");
+        assert!(h1.achieved_error <= spec.budget, "{ctx}");
+        assert_eq!(h1.achieved_error.to_bits(), projected.achieved_error.to_bits(), "{ctx}");
+        assert_eq!(h1.trapping_zones, projected.trapping_zones, "{ctx}");
+        assert_eq!(h1.qubit_rounds, projected.qubit_rounds, "{ctx}");
+        assert_eq!(h1.area_m2.to_bits(), projected.area_m2.to_bits(), "{ctx}");
+        assert!(projected.duration_s < h1.duration_s, "{ctx}");
+
+        let misses = compiler.cache().misses();
+        let warm = estimate_program(&program, &spec, &compiler).unwrap();
+        assert_eq!(warm, estimate, "{ctx}");
+        assert_eq!(compiler.cache().misses(), misses, "warm estimate compiles nothing: {ctx}");
     }
 }
 
-/// Budget monotonicity holds in analytic mode: tightening the budget never
-/// shrinks the selected (odd) distance, and every estimate meets the
-/// budget it was asked for.
+/// Budget monotonicity: tightening the budget never shrinks the selected
+/// (odd) distance, and every estimate meets the budget it was asked for.
 #[test]
-fn analytic_mode_respects_budget_monotonicity() {
+fn estimates_respect_budget_monotonicity() {
     let program =
         LogicalProgram::parse("bell", "qubit a b\nprep_x a\nprep_z b\nmerge_zz a b\n").unwrap();
     let compiler = Compiler::new();
     let mut last_distance = 0usize;
     for budget in [1e-2, 1e-3, 1e-4] {
-        let spec = ProgramEstimateSpec::new(budget).with_mode(EstimateMode::Analytic);
-        let estimate = estimate_program(&program, &spec, &compiler).unwrap();
+        let estimate =
+            estimate_program(&program, &ProgramEstimateSpec::new(budget), &compiler).unwrap();
         let row = &estimate.rows[0];
-        assert_eq!(row.estimate_mode, EstimateMode::Analytic);
         assert_eq!(row.distance % 2, 1, "selected distances are odd");
         assert!(row.achieved_error <= budget, "budget {budget:e} missed");
         assert!(row.distance >= last_distance, "tighter budget shrank the distance");

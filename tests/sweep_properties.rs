@@ -6,24 +6,20 @@
 use proptest::prelude::*;
 
 use tiscc::core::instruction::Instruction;
-use tiscc::estimator::compiler::EstimateMode;
 use tiscc::estimator::sweep::{parse_csv, run_sweep, CompileCache, DtPolicy, SweepSpec};
 use tiscc::estimator::tables::render_csv;
 use tiscc::hw::HardwareSpec;
 
 fn arb_spec() -> impl Strategy<Value = SweepSpec> {
     // Small distances keep each compile fast; every instruction is still
-    // reachable and dx ≠ dz asymmetries are exercised. Both estimate modes
-    // are sampled: the cache-accounting and round-trip invariants below are
-    // mode-independent.
+    // reachable and dx ≠ dz asymmetries are exercised.
     (
         proptest::collection::vec(0usize..13, 1..5),
         proptest::collection::vec((2usize..4, 2usize..4), 1..3),
         0usize..3,
         0usize..3,
-        0usize..2,
     )
-        .prop_map(|(instr_idx, distances, dt_idx, profile_idx, mode_idx)| {
+        .prop_map(|(instr_idx, distances, dt_idx, profile_idx)| {
             let instructions: Vec<Instruction> =
                 instr_idx.iter().map(|&i| Instruction::all()[i]).collect();
             let dts = match dt_idx {
@@ -36,8 +32,7 @@ fn arb_spec() -> impl Strategy<Value = SweepSpec> {
                 1 => vec![HardwareSpec::projected()],
                 _ => vec![HardwareSpec::h1(), HardwareSpec::slow_junction()],
             };
-            let mode = if mode_idx == 1 { EstimateMode::Analytic } else { EstimateMode::Compiled };
-            SweepSpec { instructions, distances, dts, profiles, mode }
+            SweepSpec { instructions, distances, dts, profiles }
         })
 }
 
