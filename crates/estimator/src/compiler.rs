@@ -18,6 +18,7 @@ use tiscc_core::instruction::{
     apply_instruction, apply_two_tile_instruction, Instruction, InstructionReport,
 };
 use tiscc_core::CoreError;
+use tiscc_grid::Layout;
 use tiscc_hw::{
     batch_rounds, Circuit, CompiledRounds, HardwareModel, HardwareSpec, ResourceReport,
     RoundBatchStats, UnknownProfile,
@@ -233,7 +234,13 @@ pub(crate) fn compile_uncached(request: &CompileRequest) -> Result<CompileArtifa
         let report = apply_instruction(&mut fixture.hw, instruction, &mut fixture.patch)?;
         (fixture.hw, before, report)
     };
-    let (rounds, resources, stats) = instruction_rounds_with_stats(&hw, before);
+    // Total the stalls while the model still holds its per-op flags, then
+    // consume it: the instruction's ops move into the rounds uncloned.
+    let junction_stalls = junction_stalls_of(&hw, before);
+    let layout = hw.grid().layout().clone();
+    let rounds = CompiledRounds::from_circuit(hw.into_circuit(), before);
+    let (rounds, resources, batched_pulses) = batch_and_account(rounds, &layout, spec);
+    let stats = CompileStats { junction_stalls, batched_pulses };
     Ok(CompileArtifact { request: request.clone(), rounds, report, resources, stats })
 }
 
@@ -248,31 +255,29 @@ pub(crate) fn instruction_rounds(
     hw: &HardwareModel,
     start_op: usize,
 ) -> (CompiledRounds, ResourceReport) {
-    let (rounds, resources, _) = instruction_rounds_with_stats(hw, start_op);
+    let rounds = CompiledRounds::extract(hw.circuit(), start_op);
+    let (rounds, resources, _) = batch_and_account(rounds, hw.grid().layout(), hw.spec());
     (rounds, resources)
 }
 
-/// [`instruction_rounds`] plus the scheduling-pass observables: runs the
-/// SIMD batching pass over the extracted rounds when the profile asks for
-/// it (`simd_width > 1`; the default width skips the pass entirely and the
-/// stream is byte-identical to the unbatched one), and totals the model's
-/// per-op junction-stall flags across every round occurrence.
-pub(crate) fn instruction_rounds_with_stats(
-    hw: &HardwareModel,
-    start_op: usize,
-) -> (CompiledRounds, ResourceReport, CompileStats) {
-    let rounds = CompiledRounds::extract(hw.circuit(), start_op);
-    let (rounds, batch) = if hw.spec().simd_width > 1 {
-        batch_rounds(&rounds, hw.spec())
+/// Runs the SIMD batching pass over extracted rounds when the profile asks
+/// for it (`simd_width > 1`; the default width skips the pass entirely and
+/// the stream is byte-identical to the unbatched one), then accounts the
+/// resources. Returns the final rounds, their report and the multi-op
+/// pulses across every round occurrence.
+fn batch_and_account(
+    rounds: CompiledRounds,
+    layout: &Layout,
+    spec: &HardwareSpec,
+) -> (CompiledRounds, ResourceReport, usize) {
+    let (rounds, batch) = if spec.simd_width > 1 {
+        batch_rounds(&rounds, spec)
     } else {
         (rounds, RoundBatchStats::default())
     };
-    let resources = ResourceReport::from_stream_with_spec(&rounds, hw.grid().layout(), hw.spec());
-    let stats = CompileStats {
-        junction_stalls: junction_stalls_of(hw, start_op),
-        batched_pulses: batch.total_batched_pulses(rounds.repeats),
-    };
-    (rounds, resources, stats)
+    let resources = ResourceReport::from_stream_with_spec(&rounds, layout, spec);
+    let batched_pulses = batch.total_batched_pulses(rounds.repeats);
+    (rounds, resources, batched_pulses)
 }
 
 /// Total junction stalls of the instruction starting at `start_op`,

@@ -5,8 +5,6 @@
 //! ions are loaded, and enforces the hardware validity rules that no two
 //! ions occupy the same site and that ions never rest on a junction.
 
-use std::collections::HashMap;
-
 use crate::layout::Layout;
 use crate::site::{QSite, SiteKind};
 
@@ -44,24 +42,30 @@ impl std::fmt::Display for GridError {
 impl std::error::Error for GridError {}
 
 /// Owns the grid layout and the current position of every ion.
+///
+/// Both directions of the ion ↔ site map are dense tables, so the hardware
+/// model's per-op position lookups and the router's per-site blocking
+/// queries index a `Vec` instead of hashing: occupancy has one slot per
+/// [`Layout::index_of`] position, and positions one slot per [`QubitId`]
+/// (ids are issued sequentially from 0 and never reused). Every site is
+/// range-checked against the layout before it indexes the table, so an
+/// off-layout site never aliases an on-layout one.
 #[derive(Clone, Debug)]
 pub struct GridManager {
     layout: Layout,
-    occupancy: HashMap<QSite, QubitId>,
-    positions: HashMap<QubitId, QSite>,
-    next_id: u32,
+    // Indexed by `layout.index_of(site)`.
+    occupancy: Vec<Option<QubitId>>,
+    // Indexed by `QubitId.0`; `None` once the ion was removed. Its length
+    // is the next id to issue.
+    positions: Vec<Option<QSite>>,
 }
 
 impl GridManager {
     /// Creates a manager for a grid of `unit_rows × unit_cols` repeating
     /// units with no ions loaded.
     pub fn new(unit_rows: u32, unit_cols: u32) -> Self {
-        GridManager {
-            layout: Layout::new(unit_rows, unit_cols),
-            occupancy: HashMap::new(),
-            positions: HashMap::new(),
-            next_id: 0,
-        }
+        let layout = Layout::new(unit_rows, unit_cols);
+        GridManager { occupancy: vec![None; layout.index_len()], layout, positions: Vec::new() }
     }
 
     /// The underlying layout.
@@ -71,43 +75,50 @@ impl GridManager {
 
     /// Number of ions currently on the grid.
     pub fn qubit_count(&self) -> usize {
-        self.positions.len()
+        self.positions.iter().flatten().count()
     }
 
     /// Loads a new ion at `site` and returns its identifier.
     pub fn place_qubit(&mut self, site: QSite) -> Result<QubitId, GridError> {
-        self.check_restable(site)?;
-        if let Some(&q) = self.occupancy.get(&site) {
+        let slot = self.restable_slot(site)?;
+        if let Some(q) = self.occupancy[slot] {
             return Err(GridError::Occupied(site, q));
         }
-        let id = QubitId(self.next_id);
-        self.next_id += 1;
-        self.occupancy.insert(site, id);
-        self.positions.insert(id, site);
+        let id = QubitId(self.positions.len() as u32);
+        self.occupancy[slot] = Some(id);
+        self.positions.push(Some(site));
         Ok(id)
     }
 
     /// Removes an ion from the grid (e.g. after a destructive measurement
     /// when the zone is recycled).
     pub fn remove_qubit(&mut self, id: QubitId) -> Result<QSite, GridError> {
-        let site = self.positions.remove(&id).ok_or(GridError::UnknownQubit(id))?;
-        self.occupancy.remove(&site);
+        let site = self
+            .positions
+            .get_mut(id.0 as usize)
+            .and_then(Option::take)
+            .ok_or(GridError::UnknownQubit(id))?;
+        let slot = self.slot(site);
+        self.occupancy[slot] = None;
         Ok(site)
     }
 
-    /// The ion occupying `site`, if any.
+    /// The ion occupying `site`, if any (`None` for sites off the layout).
     pub fn qubit_at(&self, site: QSite) -> Option<QubitId> {
-        self.occupancy.get(&site).copied()
+        if !self.layout.contains(site) {
+            return None;
+        }
+        self.occupancy[self.slot(site)]
     }
 
     /// The current site of ion `id`.
     pub fn position_of(&self, id: QubitId) -> Option<QSite> {
-        self.positions.get(&id).copied()
+        self.positions.get(id.0 as usize).copied().flatten()
     }
 
     /// True if `site` exists, is a trapping zone and holds no ion.
     pub fn is_free(&self, site: QSite) -> bool {
-        self.layout.is_trapping_zone(site) && !self.occupancy.contains_key(&site)
+        self.layout.is_trapping_zone(site) && self.occupancy[self.slot(site)].is_none()
     }
 
     /// Relocates ion `id` to the *adjacent* trapping zone `to` (a single
@@ -116,9 +127,9 @@ impl GridManager {
     /// scheduler, so the destination of any step recorded here must be a
     /// trapping zone.
     pub fn step_qubit(&mut self, id: QubitId, to: QSite) -> Result<(), GridError> {
-        let from = self.positions.get(&id).copied().ok_or(GridError::UnknownQubit(id))?;
-        self.check_restable(to)?;
-        if let Some(&other) = self.occupancy.get(&to) {
+        let from = self.position_of(id).ok_or(GridError::UnknownQubit(id))?;
+        let to_slot = self.restable_slot(to)?;
+        if let Some(other) = self.occupancy[to_slot] {
             if other != id {
                 return Err(GridError::Occupied(to, other));
             }
@@ -128,9 +139,7 @@ impl GridManager {
         if !self.is_step_reachable(from, to) {
             return Err(GridError::NotAdjacent(from, to));
         }
-        self.occupancy.remove(&from);
-        self.occupancy.insert(to, id);
-        self.positions.insert(id, to);
+        self.move_to(id, from, to_slot, to);
         Ok(())
     }
 
@@ -138,25 +147,44 @@ impl GridManager {
     /// checks. Used when re-binding a logical patch after operations whose
     /// movement legality was already validated step-by-step (and in tests).
     pub fn relocate_qubit(&mut self, id: QubitId, to: QSite) -> Result<(), GridError> {
-        let from = self.positions.get(&id).copied().ok_or(GridError::UnknownQubit(id))?;
-        self.check_restable(to)?;
-        if let Some(&other) = self.occupancy.get(&to) {
+        let from = self.position_of(id).ok_or(GridError::UnknownQubit(id))?;
+        let to_slot = self.restable_slot(to)?;
+        if let Some(other) = self.occupancy[to_slot] {
             if other != id {
                 return Err(GridError::Occupied(to, other));
             }
         }
-        self.occupancy.remove(&from);
-        self.occupancy.insert(to, id);
-        self.positions.insert(id, to);
+        self.move_to(id, from, to_slot, to);
         Ok(())
     }
 
     /// Snapshot of `(qubit, site)` pairs, sorted by qubit id. Used by the
     /// simulator to bind tableau qubit indices to ions.
     pub fn snapshot(&self) -> Vec<(QubitId, QSite)> {
-        let mut v: Vec<_> = self.positions.iter().map(|(&q, &s)| (q, s)).collect();
-        v.sort_by_key(|&(q, _)| q);
-        v
+        // The position table is indexed by id, so it is already id-sorted.
+        self.positions
+            .iter()
+            .enumerate()
+            .filter_map(|(id, site)| site.map(|s| (QubitId(id as u32), s)))
+            .collect()
+    }
+
+    /// The occupancy slot of a site already known to lie on the layout.
+    fn slot(&self, site: QSite) -> usize {
+        self.layout.index_of(site).expect("site was range-checked against the layout")
+    }
+
+    /// The occupancy slot of `site` if an ion may rest there.
+    fn restable_slot(&self, site: QSite) -> Result<usize, GridError> {
+        self.check_restable(site)?;
+        Ok(self.slot(site))
+    }
+
+    fn move_to(&mut self, id: QubitId, from: QSite, to_slot: usize, to: QSite) {
+        let from_slot = self.slot(from);
+        self.occupancy[from_slot] = None;
+        self.occupancy[to_slot] = Some(id);
+        self.positions[id.0 as usize] = Some(to);
     }
 
     fn check_restable(&self, site: QSite) -> Result<(), GridError> {
@@ -232,6 +260,44 @@ mod tests {
         let a = g.place_qubit(QSite::new(0, 1)).unwrap();
         let _b = g.place_qubit(QSite::new(0, 2)).unwrap();
         assert!(matches!(g.step_qubit(a, QSite::new(0, 2)), Err(GridError::Occupied(_, _))));
+    }
+
+    #[test]
+    fn off_layout_sites_never_alias_on_layout_ones() {
+        // Row-major slots: (0, 4·unit_cols) is one past the end of row 0, the
+        // slot a careless index would share with (1, 0).
+        let mut g = GridManager::new(2, 2);
+        let q = g.place_qubit(QSite::new(1, 0)).unwrap();
+        let off = QSite::new(0, 4 * g.layout().unit_cols());
+        assert_eq!(g.qubit_at(off), None);
+        assert!(!g.is_free(off));
+        assert_eq!(g.place_qubit(off), Err(GridError::NoSuchSite(off)));
+        let r = g.place_qubit(QSite::new(0, 7)).unwrap();
+        assert_eq!(g.step_qubit(r, off), Err(GridError::NoSuchSite(off)));
+        assert_eq!(g.relocate_qubit(r, off), Err(GridError::NoSuchSite(off)));
+        // Nothing moved.
+        assert_eq!(g.qubit_at(QSite::new(1, 0)), Some(q));
+        assert_eq!(g.position_of(r), Some(QSite::new(0, 7)));
+        assert_eq!(g.qubit_count(), 2);
+    }
+
+    #[test]
+    fn removed_ions_leave_snapshot_and_count() {
+        let mut g = GridManager::new(2, 2);
+        let a = g.place_qubit(QSite::new(0, 1)).unwrap();
+        let b = g.place_qubit(QSite::new(1, 0)).unwrap();
+        let c = g.place_qubit(QSite::new(0, 5)).unwrap();
+        assert_eq!(g.remove_qubit(b), Ok(QSite::new(1, 0)));
+        assert_eq!(g.qubit_count(), 2);
+        assert_eq!(g.snapshot(), vec![(a, QSite::new(0, 1)), (c, QSite::new(0, 5))]);
+        assert_eq!(g.position_of(b), None);
+        assert_eq!(g.remove_qubit(b), Err(GridError::UnknownQubit(b)));
+        assert_eq!(g.step_qubit(b, QSite::new(2, 0)), Err(GridError::UnknownQubit(b)));
+        assert_eq!(g.remove_qubit(QubitId(99)), Err(GridError::UnknownQubit(QubitId(99))));
+        // Ids are never reused: the next ion gets a fresh one.
+        let d = g.place_qubit(QSite::new(1, 0)).unwrap();
+        assert_eq!(d, QubitId(3));
+        assert_eq!(g.snapshot().last(), Some(&(d, QSite::new(1, 0))));
     }
 
     #[test]

@@ -21,6 +21,49 @@ use crate::site::{QSite, SiteKind};
 /// Width of a single trapping zone in metres (420 µm, paper Sec. 3.2).
 pub const ZONE_WIDTH_M: f64 = 420e-6;
 
+/// Up to `N` values stored inline: the allocation-free return type of
+/// [`Layout::neighbors`] and [`steps_from`](crate::path::steps_from), which
+/// the router calls once per expanded site. Derefs to `[T]` and iterates by
+/// value.
+#[derive(Clone, Copy, Debug)]
+pub struct Inline<T, const N: usize> {
+    items: [T; N],
+    len: usize,
+}
+
+/// The adjacent sites of one site (at most four).
+pub type Neighbors = Inline<QSite, 4>;
+
+impl<T: Copy, const N: usize> Inline<T, N> {
+    /// An empty list; `filler` only initializes the unused slots.
+    pub(crate) fn new(filler: T) -> Self {
+        Inline { items: [filler; N], len: 0 }
+    }
+
+    /// Appends `item`. Panics past `N` items.
+    pub(crate) fn push(&mut self, item: T) {
+        self.items[self.len] = item;
+        self.len += 1;
+    }
+}
+
+impl<T, const N: usize> std::ops::Deref for Inline<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.items[..self.len]
+    }
+}
+
+impl<T, const N: usize> IntoIterator for Inline<T, N> {
+    type Item = T;
+    type IntoIter = std::iter::Take<std::array::IntoIter<T, N>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.items.into_iter().take(self.len)
+    }
+}
+
 /// The geometry of a rectangular grid of repeating units.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Layout {
@@ -79,9 +122,28 @@ impl Layout {
         matches!(self.site_kind(site), Some(SiteKind::Memory) | Some(SiteKind::Operation))
     }
 
-    /// The up-to-four orthogonally adjacent sites of `site` that exist.
-    pub fn neighbors(&self, site: QSite) -> Vec<QSite> {
-        let mut out = Vec::with_capacity(4);
+    /// Length of the dense site index: one slot per fine-grid position,
+    /// so `0..index_len()` covers [`Layout::index_of`] of every site.
+    pub fn index_len(&self) -> usize {
+        let (rows, cols) = self.fine_extent();
+        rows as usize * cols as usize
+    }
+
+    /// Dense row-major index of `site` over [`Layout::fine_extent`], or
+    /// `None` outside the extent. Per-site tables (occupancy, busy times,
+    /// router scratch) are `Vec`s of [`Layout::index_len`] slots addressed
+    /// by it. Positions inside the extent that host no site (unit
+    /// interiors) also get a slot; it is never used.
+    pub fn index_of(&self, site: QSite) -> Option<usize> {
+        let (rows, cols) = self.fine_extent();
+        (site.row < rows && site.col < cols)
+            .then(|| site.row as usize * cols as usize + site.col as usize)
+    }
+
+    /// The up-to-four orthogonally adjacent sites of `site` that exist, in
+    /// up, down, left, right order.
+    pub fn neighbors(&self, site: QSite) -> Neighbors {
+        let mut out = Neighbors::new(site);
         let candidates = [
             (site.row.wrapping_sub(1), site.col),
             (site.row + 1, site.col),
@@ -214,9 +276,11 @@ mod tests {
     #[test]
     fn neighbors_follow_lattice_lines() {
         let l = Layout::new(2, 2);
-        // A junction has up to 4 neighbors.
+        // A junction has up to 4 neighbors, listed up, down, left, right.
         let n = l.neighbors(QSite::new(4, 4));
-        assert_eq!(n.len(), 4);
+        let expected = [QSite::new(3, 4), QSite::new(5, 4), QSite::new(4, 3), QSite::new(4, 5)];
+        assert_eq!(*n, expected);
+        assert_eq!(n.into_iter().collect::<Vec<_>>(), expected);
         // The spare memory site at the end of a horizontal arm touches the
         // next junction to the right if it exists, else only its own arm.
         let n = l.neighbors(QSite::new(0, 3));
@@ -226,6 +290,22 @@ mod tests {
         // Interior-of-unit coordinates have no neighbors listed from them,
         // and are not neighbors of lattice sites.
         assert!(!l.neighbors(QSite::new(0, 1)).contains(&QSite::new(1, 1)));
+    }
+
+    #[test]
+    fn site_index_is_dense_injective_and_range_checked() {
+        let l = Layout::new(2, 3);
+        assert_eq!(l.index_len(), 8 * 12);
+        let mut seen = vec![false; l.index_len()];
+        for s in l.all_sites() {
+            let i = l.index_of(s).expect("every site has a slot");
+            assert!(!std::mem::replace(&mut seen[i], true), "{s:?} shares slot {i}");
+        }
+        // Row-major: one row down is one fine row of slots further.
+        assert_eq!(l.index_of(QSite::new(1, 0)), Some(12));
+        // Just past the extent must not wrap onto the next row.
+        assert_eq!(l.index_of(QSite::new(0, 12)), None);
+        assert_eq!(l.index_of(QSite::new(8, 0)), None);
     }
 
     #[test]

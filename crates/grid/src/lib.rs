@@ -9,9 +9,10 @@
 //!
 //! This crate provides:
 //! * [`QSite`] / [`SiteKind`] — addresses and roles of quantum sites,
-//! * [`Layout`] — the repeating-unit geometry, adjacency and physical size,
+//! * [`Layout`] — the repeating-unit geometry, adjacency, physical size and
+//!   the dense site index every per-site table is addressed by,
 //! * [`GridManager`] — ion occupancy tracking with collision checks,
-//! * [`path`] — shuttle/junction-hop routing between zones.
+//! * [`path`] — shuttle/junction-hop routing between zones ([`Router`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -23,5 +24,5 @@ pub mod site;
 
 pub use grid::{GridError, GridManager, QubitId};
 pub use layout::{Layout, ZONE_WIDTH_M};
-pub use path::{route, route_avoiding, route_avoiding_with, shortest_tile_path, MoveStep};
+pub use path::{route, route_avoiding, shortest_tile_path, MoveStep, Router};
 pub use site::{QSite, SiteKind};

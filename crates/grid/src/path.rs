@@ -8,7 +8,11 @@
 //!
 //! Routing uses Dijkstra's algorithm weighted by the nominal duration of each
 //! step so that compiled circuits prefer fast straight-line shuttles over
-//! slow junction crossings.
+//! slow junction crossings. A [`Router`] keeps the search's scratch — the
+//! tentative distances and predecessor steps, in dense arrays indexed by
+//! [`Layout::index_of`] and invalidated per call by an epoch stamp — so the
+//! hardware model's many short routes neither hash nor allocate per
+//! expanded site. [`route`] and [`route_avoiding`] run on a fresh router.
 //!
 //! Above the zone level, the program estimator routes lattice-surgery merge
 //! *corridors* over a coarse grid of surface-code tiles. The search behind
@@ -19,7 +23,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 
-use crate::layout::Layout;
+use crate::layout::{Inline, Layout};
 use crate::site::{QSite, SiteKind};
 
 /// A single movement primitive for one ion.
@@ -68,9 +72,15 @@ impl MoveStep {
     }
 }
 
-/// All single-step moves available from `site` on `layout`.
-pub fn steps_from(layout: &Layout, site: QSite) -> Vec<MoveStep> {
-    let mut out = Vec::new();
+/// The single-step moves from one site (at most four: a trapping zone has
+/// at most two neighbours, at most one of them a junction, and a junction
+/// leads on to at most three other zones).
+pub type Steps = Inline<MoveStep, 4>;
+
+/// All single-step moves available from `site` on `layout`, in the order
+/// of [`Layout::neighbors`] (a junction's hops in its own neighbour order).
+pub fn steps_from(layout: &Layout, site: QSite) -> Steps {
+    let mut out = Steps::new(MoveStep::Shuttle { from: site, to: site });
     for n in layout.neighbors(site) {
         match layout.site_kind(n) {
             Some(SiteKind::Junction) => {
@@ -96,78 +106,149 @@ pub fn route(layout: &Layout, from: QSite, to: QSite) -> Option<Vec<MoveStep>> {
 /// Shortest route from `from` to `to` that never enters a zone in `blocked`
 /// (the destination itself must not be blocked). Junctions cannot be blocked
 /// spatially — temporal junction conflicts are resolved by the scheduler.
+/// Builds a fresh [`Router`]; callers routing repeatedly keep one instead.
 pub fn route_avoiding(
     layout: &Layout,
     from: QSite,
     to: QSite,
     blocked: &HashSet<QSite>,
 ) -> Option<Vec<MoveStep>> {
-    route_avoiding_with(layout, from, to, &|site| blocked.contains(&site))
+    Router::new().route_avoiding_with(layout, from, to, &|site| blocked.contains(&site))
 }
 
-/// [`route_avoiding`] with a caller-supplied blocking predicate instead of a
-/// materialized set. The hardware scheduler routes thousands of short hops
-/// per syndrome round; querying its occupancy map directly through this
-/// predicate avoids snapshotting every ion position into a fresh `HashSet`
-/// per route, which dominated compile time at large code distances. The
-/// search order (and therefore every returned route) is identical to
-/// [`route_avoiding`] with the equivalent set.
-pub fn route_avoiding_with(
-    layout: &Layout,
-    from: QSite,
-    to: QSite,
-    blocked: &dyn Fn(QSite) -> bool,
-) -> Option<Vec<MoveStep>> {
-    if !layout.is_trapping_zone(from) || !layout.is_trapping_zone(to) {
-        return None;
-    }
-    if from == to {
-        return Some(Vec::new());
-    }
-    if blocked(to) {
-        return None;
+/// A Dijkstra router whose scratch state is reused across calls.
+///
+/// Distances and predecessor steps live in dense arrays indexed by
+/// [`Layout::index_of`]. Each entry carries the *epoch* (call number) that
+/// wrote it, so a new call invalidates the previous one's entries by bumping
+/// the epoch instead of clearing or reallocating. The arrays grow to the
+/// largest layout routed on; routing on a smaller layout afterwards reuses
+/// them as they are. The hardware model owns one router and routes every
+/// ion movement through it.
+#[derive(Clone, Debug, Default)]
+pub struct Router {
+    // Per site slot: the epoch that last wrote `dist`/`prev`. A slot whose
+    // stamp differs from `epoch` is unvisited in the current call.
+    stamp: Vec<u32>,
+    dist: Vec<u64>,
+    prev: Vec<MoveStep>,
+    heap: BinaryHeap<Reverse<(u64, QSite)>>,
+    epoch: u32,
+}
+
+impl Router {
+    /// A router with empty scratch; it sizes itself on the first call.
+    pub fn new() -> Self {
+        Router::default()
     }
 
-    let mut dist: HashMap<QSite, u64> = HashMap::new();
-    let mut prev: HashMap<QSite, MoveStep> = HashMap::new();
-    let mut heap: BinaryHeap<Reverse<(u64, QSite)>> = BinaryHeap::new();
-    dist.insert(from, 0);
-    heap.push(Reverse((0, from)));
+    /// Shortest route from `from` to `to` under a caller-supplied blocking
+    /// predicate: the route never enters a zone for which `blocked` returns
+    /// `true`, except the destination, which must itself be unblocked. The
+    /// hardware scheduler routes thousands of short hops per syndrome
+    /// round; querying its occupancy table directly through this predicate
+    /// avoids snapshotting every ion position into a set per route.
+    ///
+    /// Steps are weighted by [`MoveStep::relative_cost`]. The search pops
+    /// `(cost, site)` keys from a min-heap (each key is pushed at most
+    /// once, so the pop order is fixed), relaxes with a strict `<`, and
+    /// stops once the destination is popped: on an equal-cost tie the
+    /// predecessor popped first wins. Every route is a pure function of
+    /// the layout, the endpoints and the predicate — never of earlier calls
+    /// on this router.
+    pub fn route_avoiding_with(
+        &mut self,
+        layout: &Layout,
+        from: QSite,
+        to: QSite,
+        blocked: &dyn Fn(QSite) -> bool,
+    ) -> Option<Vec<MoveStep>> {
+        if !layout.is_trapping_zone(from) || !layout.is_trapping_zone(to) {
+            return None;
+        }
+        if from == to {
+            return Some(Vec::new());
+        }
+        if blocked(to) {
+            return None;
+        }
+        self.begin(layout.index_len(), from);
+        let slot = |site: QSite| layout.index_of(site).expect("routed sites lie on the layout");
+        let (from_slot, to_slot) = (slot(from), slot(to));
+        self.visit(from_slot, 0, None);
+        self.heap.push(Reverse((0, from)));
 
-    while let Some(Reverse((d, site))) = heap.pop() {
-        if site == to {
-            break;
-        }
-        if d > *dist.get(&site).unwrap_or(&u64::MAX) {
-            continue;
-        }
-        for step in steps_from(layout, site) {
-            let next = step.to();
-            if next != to && blocked(next) {
+        while let Some(Reverse((d, site))) = self.heap.pop() {
+            if site == to {
+                break;
+            }
+            if d > self.dist_of(slot(site)) {
                 continue;
             }
-            let nd = d + step.relative_cost();
-            if nd < *dist.get(&next).unwrap_or(&u64::MAX) {
-                dist.insert(next, nd);
-                prev.insert(next, step);
-                heap.push(Reverse((nd, next)));
+            for step in steps_from(layout, site) {
+                let next = step.to();
+                if next != to && blocked(next) {
+                    continue;
+                }
+                let nd = d + step.relative_cost();
+                let next_slot = slot(next);
+                if nd < self.dist_of(next_slot) {
+                    self.visit(next_slot, nd, Some(step));
+                    self.heap.push(Reverse((nd, next)));
+                }
             }
+        }
+
+        if self.stamp[to_slot] != self.epoch {
+            return None;
+        }
+        // Reconstruct.
+        let mut steps = Vec::new();
+        let mut cur = to_slot;
+        while cur != from_slot {
+            let step = self.prev[cur];
+            cur = slot(step.from());
+            steps.push(step);
+        }
+        steps.reverse();
+        Some(steps)
+    }
+
+    /// Starts a call: grows the scratch to `slots` entries and moves to a
+    /// fresh epoch, so every entry of an earlier call reads as unvisited.
+    fn begin(&mut self, slots: usize, filler: QSite) {
+        if self.stamp.len() < slots {
+            self.stamp.resize(slots, 0);
+            self.dist.resize(slots, u64::MAX);
+            self.prev.resize(slots, MoveStep::Shuttle { from: filler, to: filler });
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // After 2^32 calls the stamps could alias: clear them once.
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        self.heap.clear();
+    }
+
+    /// Tentative distance of a slot in the current call (`u64::MAX` if
+    /// unvisited).
+    fn dist_of(&self, slot: usize) -> u64 {
+        if self.stamp[slot] == self.epoch {
+            self.dist[slot]
+        } else {
+            u64::MAX
         }
     }
 
-    if !dist.contains_key(&to) {
-        return None;
+    /// Records a tentative distance and the step that reached it.
+    fn visit(&mut self, slot: usize, dist: u64, step: Option<MoveStep>) {
+        self.stamp[slot] = self.epoch;
+        self.dist[slot] = dist;
+        if let Some(step) = step {
+            self.prev[slot] = step;
+        }
     }
-    // Reconstruct.
-    let mut steps = Vec::new();
-    let mut cur = to;
-    while cur != from {
-        let step = prev[&cur];
-        cur = step.from();
-        steps.push(step);
-    }
-    steps.reverse();
-    Some(steps)
 }
 
 /// Shortest path over an abstract `rows × cols` tile grid by multi-source

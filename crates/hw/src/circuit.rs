@@ -135,6 +135,11 @@ impl Circuit {
         Circuit { ops, measurements, spans: Vec::new() }
     }
 
+    /// Takes the circuit apart into its ops, measurement records and spans.
+    pub(crate) fn into_parts(self) -> (Vec<TimedOp>, Vec<MeasurementRecord>, Vec<ReplicatedSpan>) {
+        (self.ops, self.measurements, self.spans)
+    }
+
     /// Appends an operation (builder use only; prefer [`crate::HardwareModel`]).
     pub(crate) fn push(&mut self, op: TimedOp) {
         self.ops.push(op);

@@ -17,7 +17,7 @@
 //! that stalled waiting for a junction slot
 //! ([`HardwareModel::junction_stalls`]).
 
-use tiscc_grid::{route_avoiding_with, GridError, GridManager, MoveStep, QSite, QubitId, SiteKind};
+use tiscc_grid::{GridError, GridManager, MoveStep, QSite, QubitId, Router, SiteKind};
 
 use crate::circuit::{Circuit, MeasurementRecord, TimedOp};
 use crate::label::Label;
@@ -86,6 +86,8 @@ struct CaptureState {
 #[derive(Clone, Debug)]
 pub struct HardwareModel {
     grid: GridManager,
+    // Dijkstra scratch reused by every `route_and_move` on this model.
+    router: Router,
     circuit: Circuit,
     // The scheduling pass: per-resource busy windows, the barrier, and the
     // junction-capacity contention rule.
@@ -108,10 +110,12 @@ impl HardwareModel {
     /// A model over a fresh grid, compiling under the given hardware
     /// profile: every emitted operation takes the duration `spec` assigns it.
     pub fn with_spec(unit_rows: u32, unit_cols: u32, spec: HardwareSpec) -> Self {
+        let grid = GridManager::new(unit_rows, unit_cols);
         HardwareModel {
-            grid: GridManager::new(unit_rows, unit_cols),
+            sched: Scheduler::new(grid.layout(), spec.junction_capacity, spec.junction_recovery_us),
+            grid,
+            router: Router::new(),
             circuit: Circuit::new(),
-            sched: Scheduler::new(spec.junction_capacity, spec.junction_recovery_us),
             stall_flags: Vec::new(),
             spec,
             templating: false,
@@ -516,10 +520,12 @@ impl HardwareModel {
             return Ok(());
         }
         let grid = &self.grid;
-        let steps = route_avoiding_with(grid.layout(), from, dest, &|site| {
-            grid.qubit_at(site).is_some_and(|q| q != qubit)
-        })
-        .ok_or(HwError::NoRoute(from, dest))?;
+        let steps = self
+            .router
+            .route_avoiding_with(grid.layout(), from, dest, &|site| {
+                grid.qubit_at(site).is_some_and(|q| q != qubit)
+            })
+            .ok_or(HwError::NoRoute(from, dest))?;
         self.move_along(qubit, &steps)
     }
 

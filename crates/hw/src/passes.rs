@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 
-use tiscc_grid::{QSite, QubitId};
+use tiscc_grid::{Layout, QSite, QubitId};
 
 use crate::circuit::{Circuit, TimedOp};
 use crate::ops::NativeOp;
@@ -81,40 +81,50 @@ pub struct Slot {
 /// each ion and zone, the retained occupancy windows of each junction, and
 /// the current barrier. [`Scheduler::ready`] answers "when can this op
 /// start"; [`Scheduler::occupy`] commits the op's window.
+///
+/// Every table is dense: zones and junctions by [`Layout::index_of`], ions
+/// by [`QubitId`], junction-delay flags by op index.
 #[derive(Clone, Debug)]
 pub struct Scheduler {
-    // Busy maps record, per resource, the end time of its last operation
+    layout: Layout,
+    // Busy tables record, per resource, the end time of its last operation
     // and that operation's index — the index is what lets a round capture
-    // identify each op's critical predecessor for bit-exact replication.
-    site_busy: HashMap<QSite, (f64, usize)>,
-    qubit_busy: HashMap<QubitId, (f64, usize)>,
-    // Per junction: the `capacity` latest-ending hop windows, descending by
-    // end time. Earlier windows can never constrain a future hop (any start
-    // blocked by a dropped window is blocked by every retained one), so
-    // retaining only `capacity` of them is lossless.
-    junction_windows: HashMap<QSite, Vec<(f64, usize)>>,
-    // Op indices whose start a junction delayed — consulted to tell an
+    // identify each op's critical predecessor for bit-exact replication. A
+    // resource never used holds `IDLE`.
+    site_busy: Vec<(f64, usize)>,
+    qubit_busy: Vec<(f64, usize)>,
+    // Per junction slot: the `capacity` latest-ending hop windows,
+    // descending by end time. Earlier windows can never constrain a future
+    // hop (any start blocked by a dropped window is blocked by every
+    // retained one), so retaining only `capacity` of them is lossless.
+    junction_windows: Vec<Vec<(f64, usize)>>,
+    // Per op index: did a junction delay its start? Consulted to tell an
     // isolated pairwise serialization apart from a chained (queued) stall.
-    junction_delayed: std::collections::HashSet<usize>,
+    junction_delayed: Vec<bool>,
     barrier_us: f64,
     capacity: usize,
     recovery_us: f64,
     policy: SchedulePolicy,
 }
 
+/// The busy entry of a resource no op has used: `ready`'s strict `end > t`
+/// fold never selects it, exactly as if the resource had no entry.
+const IDLE: (f64, usize) = (f64::NEG_INFINITY, usize::MAX);
+
 impl Scheduler {
-    /// A quiescent scheduler with the given junction capacity (clamped to
-    /// at least 1), post-hop recovery window
+    /// A quiescent scheduler for ops on `layout`'s sites with the given
+    /// junction capacity (clamped to at least 1), post-hop recovery window
     /// ([`HardwareSpec::junction_recovery_us`]) and the default
     /// [`SchedulePolicy::Windowed`] policy. Recovery only affects the
     /// windowed rule; the legacy oracle predates it and always releases a
     /// junction at the hop's raw end.
-    pub fn new(junction_capacity: usize, junction_recovery_us: f64) -> Self {
+    pub fn new(layout: &Layout, junction_capacity: usize, junction_recovery_us: f64) -> Self {
         Scheduler {
-            site_busy: HashMap::new(),
-            qubit_busy: HashMap::new(),
-            junction_windows: HashMap::new(),
-            junction_delayed: std::collections::HashSet::new(),
+            layout: layout.clone(),
+            site_busy: vec![IDLE; layout.index_len()],
+            qubit_busy: Vec::new(),
+            junction_windows: vec![Vec::new(); layout.index_len()],
+            junction_delayed: Vec::new(),
             barrier_us: 0.0,
             capacity: junction_capacity.max(1),
             recovery_us: junction_recovery_us.max(0.0),
@@ -161,24 +171,25 @@ impl Scheduler {
     pub fn ready(&self, qubits: &[QubitId], sites: &[QSite], junction: Option<QSite>) -> Slot {
         let mut t = self.barrier_us;
         let mut src = None;
-        let consider = |busy: Option<&(f64, usize)>, t: &mut f64, src: &mut Option<usize>| {
-            if let Some(&(end, idx)) = busy {
-                if end > *t {
-                    *t = end;
-                    *src = Some(idx);
-                }
+        let consider = |(end, idx): (f64, usize), t: &mut f64, src: &mut Option<usize>| {
+            if end > *t {
+                *t = end;
+                *src = Some(idx);
             }
         };
         for q in qubits {
-            consider(self.qubit_busy.get(q), &mut t, &mut src);
+            let busy = self.qubit_busy.get(q.0 as usize).copied().unwrap_or(IDLE);
+            consider(busy, &mut t, &mut src);
         }
         for s in sites {
-            consider(self.site_busy.get(s), &mut t, &mut src);
+            // `occupy` never accepts a site off the layout: it reads idle.
+            let busy = self.layout.index_of(*s).map_or(IDLE, |i| self.site_busy[i]);
+            consider(busy, &mut t, &mut src);
         }
         let mut junction_bound = false;
         let mut junction_stall = false;
         if let Some(j) = junction {
-            if let Some(windows) = self.junction_windows.get(&j) {
+            if let Some(windows) = self.layout.index_of(j).map(|i| &self.junction_windows[i]) {
                 match self.policy {
                     SchedulePolicy::Legacy => {
                         // Single-slot rule: only the last hop's end matters.
@@ -187,7 +198,7 @@ impl Scheduler {
                                 t = end;
                                 src = Some(idx);
                                 junction_bound = true;
-                                junction_stall = self.junction_delayed.contains(&idx);
+                                junction_stall = self.was_junction_delayed(idx);
                             }
                         }
                     }
@@ -206,7 +217,7 @@ impl Scheduler {
                             src = Some(idx);
                             junction_bound = true;
                             junction_stall =
-                                self.recovery_us > 0.0 || self.junction_delayed.contains(&idx);
+                                self.recovery_us > 0.0 || self.was_junction_delayed(idx);
                         }
                     }
                 }
@@ -215,15 +226,25 @@ impl Scheduler {
         Slot { start_us: t, src, junction_bound, junction_stall }
     }
 
+    fn was_junction_delayed(&self, op_idx: usize) -> bool {
+        self.junction_delayed.get(op_idx).copied().unwrap_or(false)
+    }
+
     /// Records that op `op_idx` was junction-delayed
     /// ([`Slot::junction_bound`]), so later hops blocked by its window are
     /// recognised as chained stalls ([`Slot::junction_stall`]).
     pub fn note_junction_delay(&mut self, op_idx: usize) {
-        self.junction_delayed.insert(op_idx);
+        if self.junction_delayed.len() <= op_idx {
+            self.junction_delayed.resize(op_idx + 1, false);
+        }
+        self.junction_delayed[op_idx] = true;
     }
 
     /// Commits op `op_idx`'s busy window `[start, end_us)` on every resource
     /// it uses.
+    ///
+    /// # Panics
+    /// Panics if a site or the junction lies off the scheduler's layout.
     pub fn occupy(
         &mut self,
         qubits: &[QubitId],
@@ -233,13 +254,20 @@ impl Scheduler {
         op_idx: usize,
     ) {
         for q in qubits {
-            self.qubit_busy.insert(*q, (end_us, op_idx));
+            let i = q.0 as usize;
+            if self.qubit_busy.len() <= i {
+                self.qubit_busy.resize(i + 1, IDLE);
+            }
+            self.qubit_busy[i] = (end_us, op_idx);
         }
+        const ON_LAYOUT: &str = "scheduled ops act on layout sites";
         for s in sites {
-            self.site_busy.insert(*s, (end_us, op_idx));
+            let i = self.layout.index_of(*s).expect(ON_LAYOUT);
+            self.site_busy[i] = (end_us, op_idx);
         }
         if let Some(j) = junction {
-            let windows = self.junction_windows.entry(j).or_default();
+            let i = self.layout.index_of(j).expect(ON_LAYOUT);
+            let windows = &mut self.junction_windows[i];
             match self.policy {
                 SchedulePolicy::Legacy => {
                     windows.clear();
@@ -339,13 +367,18 @@ fn batch_scan(
     // counter at open). An op only joins a batch if none of its ions moved
     // since the batch opened (stream-order position replay stays valid).
     let mut open: HashMap<BatchKey, OpenBatch> = HashMap::new();
-    let mut last_moved: HashMap<QubitId, usize> = HashMap::new();
+    // Per ion id: the transport counter at its last move (0 = never moved).
+    let mut last_moved: Vec<usize> = Vec::new();
     let mut transports_seen: usize = 0;
     for (i, op) in ops.iter().enumerate() {
         if op.op.is_transport() {
             transports_seen += 1;
             for q in &op.qubits {
-                last_moved.insert(*q, transports_seen);
+                let q = q.0 as usize;
+                if last_moved.len() <= q {
+                    last_moved.resize(q + 1, 0);
+                }
+                last_moved[q] = transports_seen;
             }
         }
         if !batchable(op) {
@@ -357,7 +390,10 @@ fn batch_scan(
         match open.get_mut(&key) {
             Some(&mut (idx, ref mut members, opened))
                 if *members < width
-                    && op.qubits.iter().all(|q| last_moved.get(q).is_none_or(|&c| c <= opened)) =>
+                    && op
+                        .qubits
+                        .iter()
+                        .all(|q| last_moved.get(q.0 as usize).is_none_or(|&c| c <= opened)) =>
             {
                 let pulse = &mut out[idx];
                 pulse.sites.extend(op.sites.iter().copied());
@@ -506,8 +542,9 @@ mod tests {
     #[test]
     fn windowed_capacity_one_matches_legacy_rule() {
         // Same op sequence through both policies: decisions must agree.
-        let mut a = Scheduler::new(1, 0.0);
-        let mut b = Scheduler::new(1, 0.0);
+        let layout = Layout::new(2, 2);
+        let mut a = Scheduler::new(&layout, 1, 0.0);
+        let mut b = Scheduler::new(&layout, 1, 0.0);
         b.set_policy(SchedulePolicy::Legacy);
         let j = QSite::new(0, 4);
         let hops = [
@@ -527,7 +564,7 @@ mod tests {
 
     #[test]
     fn capacity_two_admits_two_concurrent_hops() {
-        let mut s = Scheduler::new(2, 0.0);
+        let mut s = Scheduler::new(&Layout::new(2, 2), 2, 0.0);
         let j = QSite::new(0, 4);
         let decide = |s: &mut Scheduler, q: u32, idx: usize, dur: f64| {
             let slot = s.ready(&[QubitId(q)], &[], Some(j));
@@ -545,6 +582,32 @@ mod tests {
         assert!(s2.junction_bound);
         assert!(!s2.junction_stall, "the blocking hop was itself unimpeded");
         assert_eq!(s2.src, Some(0), "the earliest-freeing slot admits it");
+    }
+
+    #[test]
+    fn unseen_ions_and_sites_never_set_a_start() {
+        let layout = Layout::new(2, 2);
+        let mut s = Scheduler::new(&layout, 1, 0.0);
+        let never = |s: &Scheduler| {
+            // Ions past any id it has seen, an unused zone and junction,
+            // and a site off the layout all read as idle.
+            s.ready(
+                &[QubitId(0), QubitId(7)],
+                &[QSite::new(0, 1), QSite::new(0, 4 * layout.unit_cols())],
+                Some(QSite::new(4, 4)),
+            )
+        };
+        let idle = Slot { start_us: 0.0, src: None, junction_bound: false, junction_stall: false };
+        assert_eq!(never(&s), idle);
+        s.barrier(250.0);
+        assert_eq!(never(&s), Slot { start_us: 250.0, ..idle });
+        // Busy resources elsewhere leave them idle too.
+        s.occupy(&[QubitId(3)], &[QSite::new(1, 0)], Some(QSite::new(0, 0)), 900.0, 0);
+        s.note_junction_delay(0);
+        assert_eq!(never(&s), Slot { start_us: 250.0, ..idle });
+        // ... while the resources it did see now bind.
+        let busy = s.ready(&[QubitId(3)], &[], None);
+        assert_eq!((busy.start_us, busy.src), (900.0, Some(0)));
     }
 
     #[test]

@@ -14,6 +14,10 @@ use crate::circuit::{Circuit, OpStream, OpView};
 use crate::ops::NativeOp;
 use crate::spec::HardwareSpec;
 
+/// Number of [`NativeOp`] kinds: the discriminants run `0..NATIVE_OP_KINDS`
+/// (`JunctionMove` is the last variant).
+const NATIVE_OP_KINDS: usize = NativeOp::JunctionMove as usize + 1;
+
 /// Space-time resources consumed by one compiled hardware circuit.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ResourceReport {
@@ -76,20 +80,25 @@ impl ResourceReport {
         });
 
         // One pass over the logical stream for the additive accounting.
+        // Kinds are counted by discriminant and named once at the end.
         let mut makespan_us = 0.0f64;
-        let mut op_counts: BTreeMap<&'static str, usize> = BTreeMap::new();
+        let mut kind_counts = [0usize; NATIVE_OP_KINDS];
         let mut active_zone_seconds = 0.0;
         let mut total_ops = 0usize;
-        let mut measure_ops = 0usize;
         stream.for_each_op(&mut |v: OpView<'_>| {
             makespan_us = makespan_us.max(v.end_us());
-            *op_counts.entry(v.op.op.mnemonic()).or_insert(0) += 1;
+            kind_counts[v.op.op as usize] += 1;
             let zones_involved = v.op.sites.len() + usize::from(v.op.junction.is_some());
             active_zone_seconds += v.op.duration_us * 1e-6 * zones_involved as f64;
             total_ops += 1;
-            measure_ops += usize::from(v.op.op == NativeOp::MeasureZ);
         });
         let execution_time_s = makespan_us * 1e-6;
+        let measure_ops = kind_counts[NativeOp::MeasureZ as usize];
+        let op_counts: BTreeMap<&'static str, usize> = NativeOp::all()
+            .iter()
+            .filter(|&&op| kind_counts[op as usize] > 0)
+            .map(|&op| (op.mnemonic(), kind_counts[op as usize]))
+            .collect();
 
         // Bounding box of every fine coordinate touched (zones and junctions),
         // converted to physical area: each fine step is one zone pitch.
@@ -272,6 +281,14 @@ mod tests {
     use super::*;
     use crate::model::HardwareModel;
     use tiscc_grid::{QSite, ZONE_WIDTH_M};
+
+    #[test]
+    fn op_kind_discriminants_cover_every_native_op() {
+        assert_eq!(NativeOp::all().len(), NATIVE_OP_KINDS);
+        for (i, &op) in NativeOp::all().iter().enumerate() {
+            assert_eq!(op as usize, i, "{op:?}");
+        }
+    }
 
     #[test]
     fn record_round_trips_bit_for_bit() {

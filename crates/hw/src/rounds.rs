@@ -182,91 +182,100 @@ impl CompiledRounds {
     /// The range must not begin inside a replicated span. A range containing
     /// no span becomes an all-prologue `CompiledRounds` (`repeats == 0`);
     /// ranges with more than one span are flattened first (correct, but
-    /// without the periodic memory savings).
+    /// without the periodic memory savings). The range's ops are cloned;
+    /// [`CompiledRounds::from_circuit`] moves them out of a circuit the
+    /// caller is done with instead.
     pub fn extract(circuit: &Circuit, start_op: usize) -> CompiledRounds {
-        let spans: Vec<&ReplicatedSpan> =
-            circuit.spans().iter().filter(|s| s.op_end > start_op).collect();
-        debug_assert!(
-            spans.iter().all(|s| s.op_start >= start_op),
-            "extraction range must not begin inside a replicated span"
-        );
-        if spans.len() > 1 {
-            // Rare fallback (more than one periodic sequence in a single
-            // instruction): flatten, then extract the flat range. Spans
-            // *before* the range inflate the flattened index space, so the
-            // start index shifts by their replicated op counts.
-            let shift: usize = circuit
-                .spans()
-                .iter()
-                .filter(|s| s.op_end <= start_op)
-                .map(|s| s.extra * s.len())
-                .sum();
-            return CompiledRounds::extract(&circuit.materialize(), start_op + shift);
-        }
+        let span = match range_span(circuit, start_op) {
+            Ok(span) => span.map(|i| circuit.spans()[i].clone()),
+            Err(flat_start) => {
+                return CompiledRounds::from_circuit(circuit.materialize(), flat_start)
+            }
+        };
+        let ops = circuit.ops()[start_op..].to_vec();
+        let meas_base = first_record(&ops, circuit.measurements().len());
+        let records = circuit.measurements()[meas_base..].to_vec();
+        CompiledRounds::split(ops, records, meas_base, span, start_op)
+    }
 
-        let ops = &circuit.ops()[start_op..];
+    /// [`CompiledRounds::extract`] from a circuit the caller no longer
+    /// needs: the range's ops and records are moved, not cloned, and the
+    /// ops before the range are dropped. The result is identical. The
+    /// prologue keeps the circuit's op buffer, so nothing large is freed
+    /// until the result is dropped.
+    pub fn from_circuit(circuit: Circuit, start_op: usize) -> CompiledRounds {
+        let span = match range_span(&circuit, start_op) {
+            Ok(span) => span,
+            Err(flat_start) => {
+                return CompiledRounds::from_circuit(circuit.materialize(), flat_start)
+            }
+        };
+        let (mut ops, mut records, mut spans) = circuit.into_parts();
+        let span = span.map(|i| spans.swap_remove(i));
+        ops.drain(..start_op);
+        let meas_base = first_record(&ops, records.len());
+        records.drain(..meas_base);
+        CompiledRounds::split(ops, records, meas_base, span, start_op)
+    }
+
+    /// The extraction routine shared by [`CompiledRounds::extract`] and
+    /// [`CompiledRounds::from_circuit`]. `ops` are the range's ops (circuit
+    /// ops from `start_op` on) and `records` its measurement records
+    /// (circuit records from `meas_base` on). Rebases both and splits the
+    /// ops around `span`, the range's one replicated round if it has one;
+    /// the prologue keeps `ops`' buffer.
+    fn split(
+        mut ops: Vec<TimedOp>,
+        mut records: Vec<MeasurementRecord>,
+        meas_base: usize,
+        span: Option<ReplicatedSpan>,
+        start_op: usize,
+    ) -> CompiledRounds {
         let t0 = ops.iter().map(|o| o.start_us).fold(f64::INFINITY, f64::min);
         let t0 = if t0.is_finite() { t0 } else { 0.0 };
-        // First measurement record of the range: records are emitted
-        // monotonically with ops, so everything from this index on belongs
-        // to the range.
-        let meas_base = ops
-            .iter()
-            .filter_map(|o| o.measurement)
-            .min()
-            .unwrap_or_else(|| circuit.measurements().len());
-        let rebase_op = |o: &TimedOp, shift_time: bool| {
-            let mut o = o.clone();
-            if shift_time {
-                o.start_us -= t0;
+        for r in &mut records {
+            r.index -= meas_base;
+            r.start_us -= t0;
+        }
+        let rebase = |ops: &mut [TimedOp], shift_time: bool| {
+            for o in ops {
+                if shift_time {
+                    o.start_us -= t0;
+                }
+                o.measurement = o.measurement.map(|m| m - meas_base);
             }
-            o.measurement = o.measurement.map(|m| m - meas_base);
-            o
         };
-        let measurements = circuit.measurements()[meas_base..]
-            .iter()
-            .map(|r| {
-                let mut r = r.clone();
-                r.index -= meas_base;
-                r.start_us -= t0;
-                r
-            })
-            .collect();
 
-        match spans.first() {
-            None => CompiledRounds {
-                prologue: Circuit::from_ops(ops.iter().map(|o| rebase_op(o, true)).collect()),
+        let Some(span) = span else {
+            rebase(&mut ops, true);
+            return CompiledRounds {
+                prologue: Circuit::from_ops(ops),
                 template: RoundTemplate::default(),
                 repeats: 0,
                 epilogue: Circuit::new(),
-                measurements,
+                measurements: records,
                 rebase_us: t0,
+            };
+        };
+        let mut epilogue = ops.split_off(span.op_end - start_op);
+        let mut template = ops.split_off(span.op_start - start_op);
+        rebase(&mut ops, true);
+        // Absolute times kept; `rebase_us` applies at view time.
+        rebase(&mut template, false);
+        rebase(&mut epilogue, true);
+        CompiledRounds {
+            prologue: Circuit::from_ops(ops),
+            template: RoundTemplate {
+                ops: template,
+                base_us: span.base_us,
+                recovery_us: span.recovery_us,
+                meas_per_round: span.meas_per_round,
+                preds: span.preds,
             },
-            Some(span) => CompiledRounds {
-                prologue: Circuit::from_ops(
-                    circuit.ops()[start_op..span.op_start]
-                        .iter()
-                        .map(|o| rebase_op(o, true))
-                        .collect(),
-                ),
-                template: RoundTemplate {
-                    // Absolute times kept; `rebase_us` applies at view time.
-                    ops: circuit.ops()[span.op_start..span.op_end]
-                        .iter()
-                        .map(|o| rebase_op(o, false))
-                        .collect(),
-                    preds: span.preds.clone(),
-                    base_us: span.base_us,
-                    recovery_us: span.recovery_us,
-                    meas_per_round: span.meas_per_round,
-                },
-                repeats: span.extra + 1,
-                epilogue: Circuit::from_ops(
-                    circuit.ops()[span.op_end..].iter().map(|o| rebase_op(o, true)).collect(),
-                ),
-                measurements,
-                rebase_us: t0,
-            },
+            repeats: span.extra + 1,
+            epilogue: Circuit::from_ops(epilogue),
+            measurements: records,
+            rebase_us: t0,
         }
     }
 
@@ -287,6 +296,35 @@ impl CompiledRounds {
         });
         Circuit::from_parts(ops, self.measurements.clone())
     }
+}
+
+/// Index of the replicated span inside the range starting at op
+/// `start_op`, if any. `Err` carries the range's start in the flattened
+/// circuit when the range holds more than one span (the rare fallback: more
+/// than one periodic sequence in a single instruction). Spans *before* the
+/// range inflate the flattened index space, so the start shifts by their
+/// replicated op counts.
+fn range_span(circuit: &Circuit, start_op: usize) -> Result<Option<usize>, usize> {
+    let spans = circuit.spans();
+    let in_range = |s: &&ReplicatedSpan| s.op_end > start_op;
+    debug_assert!(
+        spans.iter().filter(in_range).all(|s| s.op_start >= start_op),
+        "extraction range must not begin inside a replicated span"
+    );
+    match spans.iter().filter(in_range).count() {
+        0 => Ok(None),
+        1 => Ok(spans.iter().position(|s| in_range(&s))),
+        _ => Err(start_op
+            + spans.iter().filter(|s| !in_range(s)).map(|s| s.extra * s.len()).sum::<usize>()),
+    }
+}
+
+/// Index of the first measurement record of the op range `range`, in a
+/// circuit holding `record_count` records. Records are emitted
+/// monotonically with ops, so every record from this index on belongs to
+/// the range.
+fn first_record(range: &[TimedOp], record_count: usize) -> usize {
+    range.iter().filter_map(|o| o.measurement).min().unwrap_or(record_count)
 }
 
 impl OpStream for CompiledRounds {

@@ -2,14 +2,133 @@
 //! invariants: Pauli algebra, grid routing, patch geometry and the validity
 //! of every compiled syndrome-extraction circuit.
 
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
+
 use proptest::prelude::*;
 
 use tiscc::core::plaquette::{build_stabilizers, logical_x_support, logical_z_support};
 use tiscc::core::{Arrangement, LogicalQubit};
-use tiscc::grid::{route, Layout, QSite};
+use tiscc::grid::{route, route_avoiding, Layout, MoveStep, QSite, Router, SiteKind};
 use tiscc::hw::validity::check_circuit;
 use tiscc::hw::HardwareModel;
 use tiscc::math::{Pauli, PauliOp};
+
+/// The reference router: a plain Dijkstra over hash maps, with its own
+/// allocating move enumeration — the router as it was before its scratch
+/// became dense and reusable. [`Router`] must agree with it step for step.
+fn reference_route(
+    layout: &Layout,
+    from: QSite,
+    to: QSite,
+    blocked: &dyn Fn(QSite) -> bool,
+) -> Option<Vec<MoveStep>> {
+    let steps_from = |site: QSite| {
+        let mut out = Vec::new();
+        for n in layout.neighbors(site) {
+            match layout.site_kind(n) {
+                Some(SiteKind::Junction) => {
+                    for far in layout.neighbors(n) {
+                        if far != site && layout.is_trapping_zone(far) {
+                            out.push(MoveStep::JunctionHop { from: site, to: far, junction: n });
+                        }
+                    }
+                }
+                Some(_) => out.push(MoveStep::Shuttle { from: site, to: n }),
+                None => {}
+            }
+        }
+        out
+    };
+    if !layout.is_trapping_zone(from) || !layout.is_trapping_zone(to) {
+        return None;
+    }
+    if from == to {
+        return Some(Vec::new());
+    }
+    if blocked(to) {
+        return None;
+    }
+    let mut dist: HashMap<QSite, u64> = HashMap::new();
+    let mut prev: HashMap<QSite, MoveStep> = HashMap::new();
+    let mut heap: BinaryHeap<Reverse<(u64, QSite)>> = BinaryHeap::new();
+    dist.insert(from, 0);
+    heap.push(Reverse((0, from)));
+    while let Some(Reverse((d, site))) = heap.pop() {
+        if site == to {
+            break;
+        }
+        if d > *dist.get(&site).unwrap_or(&u64::MAX) {
+            continue;
+        }
+        for step in steps_from(site) {
+            let next = step.to();
+            if next != to && blocked(next) {
+                continue;
+            }
+            let nd = d + step.relative_cost();
+            if nd < *dist.get(&next).unwrap_or(&u64::MAX) {
+                dist.insert(next, nd);
+                prev.insert(next, step);
+                heap.push(Reverse((nd, next)));
+            }
+        }
+    }
+    if !dist.contains_key(&to) {
+        return None;
+    }
+    let mut steps = Vec::new();
+    let mut cur = to;
+    while cur != from {
+        let step = prev[&cur];
+        cur = step.from();
+        steps.push(step);
+    }
+    steps.reverse();
+    Some(steps)
+}
+
+/// One routing query of the router oracle property: endpoint picks, the
+/// blocked-set seed and density, and a special-case selector.
+type RouteQuery = (usize, usize, u64, u32, u32);
+
+/// Runs `query` on `layout` through the shared `router` and a fresh one,
+/// and checks both against the reference.
+fn check_route_query(layout: &Layout, router: &mut Router, query: RouteQuery) {
+    let (pick_from, pick_to, seed, density, special) = query;
+    // Endpoints range one row and column past the extent, so junctions,
+    // unit interiors and off-layout sites are all drawn.
+    let (rows, cols) = layout.fine_extent();
+    let at = |pick: usize| {
+        let pick = pick % ((rows as usize + 1) * (cols as usize + 1));
+        QSite::new((pick / (cols as usize + 1)) as u32, (pick % (cols as usize + 1)) as u32)
+    };
+    let from = at(pick_from);
+    let to = if special == 0 { from } else { at(pick_to) };
+    // Each trapping zone is blocked with probability density/8.
+    let mut blocked: HashSet<QSite> = layout
+        .all_sites()
+        .filter(|&s| {
+            let h =
+                (seed ^ ((s.row as u64) << 32 | s.col as u64)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            layout.is_trapping_zone(s) && (h >> 61) < u64::from(density)
+        })
+        .collect();
+    if special == 1 {
+        blocked.insert(to);
+    }
+    blocked.remove(&from);
+    let is_blocked = |s: QSite| blocked.contains(&s);
+    let expected = reference_route(layout, from, to, &is_blocked);
+    let ctx = format!(
+        "{}x{} {from:?}->{to:?} blocked={}",
+        layout.unit_rows(),
+        layout.unit_cols(),
+        blocked.len()
+    );
+    assert_eq!(router.route_avoiding_with(layout, from, to, &is_blocked), expected, "{ctx}");
+    assert_eq!(route_avoiding(layout, from, to, &blocked), expected, "fresh router: {ctx}");
+}
 
 fn arb_pauli(n: usize) -> impl Strategy<Value = Pauli> {
     proptest::collection::vec(
@@ -67,6 +186,28 @@ proptest! {
         if from != to {
             prop_assert_eq!(cur, to);
         }
+    }
+
+    /// The reusable router returns exactly the reference Dijkstra's route,
+    /// step for step, over random layouts, blocked sets and endpoints —
+    /// while one router serves the whole call sequence, which moves from a
+    /// small layout to a larger one (growing its scratch) and back, so a
+    /// stale entry from an earlier call would show as a different route.
+    #[test]
+    fn router_matches_reference_dijkstra(
+        small in (1u32..4, 1u32..4),
+        grow in (1u32..4, 0u32..4),
+        queries in proptest::collection::vec((0usize..10_000, 0usize..10_000, 0u64..u64::MAX, 0u32..5, 0u32..6), 2..12),
+    ) {
+        let small = Layout::new(small.0, small.1);
+        let large = Layout::new(small.unit_rows() + grow.0, small.unit_cols() + grow.1);
+        let mut router = Router::new();
+        let half = queries.len() / 2;
+        for (i, &query) in queries.iter().enumerate() {
+            let layout = if i < half { &small } else { &large };
+            check_route_query(layout, &mut router, query);
+        }
+        check_route_query(&small, &mut router, queries[0]);
     }
 
     /// For every distance pair and arrangement the stabilizer group has

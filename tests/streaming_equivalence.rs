@@ -19,7 +19,10 @@ use tiscc::estimator::tables::ResourceRow;
 use tiscc::estimator::verify::{Fiducial, SingleTile, TwoTiles};
 use tiscc::estimator::{CompileRequest, Compiler};
 use tiscc::hw::validity::{check_circuit, check_stream};
-use tiscc::hw::{CompiledRounds, HardwareModel, HardwareSpec, ResourceReport};
+use tiscc::hw::{
+    batch_rounds, CompiledRounds, HardwareModel, HardwareSpec, Label, ResourceReport, RoundLabel,
+    TimedOp,
+};
 use tiscc::program::{LayoutSpec, LogicalProgram};
 
 /// Compiles `instruction` end-to-end on a fresh fixture (input preparation
@@ -247,6 +250,98 @@ fn batched_and_contended_rows_keep_their_stats() {
             }
         }
         assert_eq!(batched > 0, simd_width > 1, "{} width={simd_width}", base.name);
+    }
+}
+
+/// Asserts two periodic circuits are the same bit for bit: ops (times and
+/// durations compared as bits), template predecessors and timing, repeat
+/// count, rebase time and every measurement record.
+fn assert_same_rounds(a: &CompiledRounds, b: &CompiledRounds, ctx: &str) {
+    let same_ops = |x: &[TimedOp], y: &[TimedOp], part: &str| {
+        assert_eq!(x, y, "{part}: {ctx}");
+        for (p, q) in x.iter().zip(y) {
+            assert_eq!(p.start_us.to_bits(), q.start_us.to_bits(), "{part}: {ctx}");
+            assert_eq!(p.duration_us.to_bits(), q.duration_us.to_bits(), "{part}: {ctx}");
+        }
+    };
+    same_ops(a.prologue.ops(), b.prologue.ops(), "prologue");
+    same_ops(&a.template.ops, &b.template.ops, "template");
+    same_ops(a.epilogue.ops(), b.epilogue.ops(), "epilogue");
+    assert_eq!(a.template.preds, b.template.preds, "preds: {ctx}");
+    assert_eq!(a.template.base_us.to_bits(), b.template.base_us.to_bits(), "{ctx}");
+    assert_eq!(a.template.recovery_us.to_bits(), b.template.recovery_us.to_bits(), "{ctx}");
+    assert_eq!(a.template.meas_per_round, b.template.meas_per_round, "{ctx}");
+    assert_eq!(a.repeats, b.repeats, "repeats: {ctx}");
+    assert_eq!(a.rebase_us.to_bits(), b.rebase_us.to_bits(), "rebase: {ctx}");
+    assert_eq!(a.measurements, b.measurements, "measurements: {ctx}");
+    for (p, q) in a.measurements.iter().zip(&b.measurements) {
+        assert_eq!(p.start_us.to_bits(), q.start_us.to_bits(), "measurements: {ctx}");
+    }
+}
+
+/// The compiler moves an instruction's ops out of its consumed fixture
+/// model ([`CompiledRounds::from_circuit`]) instead of cloning them: the
+/// owning extraction must equal the borrowing [`CompiledRounds::extract`]
+/// bit for bit, on the fixture itself and through [`Compiler::compile`]
+/// (whose batch pass then runs on the moved rounds), for every instruction,
+/// including the multi-span fallback.
+#[test]
+fn owned_extraction_matches_borrowed_extraction() {
+    let mut contended = HardwareSpec::slow_junction();
+    contended.simd_width = 2;
+    let mut periodic = 0usize;
+    for spec in [HardwareSpec::h1(), HardwareSpec::projected(), contended] {
+        for &instruction in Instruction::all() {
+            for d in [3usize, 5] {
+                let ctx = format!("{instruction:?} d={d} {} width={}", spec.name, spec.simd_width);
+                let (hw, _, before) = compile_fixture(instruction, d, d, &spec, true);
+                let borrowed = CompiledRounds::extract(hw.circuit(), before);
+                let owned = CompiledRounds::from_circuit(hw.into_circuit(), before);
+                assert_same_rounds(&owned, &borrowed, &ctx);
+                periodic += usize::from(borrowed.repeats > 1);
+
+                let request = CompileRequest::new(instruction, d, d, d).with_spec(spec.clone());
+                let artifact = Compiler::new().compile(&request).unwrap();
+                let expected =
+                    if spec.simd_width > 1 { batch_rounds(&borrowed, &spec).0 } else { borrowed };
+                assert_same_rounds(&artifact.rounds, &expected, &format!("compile {ctx}"));
+            }
+        }
+    }
+
+    assert!(periodic > 0, "some ranges must carry a replicated round template");
+
+    // Multi-span fallback: three replicated one-ion rounds, the first one
+    // before the extracted range, so both paths flatten and shift.
+    let mut hw = HardwareModel::new(1, 1);
+    let q = hw.place_qubit(tiscc::grid::QSite::new(0, 1)).unwrap();
+    let round = |hw: &mut HardwareModel, r: u32, replicate: bool| {
+        if replicate {
+            hw.begin_round_capture();
+        }
+        hw.prepare_z(q).unwrap();
+        let label = Label::Syndrome { round: RoundLabel::Idle(r), x_type: false, row: 0, col: 0 };
+        hw.measure_z(q, label).unwrap();
+        hw.barrier();
+        if replicate {
+            hw.replicate_captured_round(2).expect("one-ion rounds replicate");
+        }
+    };
+    round(&mut hw, 0, false);
+    round(&mut hw, 1, true);
+    let before = hw.circuit().len();
+    round(&mut hw, 4, true);
+    round(&mut hw, 7, false);
+    round(&mut hw, 8, true);
+    assert_eq!(hw.circuit().spans().len(), 3);
+    // Five rounds of two ops; three of them replicate twice.
+    assert_eq!(hw.circuit().logical_len(), 22);
+    for (start, logical_ops) in [(0, 22), (before, 14)] {
+        let borrowed = CompiledRounds::extract(hw.circuit(), start);
+        let owned = CompiledRounds::from_circuit(hw.circuit().clone(), start);
+        assert_same_rounds(&owned, &borrowed, &format!("multi-span from op {start}"));
+        assert_eq!(borrowed.repeats, 0, "a multi-span range is flattened");
+        assert_eq!(borrowed.total_ops(), logical_ops);
     }
 }
 
