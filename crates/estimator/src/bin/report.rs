@@ -3,6 +3,9 @@
 //! Usage: `tiscc-report <experiment> [distances...]` where `<experiment>` is
 //! one of `table1`, `table2`, `table3`, `table5`, `fig2`, `fig3`, `fig4`,
 //! `fig6`, `resources`, `verification`, or `all`.
+//!
+//! Every distance must be an integer of at least 2 (default: 2 and 3). A bad
+//! argument exits 2 naming it; a failed compile exits 1.
 
 use tiscc_estimator::verify::{process_map_of, Fiducial, SingleTile};
 use tiscc_estimator::{experiments, tables};
@@ -10,9 +13,19 @@ use tiscc_estimator::{experiments, tables};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let experiment = args.first().map(String::as_str).unwrap_or("all");
-    let distances: Vec<usize> =
-        args[1.min(args.len())..].iter().filter_map(|a| a.parse().ok()).collect();
-    let distances = if distances.is_empty() { vec![2, 3] } else { distances };
+    let mut distances = Vec::new();
+    for arg in args.iter().skip(1) {
+        match arg.parse::<usize>() {
+            Ok(d) if d >= 2 => distances.push(d),
+            _ => {
+                eprintln!("tiscc-report: invalid distance '{arg}': expected an integer >= 2");
+                std::process::exit(2);
+            }
+        }
+    }
+    if distances.is_empty() {
+        distances = vec![2, 3];
+    }
 
     match experiment {
         "table1" => print_rows(
@@ -20,24 +33,20 @@ fn main() {
             tables::table1_rows(&distances, 2),
         ),
         "table2" => {
-            print_rows("Table 2: primitive operations", tables::table2_rows(distances[0].max(2), 2))
+            print_rows("Table 2: primitive operations", tables::table2_rows(distances[0], 2))
         }
-        "table3" => print_rows(
-            "Table 3: derived instruction set",
-            tables::table3_rows(distances[0].max(2), 2),
-        ),
+        "table3" => {
+            print_rows("Table 3: derived instruction set", tables::table3_rows(distances[0], 2))
+        }
         "table5" => println!("{}", tables::table5()),
-        "fig2" => println!(
-            "{}",
-            experiments::arrangements_report(distances[0].max(2), distances[0].max(2))
-        ),
+        "fig2" => println!("{}", experiments::arrangements_report(distances[0], distances[0])),
         "fig3" => println!("{}", experiments::operator_movement_report(distances[0].max(3))),
-        "fig4" => match experiments::translation_report(distances[0].max(2)) {
+        "fig4" => match experiments::translation_report(distances[0]) {
             Ok((text, report)) => {
                 println!("{text}");
                 println!("{}", report.render());
             }
-            Err(e) => eprintln!("error: {e}"),
+            Err(e) => fail(&format!("fig4: {e}")),
         },
         "fig6" => println!("{}", experiments::patterns_report()),
         "resources" => print_rows(
@@ -48,8 +57,8 @@ fn main() {
         "all" => {
             println!("{}", tables::table5());
             print_rows("Table 1", tables::table1_rows(&distances, 2));
-            print_rows("Table 2", tables::table2_rows(distances[0].max(2), 2));
-            print_rows("Table 3", tables::table3_rows(distances[0].max(2), 2));
+            print_rows("Table 2", tables::table2_rows(distances[0], 2));
+            print_rows("Table 3", tables::table3_rows(distances[0], 2));
             println!("{}", experiments::arrangements_report(3, 3));
             println!("{}", experiments::operator_movement_report(3));
             println!("{}", experiments::patterns_report());
@@ -68,8 +77,14 @@ fn print_rows(title: &str, rows: Result<Vec<tables::ResourceRow>, tiscc_core::Co
             println!("{}", tables::render_rows(title, &rows));
             println!("{}", tables::render_csv(&rows));
         }
-        Err(e) => eprintln!("error compiling {title}: {e}"),
+        Err(e) => fail(&format!("error compiling {title}: {e}")),
     }
+}
+
+/// Reports a failed compile and exits 1.
+fn fail(message: &str) -> ! {
+    eprintln!("tiscc-report: {message}");
+    std::process::exit(1);
 }
 
 fn run_verification() {

@@ -16,6 +16,7 @@
 use tiscc_grid::{QSite, QubitId};
 
 use crate::label::Label;
+use crate::operands::Operands;
 use crate::ops::NativeOp;
 use crate::rounds::{replay_round, ReplicatedSpan};
 
@@ -25,10 +26,13 @@ pub struct TimedOp {
     /// The native operation.
     pub op: NativeOp,
     /// The qsites addressed, in operand order. For transport this is
-    /// `[from, to]`; for `ZZ` the two interacting zones; otherwise one site.
-    pub sites: Vec<QSite>,
-    /// The ions involved, in operand order (one ion for transport).
-    pub qubits: Vec<QubitId>,
+    /// `[from, to]`; for `ZZ` the two interacting zones; for a batched SIMD
+    /// pulse one zone per member; otherwise one site. Held inline unless a
+    /// pulse is wider than two (see [`Operands`]).
+    pub sites: Operands<QSite>,
+    /// The ions involved, in operand order (one ion for transport, one per
+    /// member for a batched pulse). Held inline like [`TimedOp::sites`].
+    pub qubits: Operands<QubitId>,
     /// Scheduled start time in microseconds.
     pub start_us: f64,
     /// Duration in microseconds.
@@ -348,13 +352,18 @@ mod tests {
     fn dummy_op(op: NativeOp, start: f64) -> TimedOp {
         TimedOp {
             op,
-            sites: vec![QSite::new(0, 1)],
-            qubits: vec![QubitId(0)],
+            sites: [QSite::new(0, 1)].into(),
+            qubits: [QubitId(0)].into(),
             start_us: start,
             duration_us: op.duration_us(&crate::spec::HardwareSpec::h1()),
             junction: None,
             measurement: None,
         }
+    }
+
+    #[test]
+    fn timed_op_stays_within_96_bytes() {
+        assert!(std::mem::size_of::<TimedOp>() <= 96, "{}", std::mem::size_of::<TimedOp>());
     }
 
     #[test]

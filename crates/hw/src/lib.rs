@@ -12,7 +12,9 @@
 //!   the `Move`/`Junction` transport primitives); durations resolve against
 //!   a [`HardwareSpec`],
 //! * [`Circuit`] — a time-resolved hardware circuit: every emitted operation
-//!   carries the qsites it acts on, the ions involved and its start time,
+//!   carries the qsites it acts on, the ions involved and its start time;
+//!   the operand lists are [`Operands`], inline up to two entries, so an
+//!   ordinary op owns no heap memory,
 //! * [`HardwareModel`] — the builder that appends native operations with
 //!   ASAP (as-soon-as-possible) scheduling, accounts for parallelism,
 //!   resolves junction conflicts by serialising the conflicting hops, and
@@ -37,6 +39,7 @@
 pub mod circuit;
 pub mod label;
 pub mod model;
+pub mod operands;
 pub mod ops;
 pub mod passes;
 pub mod resources;
@@ -47,6 +50,7 @@ pub mod validity;
 pub use circuit::{Circuit, MeasurementRecord, OpStream, OpView, TimedOp};
 pub use label::{Label, RoundLabel};
 pub use model::{HardwareModel, HwError, RoundReplication};
+pub use operands::Operands;
 pub use ops::NativeOp;
 pub use passes::{
     batch_ops, batch_rounds, BatchStats, RoundBatchStats, SchedulePolicy, Scheduler, Slot,

@@ -21,6 +21,7 @@ use tiscc_grid::{GridError, GridManager, MoveStep, QSite, QubitId, Router, SiteK
 
 use crate::circuit::{Circuit, MeasurementRecord, TimedOp};
 use crate::label::Label;
+use crate::operands::Operands;
 use crate::ops::NativeOp;
 use crate::passes::{SchedulePolicy, Scheduler};
 use crate::resources::ResourceReport;
@@ -226,8 +227,8 @@ impl HardwareModel {
     fn emit(
         &mut self,
         op: NativeOp,
-        qubits: Vec<QubitId>,
-        sites: Vec<QSite>,
+        qubits: Operands<QubitId>,
+        sites: Operands<QSite>,
         junction: Option<QSite>,
         measurement: Option<usize>,
     ) -> f64 {
@@ -380,7 +381,7 @@ impl HardwareModel {
     pub fn apply_1q(&mut self, op: NativeOp, qubit: QubitId) -> Result<(), HwError> {
         debug_assert_eq!(op.arity(), 1, "apply_1q used with a two-site op");
         let site = self.position_of(qubit)?;
-        self.emit(op, vec![qubit], vec![site], None, None);
+        self.emit(op, [qubit].into(), [site].into(), None, None);
         Ok(())
     }
 
@@ -405,7 +406,7 @@ impl HardwareModel {
             start_us: 0.0,
             label: label.into(),
         });
-        let start = self.emit(NativeOp::MeasureZ, vec![qubit], vec![site], None, Some(idx));
+        let start = self.emit(NativeOp::MeasureZ, [qubit].into(), [site].into(), None, Some(idx));
         // Patch the recorded start time now that the schedule is known.
         if let Some(rec) = self.circuit.measurements().get(idx) {
             let mut rec = rec.clone();
@@ -468,7 +469,7 @@ impl HardwareModel {
         if !self.are_adjacent_zones(sa, sb) {
             return Err(HwError::NotAdjacent(sa, sb));
         }
-        self.emit(NativeOp::ZZ, vec![a, b], vec![sa, sb], None, None);
+        self.emit(NativeOp::ZZ, [a, b].into(), [sa, sb].into(), None, None);
         Ok(())
     }
 
@@ -495,14 +496,14 @@ impl HardwareModel {
             match *step {
                 MoveStep::Shuttle { from, to } => {
                     self.grid.step_qubit(qubit, to)?;
-                    self.emit(NativeOp::Move, vec![qubit], vec![from, to], None, None);
+                    self.emit(NativeOp::Move, [qubit].into(), [from, to].into(), None, None);
                 }
                 MoveStep::JunctionHop { from, to, junction } => {
                     self.grid.step_qubit(qubit, to)?;
                     self.emit(
                         NativeOp::JunctionMove,
-                        vec![qubit],
-                        vec![from, to],
+                        [qubit].into(),
+                        [from, to].into(),
                         Some(junction),
                         None,
                     );

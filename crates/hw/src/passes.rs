@@ -524,8 +524,8 @@ mod tests {
     fn gate(op: NativeOp, site: QSite, qubit: QubitId, start: f64, dur: f64) -> TimedOp {
         TimedOp {
             op,
-            sites: vec![site],
-            qubits: vec![qubit],
+            sites: vec![site].into(),
+            qubits: vec![qubit].into(),
             start_us: start,
             duration_us: dur,
             junction: None,
@@ -629,8 +629,8 @@ mod tests {
     fn transport_of_the_batched_ion_closes_its_batch() {
         let mv = TimedOp {
             op: NativeOp::Move,
-            sites: vec![QSite::new(0, 2), QSite::new(0, 3)],
-            qubits: vec![QubitId(9)],
+            sites: vec![QSite::new(0, 2), QSite::new(0, 3)].into(),
+            qubits: vec![QubitId(9)].into(),
             start_us: 0.0,
             duration_us: 5.25,
             junction: None,
@@ -650,8 +650,8 @@ mod tests {
     fn transport_of_an_unrelated_ion_leaves_batches_open() {
         let mv = TimedOp {
             op: NativeOp::Move,
-            sites: vec![QSite::new(0, 2), QSite::new(0, 3)],
-            qubits: vec![QubitId(9)],
+            sites: vec![QSite::new(0, 2), QSite::new(0, 3)].into(),
+            qubits: vec![QubitId(9)].into(),
             start_us: 0.0,
             duration_us: 5.25,
             junction: None,

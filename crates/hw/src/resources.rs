@@ -6,7 +6,7 @@
 //! volume, number of trapping zones, trapping-zone-seconds and *active*
 //! trapping-zone-seconds, plus native-operation counts.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use tiscc_grid::{Layout, QSite};
 
@@ -65,19 +65,26 @@ impl ResourceReport {
     /// accumulators over the logical op stream. Streaming a periodic
     /// circuit costs the arithmetic of every occurrence but never clones or
     /// materializes its operations, and the accumulation order matches a
-    /// fully materialized walk, so reports agree bit-for-bit.
+    /// fully materialized walk, so reports agree bit-for-bit. Distinct
+    /// zones and junctions are counted in bitsets over
+    /// [`Layout::index_of`], once per distinct op.
     pub fn from_stream_with_spec(
         stream: &(impl OpStream + ?Sized),
         layout: &Layout,
         spec: &HardwareSpec,
     ) -> Self {
         // One pass over distinct ops for the set-valued accounting.
-        let mut zones: BTreeSet<QSite> = BTreeSet::new();
-        let mut junctions: BTreeSet<QSite> = BTreeSet::new();
+        let mut footprint = Footprint::new(layout);
         stream.for_each_distinct_op(&mut |op| {
-            zones.extend(op.sites.iter().copied());
-            junctions.extend(op.junction);
+            for &site in &op.sites {
+                footprint.add_zone(site);
+            }
+            if let Some(j) = op.junction {
+                footprint.add_junction(j);
+            }
         });
+        let trapping_zones = footprint.zones.len();
+        let junctions = footprint.junctions.len();
 
         // One pass over the logical stream for the additive accounting.
         // Kinds are counted by discriminant and named once at the end.
@@ -102,31 +109,22 @@ impl ResourceReport {
 
         // Bounding box of every fine coordinate touched (zones and junctions),
         // converted to physical area: each fine step is one zone pitch.
-        let area_m2 = {
-            let all: Vec<_> = zones.iter().copied().chain(junctions.iter().copied()).collect();
-            if all.is_empty() {
-                0.0
-            } else {
-                let rmin = all.iter().map(|s| s.row).min().unwrap();
-                let rmax = all.iter().map(|s| s.row).max().unwrap();
-                let cmin = all.iter().map(|s| s.col).min().unwrap();
-                let cmax = all.iter().map(|s| s.col).max().unwrap();
+        let area_m2 = match footprint.bbox {
+            None => 0.0,
+            Some(BoundingBox { rmin, rmax, cmin, cmax }) => {
                 let height = (rmax - rmin + 1) as f64 * spec.zone_pitch_m;
                 let width = (cmax - cmin + 1) as f64 * spec.zone_pitch_m;
                 height * width
             }
         };
 
-        // Sanity: the circuit must fit on the layout it claims to use.
-        debug_assert!(zones.iter().all(|&z| layout.contains(z)));
-
         ResourceReport {
             execution_time_s,
             area_m2,
             spacetime_volume_s_m2: execution_time_s * area_m2,
-            trapping_zones: zones.len(),
-            junctions: junctions.len(),
-            zone_seconds: zones.len() as f64 * execution_time_s,
+            trapping_zones,
+            junctions,
+            zone_seconds: trapping_zones as f64 * execution_time_s,
             active_zone_seconds,
             op_counts,
             total_ops,
@@ -251,6 +249,94 @@ impl ResourceReport {
             out.push_str(&format!("  {name:<10} x {count}\n"));
         }
         out
+    }
+}
+
+/// The set-valued accounting of one report: the distinct zones and
+/// junctions touched, and the bounding box of both.
+struct Footprint {
+    layout: Layout,
+    zones: SiteSet,
+    junctions: SiteSet,
+    bbox: Option<BoundingBox>,
+}
+
+/// Inclusive fine-coordinate bounds of the sites seen so far.
+struct BoundingBox {
+    rmin: u32,
+    rmax: u32,
+    cmin: u32,
+    cmax: u32,
+}
+
+impl Footprint {
+    fn new(layout: &Layout) -> Self {
+        let slots = layout.index_len();
+        Footprint {
+            layout: layout.clone(),
+            zones: SiteSet::new(slots),
+            junctions: SiteSet::new(slots),
+            bbox: None,
+        }
+    }
+
+    fn add_zone(&mut self, site: QSite) {
+        // Sanity: the circuit must fit on the layout it claims to use.
+        debug_assert!(self.layout.contains(site), "zone {site:?} is off the layout");
+        if self.zones.insert(&self.layout, site) {
+            self.cover(site);
+        }
+    }
+
+    fn add_junction(&mut self, site: QSite) {
+        if self.junctions.insert(&self.layout, site) {
+            self.cover(site);
+        }
+    }
+
+    fn cover(&mut self, site: QSite) {
+        let (r, c) = (site.row, site.col);
+        let b = self.bbox.get_or_insert(BoundingBox { rmin: r, rmax: r, cmin: c, cmax: c });
+        b.rmin = b.rmin.min(r);
+        b.rmax = b.rmax.max(r);
+        b.cmin = b.cmin.min(c);
+        b.cmax = b.cmax.max(c);
+    }
+}
+
+/// A set of sites: one bit per [`Layout::index_of`] slot, plus a list for
+/// sites outside the layout's extent (only a hand-built circuit holds one),
+/// deduplicated when the set is counted.
+struct SiteSet {
+    bits: Vec<u64>,
+    distinct: usize,
+    outside: Vec<QSite>,
+}
+
+impl SiteSet {
+    fn new(slots: usize) -> Self {
+        SiteSet { bits: vec![0; slots.div_ceil(64)], distinct: 0, outside: Vec::new() }
+    }
+
+    /// Adds `site`. False if the bitset already held it; a site outside the
+    /// extent always reads as new.
+    fn insert(&mut self, layout: &Layout, site: QSite) -> bool {
+        let Some(i) = layout.index_of(site) else {
+            self.outside.push(site);
+            return true;
+        };
+        let (word, bit) = (&mut self.bits[i / 64], 1u64 << (i % 64));
+        let new = *word & bit == 0;
+        *word |= bit;
+        self.distinct += usize::from(new);
+        new
+    }
+
+    /// Number of distinct sites.
+    fn len(&mut self) -> usize {
+        self.outside.sort_unstable();
+        self.outside.dedup();
+        self.distinct + self.outside.len()
     }
 }
 

@@ -201,8 +201,9 @@ impl CompiledRounds {
     /// [`CompiledRounds::extract`] from a circuit the caller no longer
     /// needs: the range's ops and records are moved, not cloned, and the
     /// ops before the range are dropped. The result is identical. The
-    /// prologue keeps the circuit's op buffer, so nothing large is freed
-    /// until the result is dropped.
+    /// prologue keeps the circuit's op buffer, shrunk in place to its own
+    /// length, so no large buffer is freed mid-compile and the result
+    /// holds only its own ops.
     pub fn from_circuit(circuit: Circuit, start_op: usize) -> CompiledRounds {
         let span = match range_span(&circuit, start_op) {
             Ok(span) => span,
@@ -223,7 +224,11 @@ impl CompiledRounds {
     /// ops from `start_op` on) and `records` its measurement records
     /// (circuit records from `meas_base` on). Rebases both and splits the
     /// ops around `span`, the range's one replicated round if it has one;
-    /// the prologue keeps `ops`' buffer.
+    /// the prologue keeps `ops`' buffer, shrunk to fit. Shrinking returns
+    /// the unused capacity without freeing the buffer. Freeing a buffer
+    /// this large lets glibc's malloc raise its mmap and trim thresholds to
+    /// its size, after which freed compile buffers stay resident: on the
+    /// `serve-session` benchmark that doubled the resident set.
     fn split(
         mut ops: Vec<TimedOp>,
         mut records: Vec<MeasurementRecord>,
@@ -248,6 +253,7 @@ impl CompiledRounds {
 
         let Some(span) = span else {
             rebase(&mut ops, true);
+            ops.shrink_to_fit();
             return CompiledRounds {
                 prologue: Circuit::from_ops(ops),
                 template: RoundTemplate::default(),
@@ -259,6 +265,7 @@ impl CompiledRounds {
         };
         let mut epilogue = ops.split_off(span.op_end - start_op);
         let mut template = ops.split_off(span.op_start - start_op);
+        ops.shrink_to_fit();
         rebase(&mut ops, true);
         // Absolute times kept; `rebase_us` applies at view time.
         rebase(&mut template, false);
@@ -388,8 +395,8 @@ mod tests {
     fn op_at(start: f64, dur: f64) -> TimedOp {
         TimedOp {
             op: NativeOp::XPi2,
-            sites: vec![QSite::new(0, 1)],
-            qubits: vec![QubitId(0)],
+            sites: vec![QSite::new(0, 1)].into(),
+            qubits: vec![QubitId(0)].into(),
             start_us: start,
             duration_us: dur,
             junction: None,

@@ -274,8 +274,8 @@ mod tests {
         // Two gates overlapping in time on the same zone.
         circuit.push(TimedOp {
             op: NativeOp::PrepareZ,
-            sites: vec![site],
-            qubits: vec![q0],
+            sites: vec![site].into(),
+            qubits: vec![q0].into(),
             start_us: 0.0,
             duration_us: 10.0,
             junction: None,
@@ -283,8 +283,8 @@ mod tests {
         });
         circuit.push(TimedOp {
             op: NativeOp::XPi2,
-            sites: vec![site],
-            qubits: vec![q0],
+            sites: vec![site].into(),
+            qubits: vec![q0].into(),
             start_us: 5.0,
             duration_us: 10.0,
             junction: None,
@@ -302,8 +302,8 @@ mod tests {
         let mut circuit = Circuit::new();
         circuit.push(TimedOp {
             op: NativeOp::PrepareZ,
-            sites: vec![QSite::new(0, 2)],
-            qubits: vec![q0],
+            sites: vec![QSite::new(0, 2)].into(),
+            qubits: vec![q0].into(),
             start_us: 0.0,
             duration_us: 10.0,
             junction: None,
@@ -328,8 +328,8 @@ mod tests {
         for &(q, from, to, start) in &hops {
             circuit.push(TimedOp {
                 op: NativeOp::JunctionMove,
-                sites: vec![from, to],
-                qubits: vec![q],
+                sites: vec![from, to].into(),
+                qubits: vec![q].into(),
                 start_us: start,
                 duration_us: 210.0,
                 junction: Some(junction),
@@ -354,8 +354,8 @@ mod tests {
         let mut circuit = Circuit::new();
         circuit.push(TimedOp {
             op: NativeOp::Move,
-            sites: vec![QSite::new(0, 1), QSite::new(0, 3)],
-            qubits: vec![q0],
+            sites: vec![QSite::new(0, 1), QSite::new(0, 3)].into(),
+            qubits: vec![q0].into(),
             start_us: 0.0,
             duration_us: 5.25,
             junction: None,

@@ -157,8 +157,8 @@ proptest! {
 fn batched_pulse_count_is_ceil_k_over_width() {
     let gate = |i: u32| TimedOp {
         op: NativeOp::XPi2,
-        sites: vec![QSite::new(0, 1 + i)],
-        qubits: vec![QubitId(i)],
+        sites: vec![QSite::new(0, 1 + i)].into(),
+        qubits: vec![QubitId(i)].into(),
         start_us: 40.0,
         duration_us: 10.0,
         junction: None,

@@ -3,15 +3,18 @@
 //! of every compiled syndrome-extraction circuit.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
 
 use proptest::prelude::*;
 
 use tiscc::core::plaquette::{build_stabilizers, logical_x_support, logical_z_support};
 use tiscc::core::{Arrangement, LogicalQubit};
-use tiscc::grid::{route, route_avoiding, Layout, MoveStep, QSite, Router, SiteKind};
+use tiscc::grid::{route, route_avoiding, Layout, MoveStep, QSite, QubitId, Router, SiteKind};
 use tiscc::hw::validity::check_circuit;
-use tiscc::hw::HardwareModel;
+use tiscc::hw::{
+    Circuit, CompiledRounds, HardwareModel, HardwareSpec, NativeOp, OpStream, OpView,
+    ResourceReport, RoundTemplate, TimedOp,
+};
 use tiscc::math::{Pauli, PauliOp};
 
 /// The reference router: a plain Dijkstra over hash maps, with its own
@@ -130,6 +133,111 @@ fn check_route_query(layout: &Layout, router: &mut Router, query: RouteQuery) {
     assert_eq!(route_avoiding(layout, from, to, &blocked), expected, "fresh router: {ctx}");
 }
 
+/// The resource report as it was before its zone sets became dense
+/// bitsets: `BTreeSet`s of the zones and junctions touched, and the bounding
+/// box of their union. [`ResourceReport::from_stream_with_spec`] must agree
+/// with it on every field, bit for bit.
+fn reference_report(stream: &dyn OpStream, spec: &HardwareSpec) -> ResourceReport {
+    let mut zones: BTreeSet<QSite> = BTreeSet::new();
+    let mut junctions: BTreeSet<QSite> = BTreeSet::new();
+    stream.for_each_distinct_op(&mut |op| {
+        zones.extend(op.sites.iter().copied());
+        junctions.extend(op.junction);
+    });
+    let mut makespan_us = 0.0f64;
+    let mut op_counts: BTreeMap<&'static str, usize> = BTreeMap::new();
+    let mut active_zone_seconds = 0.0;
+    let mut total_ops = 0usize;
+    stream.for_each_op(&mut |v: OpView<'_>| {
+        makespan_us = makespan_us.max(v.end_us());
+        *op_counts.entry(v.op.op.mnemonic()).or_default() += 1;
+        let zones_involved = v.op.sites.len() + usize::from(v.op.junction.is_some());
+        active_zone_seconds += v.op.duration_us * 1e-6 * zones_involved as f64;
+        total_ops += 1;
+    });
+    let execution_time_s = makespan_us * 1e-6;
+    let measure_ops = op_counts.get(NativeOp::MeasureZ.mnemonic()).copied().unwrap_or(0);
+    let all: Vec<QSite> = zones.iter().chain(&junctions).copied().collect();
+    let area_m2 = if all.is_empty() {
+        0.0
+    } else {
+        let rmin = all.iter().map(|s| s.row).min().unwrap();
+        let rmax = all.iter().map(|s| s.row).max().unwrap();
+        let cmin = all.iter().map(|s| s.col).min().unwrap();
+        let cmax = all.iter().map(|s| s.col).max().unwrap();
+        let height = (rmax - rmin + 1) as f64 * spec.zone_pitch_m;
+        let width = (cmax - cmin + 1) as f64 * spec.zone_pitch_m;
+        height * width
+    };
+    ResourceReport {
+        execution_time_s,
+        area_m2,
+        spacetime_volume_s_m2: execution_time_s * area_m2,
+        trapping_zones: zones.len(),
+        junctions: junctions.len(),
+        zone_seconds: zones.len() as f64 * execution_time_s,
+        active_zone_seconds,
+        op_counts,
+        total_ops,
+        measurements: stream.measurement_count().max(measure_ops),
+    }
+}
+
+/// One hand-built op of the zone-accounting property: a kind selector, five
+/// site picks, a junction pick, a start in tenths of a µs and a duration
+/// selector.
+type OpPick = (u32, (usize, usize, usize, usize, usize), usize, u32, usize);
+
+/// Durations with inexact binary expansions, so a changed summation order
+/// would show in the last bits.
+const DURATIONS: [f64; 5] = [0.1, 3.0, 5.25, 10.0 / 3.0, 2000.0];
+
+/// Any position of `layout`'s fine grid or one row or column past it:
+/// sites, unit interiors and off-layout positions are all drawn.
+fn position(layout: &Layout, pick: usize) -> QSite {
+    let (rows, cols) = layout.fine_extent();
+    let pick = pick % ((rows as usize + 1) * (cols as usize + 1));
+    QSite::new((pick / (cols as usize + 1)) as u32, (pick % (cols as usize + 1)) as u32)
+}
+
+/// Builds the op `pick` describes: a one-qubit gate, `ZZ`, a shuttle, a
+/// junction hop (its junction drawn by [`position`]), or a SIMD pulse of
+/// 3–5 zones. Operand zones are sites of `layout`.
+fn hand_built_op(layout: &Layout, sites: &[QSite], pick: OpPick) -> TimedOp {
+    let (kind, (p0, p1, p2, p3, p4), junction_pick, start, duration) = pick;
+    let one_qubit: Vec<NativeOp> =
+        NativeOp::all().iter().copied().filter(|op| op.arity() == 1).collect();
+    let gate = one_qubit[p0 % one_qubit.len()];
+    let site = |p: usize| sites[p % sites.len()];
+    let (op, zones) = match kind % 5 {
+        0 => (gate, vec![site(p1)]),
+        1 => (NativeOp::ZZ, vec![site(p1), site(p2)]),
+        2 => (NativeOp::Move, vec![site(p1), site(p2)]),
+        3 => (NativeOp::JunctionMove, vec![site(p1), site(p2)]),
+        _ => (gate, [p1, p2, p3, p4, p0].into_iter().take(3 + p0 % 3).map(site).collect()),
+    };
+    TimedOp {
+        op,
+        qubits: (0..zones.len() as u32).map(QubitId).collect(),
+        sites: zones.into(),
+        start_us: f64::from(start) * 0.1,
+        duration_us: DURATIONS[duration % DURATIONS.len()],
+        junction: (op == NativeOp::JunctionMove).then(|| position(layout, junction_pick)),
+        measurement: None,
+    }
+}
+
+/// The report of `stream` equals the reference on every field; the area
+/// and every other float field match bit for bit.
+fn check_report_matches_reference(stream: &dyn OpStream, layout: &Layout, ctx: &str) {
+    let spec = HardwareSpec::h1();
+    let got = ResourceReport::from_stream_with_spec(stream, layout, &spec);
+    let expected = reference_report(stream, &spec);
+    assert_eq!(got.area_m2.to_bits(), expected.area_m2.to_bits(), "area_m2: {ctx}");
+    assert_eq!(got.to_record(), expected.to_record(), "{ctx}");
+    assert_eq!(got, expected, "{ctx}");
+}
+
 fn arb_pauli(n: usize) -> impl Strategy<Value = Pauli> {
     proptest::collection::vec(
         (0..n, prop_oneof![Just(PauliOp::X), Just(PauliOp::Y), Just(PauliOp::Z), Just(PauliOp::I)]),
@@ -208,6 +316,90 @@ proptest! {
             check_route_query(layout, &mut router, query);
         }
         check_route_query(&small, &mut router, queries[0]);
+    }
+
+    /// The dense zone and junction accounting of [`ResourceReport`] matches
+    /// the `BTreeSet` reference on random hand-built streams: a flat
+    /// circuit, the same ops as a `CompiledRounds` whose template repeats,
+    /// and an empty stream. Junction picks include unit interiors and
+    /// positions off the layout, which release and debug builds count alike.
+    /// A zone off the layout trips the report's debug assertion; release
+    /// builds count it like the reference.
+    #[test]
+    fn resource_report_zone_accounting_matches_reference(
+        units in (1u32..7, 1u32..7),
+        ops in proptest::collection::vec(
+            (0u32..5, (0usize..1000, 0usize..1000, 0usize..1000, 0usize..1000, 0usize..1000),
+             0usize..1000, 0u32..5000, 0usize..5),
+            0..40,
+        ),
+        split in (0usize..100, 0usize..100, 2usize..5, 0usize..1000),
+        outside in (0u32..4, 0usize..100),
+    ) {
+        let layout = Layout::new(units.0, units.1);
+        let sites: Vec<QSite> = layout.all_sites().collect();
+        let mut ops: Vec<TimedOp> =
+            ops.into_iter().map(|pick| hand_built_op(&layout, &sites, pick)).collect();
+        let ctx = format!("{}x{} units, {} ops", units.0, units.1, ops.len());
+        check_report_matches_reference(&Circuit::new(), &layout, &format!("empty, {ctx}"));
+
+        // One site past the layout's extent, held by two ops (one if the
+        // stream has one op), so its count must be deduplicated.
+        let (rows, cols) = layout.fine_extent();
+        let off_layout = QSite::new(rows + outside.0, cols + outside.0);
+        let holders: Vec<usize> = if ops.is_empty() {
+            Vec::new()
+        } else {
+            let i = outside.1 % ops.len();
+            vec![i, (i + ops.len() / 2) % ops.len()]
+        };
+        if outside.0 == 0 {
+            for &i in &holders {
+                ops[i].junction = Some(off_layout);
+            }
+        }
+        check_report_matches_reference(&Circuit::from_ops(ops.clone()), &layout, &ctx);
+
+        // The same ops as prologue, a template repeating 2–4 times with
+        // chained predecessors, and an epilogue.
+        let (a, b, repeats, seed) = split;
+        let a = a % (ops.len() + 1);
+        let b = a + b % (ops.len() - a + 1);
+        let template_ops = ops[a..b].to_vec();
+        let preds = (0..template_ops.len())
+            .map(|i| (i > 0 && (seed >> (i % 10)) & 1 == 1).then(|| (seed % i) as u32))
+            .collect();
+        let rounds = CompiledRounds {
+            prologue: Circuit::from_ops(ops[..a].to_vec()),
+            template: RoundTemplate {
+                ops: template_ops,
+                preds,
+                base_us: 0.0,
+                recovery_us: if seed % 2 == 0 { 0.0 } else { 25.0 },
+                meas_per_round: 0,
+            },
+            repeats,
+            epilogue: Circuit::from_ops(ops[b..].to_vec()),
+            measurements: Vec::new(),
+            rebase_us: 0.0,
+        };
+        check_report_matches_reference(&rounds, &layout, &format!("rounds x{repeats}, {ctx}"));
+
+        // The same site as a zone.
+        if outside.0 == 1 && !ops.is_empty() {
+            for &i in &holders {
+                ops[i].sites.push(off_layout);
+            }
+            let circuit = Circuit::from_ops(ops);
+            if cfg!(debug_assertions) {
+                let report = std::panic::catch_unwind(|| {
+                    ResourceReport::from_stream_with_spec(&circuit, &layout, &HardwareSpec::h1())
+                });
+                prop_assert!(report.is_err(), "the debug assertion must catch {:?}", off_layout);
+            } else {
+                check_report_matches_reference(&circuit, &layout, &format!("zone off layout, {ctx}"));
+            }
+        }
     }
 
     /// For every distance pair and arrangement the stabilizer group has

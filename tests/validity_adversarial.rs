@@ -11,8 +11,8 @@ use tiscc::hw::{Circuit, HardwareModel, NativeOp, TimedOp};
 fn timed(op: NativeOp, sites: Vec<QSite>, qubits: Vec<QubitId>, start_us: f64) -> TimedOp {
     TimedOp {
         op,
-        sites,
-        qubits,
+        sites: sites.into(),
+        qubits: qubits.into(),
         start_us,
         duration_us: if matches!(op, NativeOp::JunctionMove) { 210.0 } else { 10.0 },
         junction: None,
