@@ -11,9 +11,6 @@
 //! [`ResourceReport`]. "Same workload, N hardware profiles" is then just N
 //! requests differing only in their spec.
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-
 use tiscc_core::instruction::{
     apply_instruction, apply_two_tile_instruction, Instruction, InstructionReport,
 };
@@ -130,6 +127,7 @@ impl CompileArtifact {
             tiles: self.report.tiles,
             profile: self.request.spec.name.clone(),
             resources: self.resources.clone(),
+            stats: self.stats,
         }
     }
 }
@@ -140,7 +138,6 @@ impl CompileArtifact {
 #[derive(Default)]
 pub struct Compiler {
     cache: CompileCache,
-    stats: Mutex<HashMap<SweepKey, CompileStats>>,
 }
 
 impl Compiler {
@@ -155,19 +152,6 @@ impl Compiler {
         &self.cache
     }
 
-    /// The scheduling-pass statistics recorded for the request, or zeros if
-    /// the request was never compiled through this compiler.
-    /// Rows served from the in-process cache keep the stats their original
-    /// compile recorded — the key is the same.
-    pub fn stats_for(&self, request: &CompileRequest) -> CompileStats {
-        self.stats
-            .lock()
-            .expect("stats map poisoned")
-            .get(&request.key())
-            .copied()
-            .unwrap_or_default()
-    }
-
     /// Compiles a request end-to-end, returning the full artifact. The
     /// instruction is compiled in a realistic context: input tiles are
     /// first prepared (and idled) as required, then only the instruction's
@@ -180,15 +164,14 @@ impl Compiler {
 
     /// Compiles a request to a resource-table row, memoized: a request
     /// whose key (configuration × spec fingerprint) was already compiled is
-    /// served from the cache without touching the compiler.
+    /// served from the cache without touching the compiler. The row carries
+    /// its compile's [`CompileStats`], so a cached row reports them too.
     pub fn compile_row(&self, request: &CompileRequest) -> Result<ResourceRow, CoreError> {
         let key = request.key();
         if let Some(row) = self.cache.get(&key) {
             return Ok(row);
         }
-        let artifact = self.compile(request)?;
-        self.stats.lock().expect("stats map poisoned").insert(key, artifact.stats);
-        let row = artifact.row();
+        let row = self.compile(request)?.row();
         self.cache.insert(key, row.clone());
         Ok(row)
     }
@@ -249,15 +232,17 @@ pub(crate) fn compile_uncached(request: &CompileRequest) -> Result<CompileArtifa
 /// `t = 0`, measurement records carried over), together with its resource
 /// report under the model's profile — composed by streaming prologue,
 /// `repeats × template` and epilogue with running accumulators, so no round
-/// is ever re-materialized. Used so reports reflect an instruction alone,
-/// not its input preparation.
+/// is ever re-materialized — and its scheduling-pass statistics. Used so
+/// reports reflect an instruction alone, not its input preparation.
 pub(crate) fn instruction_rounds(
     hw: &HardwareModel,
     start_op: usize,
-) -> (CompiledRounds, ResourceReport) {
+) -> (CompiledRounds, ResourceReport, CompileStats) {
+    let junction_stalls = junction_stalls_of(hw, start_op);
     let rounds = CompiledRounds::extract(hw.circuit(), start_op);
-    let (rounds, resources, _) = batch_and_account(rounds, hw.grid().layout(), hw.spec());
-    (rounds, resources)
+    let (rounds, resources, batched_pulses) =
+        batch_and_account(rounds, hw.grid().layout(), hw.spec());
+    (rounds, resources, CompileStats { junction_stalls, batched_pulses })
 }
 
 /// Runs the SIMD batching pass over extracted rounds when the profile asks
@@ -349,8 +334,7 @@ mod tests {
     fn default_knobs_report_zero_stats() {
         let compiler = Compiler::new();
         let req = CompileRequest::new(Instruction::Idle, 3, 3, 3);
-        compiler.compile_row(&req).unwrap();
-        assert_eq!(compiler.stats_for(&req), CompileStats::default());
+        assert_eq!(compiler.compile_row(&req).unwrap().stats, CompileStats::default());
         let artifact = compiler.compile(&req).unwrap();
         assert_eq!(artifact.stats, CompileStats::default());
     }

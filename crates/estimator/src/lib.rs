@@ -34,5 +34,7 @@ pub mod tables;
 pub mod verify;
 
 pub use compiler::{CompileArtifact, CompileRequest, Compiler};
-pub use program::{estimate_program, estimate_program_with, ProgramEstimate, ProgramEstimateSpec};
+pub use program::{
+    estimate_program, estimate_program_with, LogicalCounts, ProgramEstimate, ProgramEstimateSpec,
+};
 pub use sweep::{run_sweep, run_sweep_with, CompileCache, SweepResult, SweepSpec};

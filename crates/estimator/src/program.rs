@@ -10,7 +10,8 @@
 //!    strategy, and the instruction stream is packed into parallel
 //!    logical time steps by the congestion-aware ASAP scheduler (merge
 //!    corridors are routed per step; conflicting corridors serialise and
-//!    are reported as `routing_stalls`);
+//!    are reported as `routing_stalls`), which [`LogicalCounts`] reduces
+//!    to kinds, instance counts and per-step kind masks;
 //! 2. the configurable [`ErrorModel`] selects the smallest code distance
 //!    whose total program error (patch-steps × per-step logical error)
 //!    meets the requested budget;
@@ -19,16 +20,15 @@
 //!    requested hardware profile, fanned out over rayon and memoized in
 //!    the compiler's [`CompileCache`](crate::sweep::CompileCache), so
 //!    repeated estimates (and overlapping programs) share compilations;
-//! 4. per-profile space–time totals are assembled: each parallel step
-//!    costs the longest of its member instructions, the machine footprint
+//! 4. per-profile space–time totals are assembled: [`LogicalCounts::price`]
+//!    costs each parallel step at the longest of its member instructions
+//!    and totals the compile stats per instance, the machine footprint
 //!    comes from [`Placement::layout`], and qubit-rounds multiply the
 //!    trapping zones by the program's error-correction rounds.
 //!
 //! The `tiscc estimate <program.tql>` subcommand (with `--layout`,
 //! `--grid` and `--show-layout`) and the `program_estimate` example are
 //! thin wrappers around this module.
-
-use std::collections::HashMap;
 
 use rayon::prelude::*;
 
@@ -44,6 +44,7 @@ use tiscc_program::{
 use tiscc_telemetry::{Span, Telemetry};
 
 use crate::compiler::{CompileRequest, CompileStats, Compiler};
+use crate::tables::ResourceRow;
 
 /// What to estimate: the error budget, the per-step error model, the
 /// floorplan, the hardware profiles to compare, and the distance-search
@@ -286,6 +287,101 @@ impl From<CoreError> for EstimateError {
     }
 }
 
+/// The logical counts of a program on one floorplan: its placement and
+/// parallel-step schedule, reduced to what pricing needs — the distinct
+/// instruction kinds, how often each occurs, and which kinds run in each
+/// step. Counts depend on the program and the floorplan only; pricing them
+/// at a distance and under a profile is [`LogicalCounts::price`], so one
+/// count serves every cell of an estimate or a frontier.
+#[derive(Clone, Debug)]
+pub struct LogicalCounts {
+    /// Where the program's qubits sit on the tile grid.
+    pub placement: Placement,
+    /// The congestion-aware parallel-step schedule.
+    pub schedule: Schedule,
+    /// Patch-steps the error budget is spent over.
+    pub patch_steps: u64,
+    /// The program's distinct instruction kinds, in first-appearance order.
+    pub kinds: Vec<Instruction>,
+    /// Instances of each kind in the program, parallel to `kinds`.
+    instances: Vec<usize>,
+    /// One mask per parallel step: bit `k` is set iff an instance of
+    /// `kinds[k]` executes in the step.
+    step_kinds: Vec<u16>,
+}
+
+impl LogicalCounts {
+    /// Schedules `program` on `placement` (a `schedule` span under
+    /// `parent`) and counts its kinds.
+    pub fn new(
+        program: &LogicalProgram,
+        placement: Placement,
+        parent: &Span,
+    ) -> Result<LogicalCounts, RoutingError> {
+        assert!(Instruction::all().len() <= 16, "every instruction kind needs a bit of a u16 mask");
+        let schedule = schedule_with(program, &placement, parent)?;
+        let patch_steps = schedule.patch_steps(placement.total_tiles());
+        let (mut kinds, mut instances) = (Vec::new(), Vec::new());
+        // The kind index of each instruction, by enum discriminant.
+        let mut slot = [0usize; 16];
+        for pi in program.instructions() {
+            let at = &mut slot[pi.instruction as usize];
+            if *at == 0 {
+                kinds.push(pi.instruction);
+                instances.push(0);
+                *at = kinds.len();
+            }
+            instances[*at - 1] += 1;
+        }
+        let step_kinds = schedule
+            .steps
+            .iter()
+            .map(|step| {
+                step.instructions.iter().fold(0u16, |mask, &i| {
+                    mask | 1 << (slot[program.instructions()[i].instruction as usize] - 1)
+                })
+            })
+            .collect();
+        Ok(LogicalCounts { placement, schedule, patch_steps, kinds, instances, step_kinds })
+    }
+
+    /// Prices the counts with one compiled row per kind (`rows[k]` for
+    /// `kinds[k]`), in O(depth + kinds). The duration sums the steps in
+    /// order, each costing its longest member; the stats total each kind's
+    /// row stats times its instances.
+    pub fn price(&self, rows: &[ResourceRow]) -> (f64, CompileStats) {
+        assert_eq!(rows.len(), self.kinds.len(), "one row per kind");
+        let mut times = [0.0; 16];
+        for (time, row) in times.iter_mut().zip(rows) {
+            *time = row.resources.execution_time_s;
+        }
+        let duration_s = self
+            .step_kinds
+            .iter()
+            .map(|&mask| set_bits(mask).map(|k| times[k]).fold(0.0, f64::max))
+            .sum();
+        let stats =
+            rows.iter().zip(&self.instances).fold(CompileStats::default(), |sum, (row, &n)| {
+                CompileStats {
+                    junction_stalls: sum.junction_stalls + n * row.stats.junction_stalls,
+                    batched_pulses: sum.batched_pulses + n * row.stats.batched_pulses,
+                }
+            });
+        (duration_s, stats)
+    }
+}
+
+/// The indices of the set bits of `mask`, lowest first.
+fn set_bits(mut mask: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let k = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            k
+        })
+    })
+}
+
 /// Estimates `program` under `spec`, compiling through (and memoizing in)
 /// `compiler`.
 pub fn estimate_program(
@@ -321,65 +417,32 @@ pub fn estimate_program_with(
         let _place = parent.child("place");
         Placement::allocate_with(program, &spec.layout)?
     };
-    let sched = schedule_with(program, &placement, parent)?;
-    let patch_steps = sched.patch_steps(placement.total_tiles());
+    let counts = LogicalCounts::new(program, placement, parent)?;
     let (d, achieved_error) = {
         let _select = parent.child("select_distance");
-        let d = spec.model.select_distance(patch_steps, spec.budget, spec.d_max)?;
-        (d, spec.model.program_error(d, patch_steps))
+        let d = spec.model.select_distance(counts.patch_steps, spec.budget, spec.d_max)?;
+        (d, spec.model.program_error(d, counts.patch_steps))
     };
 
-    // The distinct instruction kinds of the program: each is compiled once
-    // per profile at the selected distance (the compiler cache makes
-    // repeated estimates free).
-    let mut kinds: Vec<Instruction> = Vec::new();
-    for pi in program.instructions() {
-        if !kinds.contains(&pi.instruction) {
-            kinds.push(pi.instruction);
-        }
-    }
-
+    // Each distinct kind is compiled once per profile at the selected
+    // distance (the compiler cache makes repeated estimates free).
     let compile_span = parent.child("compile");
     let hits_before = compiler.cache().hits();
     let misses_before = compiler.cache().misses();
-    let requests: Vec<(usize, CompileRequest)> = spec
+    let requests: Vec<CompileRequest> = spec
         .profiles
         .iter()
-        .enumerate()
-        .flat_map(|(pi, profile)| {
-            kinds.iter().map(move |&kind| {
-                (pi, CompileRequest::new(kind, d, d, d).with_spec(profile.clone()))
-            })
+        .flat_map(|profile| {
+            counts
+                .kinds
+                .iter()
+                .map(move |&kind| CompileRequest::new(kind, d, d, d).with_spec(profile.clone()))
         })
         .collect();
-    let compiled: Result<Vec<_>, CoreError> = requests
+    let compiled: Vec<ResourceRow> = requests
         .into_par_iter()
-        .map(|(pi, request)| {
-            compiler.compile_row(&request).map(|row| {
-                (
-                    (pi, request.instruction),
-                    (row.resources.execution_time_s, compiler.stats_for(&request)),
-                )
-            })
-        })
-        .collect();
-    let results: HashMap<(usize, Instruction), (f64, CompileStats)> =
-        compiled?.into_iter().collect();
-    let times: HashMap<(usize, Instruction), f64> =
-        results.iter().map(|(&key, &(time, _))| (key, time)).collect();
-    // Scheduling-pass observables, summed per instruction *instance* so a
-    // kind occurring k times contributes k× its compiled stats.
-    let profile_stats = |pi: usize| {
-        program.instructions().iter().fold((0usize, 0usize), |(stalls, pulses), inst| {
-            let (_, stats) = results[&(pi, inst.instruction)];
-            (stalls + stats.junction_stalls, pulses + stats.batched_pulses)
-        })
-    };
-    let (total_stalls, total_pulses) = (0..spec.profiles.len())
-        .map(profile_stats)
-        .fold((0usize, 0usize), |(a, b), (s, p)| (a + s, b + p));
-    compile_span.add("compile.junction_stalls", total_stalls as u64);
-    compile_span.add("compile.batched_pulses", total_pulses as u64);
+        .map(|request| compiler.compile_row(&request))
+        .collect::<Result<_, CoreError>>()?;
     compile_span
         .add("compile.cache_hits", compiler.cache().hits().saturating_sub(hits_before) as u64);
     compile_span.add(
@@ -391,16 +454,16 @@ pub fn estimate_program_with(
     // The machine footprint depends only on the placement and the selected
     // distance, never on the profile.
     let assemble_span = parent.child("assemble");
-    let layout = placement.layout(d);
+    let layout = counts.placement.layout(d);
     let zones = layout.trapping_zone_count();
     let area_m2 = layout.area_m2();
-    let rows = spec
+    let k = counts.kinds.len();
+    let rows: Vec<ProfileEstimate> = spec
         .profiles
         .iter()
         .enumerate()
         .map(|(pi, profile)| {
-            let duration_s = program_duration_s(program, &sched, |kind| times[&(pi, kind)]);
-            let (junction_stalls, batched_pulses) = profile_stats(pi);
+            let (duration_s, stats) = counts.price(&compiled[pi * k..(pi + 1) * k]);
             ProfileEstimate {
                 profile: profile.name.clone(),
                 distance: d,
@@ -408,51 +471,34 @@ pub fn estimate_program_with(
                 duration_s,
                 trapping_zones: zones,
                 area_m2,
-                qubit_rounds: zones as u64 * sched.logical_time_steps as u64 * d as u64,
-                junction_stalls,
-                batched_pulses,
+                qubit_rounds: zones as u64 * counts.schedule.logical_time_steps as u64 * d as u64,
+                junction_stalls: stats.junction_stalls,
+                batched_pulses: stats.batched_pulses,
             }
         })
         .collect();
+    parent.add("compile.junction_stalls", rows.iter().map(|r| r.junction_stalls as u64).sum());
+    parent.add("compile.batched_pulses", rows.iter().map(|r| r.batched_pulses as u64).sum());
     drop(assemble_span);
 
+    let sched = &counts.schedule;
     Ok(ProgramEstimate {
         program: program.name().to_string(),
         logical_qubits: program.qubit_count(),
         instructions: program.len(),
-        tiles: placement.total_tiles(),
+        tiles: counts.placement.total_tiles(),
         layout: spec.layout,
-        grid: (placement.tile_rows(), placement.tile_cols()),
+        grid: (counts.placement.tile_rows(), counts.placement.tile_cols()),
         depth: sched.depth(),
         logical_time_steps: sched.logical_time_steps,
         max_parallelism: sched.max_parallelism(),
         routed_merges: sched.routed_merges(),
         parallel_merges: sched.parallel_merges,
         routing_stalls: sched.routing_stalls,
-        patch_steps,
+        patch_steps: counts.patch_steps,
         budget: spec.budget,
         rows,
     })
-}
-
-/// Wall-clock duration of a scheduled program: parallel steps run their
-/// member instructions concurrently, so each step costs its longest
-/// member and the program costs the sum over steps.
-fn program_duration_s(
-    program: &LogicalProgram,
-    sched: &Schedule,
-    time_of: impl Fn(Instruction) -> f64,
-) -> f64 {
-    sched
-        .steps
-        .iter()
-        .map(|step| {
-            step.instructions
-                .iter()
-                .map(|&i| time_of(program.instructions()[i].instruction))
-                .fold(0.0, f64::max)
-        })
-        .sum()
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ use rayon::prelude::*;
 use tiscc_core::instruction::Instruction;
 use tiscc_core::CoreError;
 use tiscc_hw::{HardwareSpec, SpecFingerprint};
-use tiscc_telemetry::{Span, Telemetry};
+use tiscc_telemetry::{json_f64, json_string, Span, Telemetry};
 
 use crate::tables::{compile_instruction_row_with, csv_header, render_csv, ResourceRow};
 
@@ -277,14 +277,14 @@ impl SweepResult {
                 if j > 0 {
                     counts.push_str(", ");
                 }
-                counts.push_str(&format!("\"{}\": {}", json_escape(op), n));
+                counts.push_str(&format!("{}: {}", json_string(op), n));
             }
             counts.push('}');
             out.push_str(&format!(
-                "    {{ \"operation\": \"{}\", \"instruction_id\": \"{}\", \"profile\": \"{}\", \"spec_fingerprint\": \"{}\", \"dx\": {}, \"dz\": {}, \"dt\": {}, \"tiles\": {}, \"logical_time_steps\": {}, \"execution_time_s\": {}, \"area_m2\": {}, \"spacetime_volume_s_m2\": {}, \"trapping_zones\": {}, \"junctions\": {}, \"zone_seconds\": {}, \"active_zone_seconds\": {}, \"total_ops\": {}, \"measurements\": {}, \"op_counts\": {} }}{}\n",
-                json_escape(&row.name),
+                "    {{ \"operation\": {}, \"instruction_id\": \"{}\", \"profile\": {}, \"spec_fingerprint\": \"{}\", \"dx\": {}, \"dz\": {}, \"dt\": {}, \"tiles\": {}, \"logical_time_steps\": {}, \"execution_time_s\": {}, \"area_m2\": {}, \"spacetime_volume_s_m2\": {}, \"trapping_zones\": {}, \"junctions\": {}, \"zone_seconds\": {}, \"active_zone_seconds\": {}, \"total_ops\": {}, \"measurements\": {}, \"op_counts\": {} }}{}\n",
+                json_string(&row.name),
                 key.instruction.id(),
-                json_escape(&row.profile),
+                json_string(&row.profile),
                 key.spec,
                 key.dx,
                 key.dz,
@@ -317,29 +317,6 @@ impl SweepResult {
     pub fn write_json(&self, path: &Path) -> std::io::Result<()> {
         std::fs::write(path, self.to_json())
     }
-}
-
-fn json_f64(v: f64) -> String {
-    // JSON has no NaN/Infinity literals; resource quantities are always
-    // finite, but degrade gracefully rather than emitting invalid JSON.
-    // `{:?}` is shortest-round-trip: the emitted literal parses back to
-    // the identical bit pattern.
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// Runs `spec` against `cache`: deduplicates the grid, compiles every
@@ -505,6 +482,7 @@ pub fn parse_csv(text: &str) -> Result<Vec<ResourceRow>, CsvParseError> {
                 total_ops,
                 measurements: 0,
             },
+            stats: Default::default(),
         });
     }
     Ok(rows)

@@ -9,7 +9,7 @@ use tiscc_core::instruction::Instruction;
 use tiscc_core::CoreError;
 use tiscc_hw::{HardwareSpec, NativeOp, RecordError, ResourceReport};
 
-use crate::compiler::{instruction_rounds, CompileRequest};
+use crate::compiler::{instruction_rounds, CompileRequest, CompileStats};
 use crate::verify::{Fiducial, SingleTile, TwoTiles};
 
 /// One row of a resource table: an operation compiled at a given code
@@ -31,6 +31,8 @@ pub struct ResourceRow {
     pub profile: String,
     /// Measured space-time resources of the compiled hardware circuit.
     pub resources: ResourceReport,
+    /// Scheduling-pass observables of the compile that produced the row.
+    pub stats: CompileStats,
 }
 
 impl ResourceRow {
@@ -78,8 +80,9 @@ impl ResourceRow {
     /// [`ResourceReport`] — as an exact `key=value` record. Unlike
     /// [`ResourceRow::csv`] (which carries the scalar columns only), the
     /// record preserves every field bit-for-bit, so a row revived by
-    /// [`ResourceRow::from_record`] is `==` to the original. This is the
-    /// entry format of the persistent on-disk compile cache.
+    /// [`ResourceRow::from_record`] is `==` to the original, stats
+    /// included. This is the entry format of the persistent on-disk
+    /// compile cache.
     pub fn to_record(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("name={}\n", self.name));
@@ -88,6 +91,8 @@ impl ResourceRow {
         out.push_str(&format!("tiles={}\n", self.tiles));
         out.push_str(&format!("logical_time_steps={}\n", self.logical_time_steps));
         out.push_str(&format!("profile={}\n", self.profile));
+        out.push_str(&format!("junction_stalls={}\n", self.stats.junction_stalls));
+        out.push_str(&format!("batched_pulses={}\n", self.stats.batched_pulses));
         out.push_str(&self.resources.to_record());
         out
     }
@@ -133,6 +138,10 @@ impl ResourceRow {
             logical_time_steps: num_field(&fields, "logical_time_steps")?,
             profile: text_field(&fields, "profile")?,
             resources: ResourceReport::from_record(text)?,
+            stats: CompileStats {
+                junction_stalls: num_field(&fields, "junction_stalls")?,
+                batched_pulses: num_field(&fields, "batched_pulses")?,
+            },
         })
     }
 }
@@ -193,10 +202,27 @@ pub fn compile_instruction_row_with(
     .map(|artifact| artifact.row())
 }
 
-fn report_since(hw: &tiscc_hw::HardwareModel, start_op: usize) -> ResourceReport {
-    // Account only the operation's own native gates so that the report
-    // reflects the operation, not its input preparation.
-    instruction_rounds(hw, start_op).1
+/// The row of the operation whose native gates start at `start_op` in
+/// `hw`: only its own gates are accounted, not its input preparation.
+fn row_since(
+    hw: &tiscc_hw::HardwareModel,
+    start_op: usize,
+    name: &str,
+    d: usize,
+    logical_time_steps: usize,
+    tiles: usize,
+) -> ResourceRow {
+    let (_, resources, stats) = instruction_rounds(hw, start_op);
+    ResourceRow {
+        name: name.to_string(),
+        dx: d,
+        dz: d,
+        logical_time_steps,
+        tiles,
+        profile: hw.spec().name.clone(),
+        resources,
+        stats,
+    }
 }
 
 /// Table 1: every instruction compiled at each requested distance, under
@@ -265,15 +291,7 @@ pub fn table2_rows_with(
         }
         let before = fixture.hw.circuit().len();
         op(&mut fixture)?;
-        rows.push(ResourceRow {
-            name: name.to_string(),
-            dx: d,
-            dz: d,
-            logical_time_steps: steps,
-            tiles: 1,
-            profile: spec.name.clone(),
-            resources: report_since(&fixture.hw, before),
-        });
+        rows.push(row_since(&fixture.hw, before, name, d, steps, 1));
     }
     // Merge and Split are exercised through Measure XX (merge = 1 step, split = 0).
     let mut fixture = TwoTiles::with_spec(d, d, dt, spec.clone())?;
@@ -286,15 +304,7 @@ pub fn table2_rows_with(
         &mut fixture.lower,
         tiscc_core::surgery::Orientation::Vertical,
     )?;
-    rows.push(ResourceRow {
-        name: "Merge".into(),
-        dx: d,
-        dz: d,
-        logical_time_steps: 1,
-        tiles: 2,
-        profile: spec.name.clone(),
-        resources: report_since(&fixture.hw, before),
-    });
+    rows.push(row_since(&fixture.hw, before, "Merge", d, 1, 2));
     let before = fixture.hw.circuit().len();
     tiscc_core::surgery::split_patches(
         &mut fixture.hw,
@@ -302,15 +312,7 @@ pub fn table2_rows_with(
         &mut fixture.upper,
         &mut fixture.lower,
     )?;
-    rows.push(ResourceRow {
-        name: "Split".into(),
-        dx: d,
-        dz: d,
-        logical_time_steps: 0,
-        tiles: 2,
-        profile: spec.name.clone(),
-        resources: report_since(&fixture.hw, before),
-    });
+    rows.push(row_since(&fixture.hw, before, "Split", d, 0, 2));
     Ok(rows)
 }
 
@@ -394,27 +396,12 @@ pub fn table3_rows_with(
                 // Only the contraction itself is accounted.
                 let before_contract = fixture.hw.circuit().len();
                 tiscc_core::derived::patch_contraction(&mut fixture.hw, &mut ext, keep, origin)?;
-                rows.push(ResourceRow {
-                    name: instr.name().to_string(),
-                    dx: d,
-                    dz: d,
-                    logical_time_steps: instr.logical_time_steps(),
-                    tiles: 2,
-                    profile: spec.name.clone(),
-                    resources: report_since(&fixture.hw, before_contract),
-                });
+                let steps = instr.logical_time_steps();
+                rows.push(row_since(&fixture.hw, before_contract, instr.name(), d, steps, 2));
                 continue;
             }
         }
-        rows.push(ResourceRow {
-            name: instr.name().to_string(),
-            dx: d,
-            dz: d,
-            logical_time_steps: instr.logical_time_steps(),
-            tiles: 2,
-            profile: spec.name.clone(),
-            resources: report_since(&fixture.hw, before),
-        });
+        rows.push(row_since(&fixture.hw, before, instr.name(), d, instr.logical_time_steps(), 2));
     }
     Ok(rows)
 }

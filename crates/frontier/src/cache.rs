@@ -4,13 +4,15 @@
 //! versioned directory:
 //!
 //! ```text
-//! <root>/v2/<instruction>-dx3-dz3-dt3-<fingerprint>.entry
+//! <root>/v3/<instruction>-dx3-dz3-dt3-<fingerprint>.entry
 //! ```
 //!
 //! Each entry holds a two-line header (format version, the entry's own
-//! file stem) followed by the [`ResourceRow`] record. Every field a row
-//! carries round-trips **bit-for-bit** through the record renderer, so a
-//! warm run reproduces a cold run exactly.
+//! file stem) followed by the [`ResourceRow`] record, whose
+//! `junction_stalls=` and `batched_pulses=` lines carry the compile's
+//! scheduling-pass stats. Every field a row carries round-trips
+//! **bit-for-bit** through the record renderer, so a warm run reproduces a
+//! cold run exactly.
 //!
 //! The cache is corruption-tolerant by construction: an entry is used only
 //! if the whole file parses, its header stem matches its file name, and
@@ -34,7 +36,7 @@ use crate::spec::FrontierError;
 /// Version of the on-disk entry format. Bump on any change to the entry
 /// layout; each version lives in its own `v<N>/` subdirectory, so a
 /// mismatched cache directory is simply empty, never misinterpreted.
-pub const CACHE_FORMAT_VERSION: u32 = 2;
+pub const CACHE_FORMAT_VERSION: u32 = 3;
 
 /// A persistent, versioned, corruption-tolerant store of estimator rows
 /// keyed by [`SweepKey`].
@@ -316,6 +318,20 @@ mod tests {
         let old_entry = old_dir.join(format!("{old_stem}.entry"));
         let old_text = format!("tiscc-frontier-cache v1\nstem={old_stem}\n{}", row.to_record());
         fs::write(&old_entry, &old_text).unwrap();
+        // A version-2 directory: today's stem, a record without the stat
+        // lines, and the `v2` header.
+        let v2_dir = root.join("v2");
+        fs::create_dir_all(&v2_dir).unwrap();
+        let stem = entry_stem(&key);
+        let v2_entry = v2_dir.join(format!("{stem}.entry"));
+        let v2_record: String = row
+            .to_record()
+            .lines()
+            .filter(|l| !l.starts_with("junction_stalls=") && !l.starts_with("batched_pulses="))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let v2_text = format!("tiscc-frontier-cache v2\nstem={stem}\n{v2_record}");
+        fs::write(&v2_entry, &v2_text).unwrap();
 
         let cache = DiskCache::open(&root).unwrap();
         assert!(cache.is_empty());
@@ -323,6 +339,7 @@ mod tests {
         assert!(cache.get(&key).is_none());
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
         assert_eq!(fs::read_to_string(&old_entry).unwrap(), old_text, "old files are untouched");
+        assert_eq!(fs::read_to_string(&v2_entry).unwrap(), v2_text, "old files are untouched");
         fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -7,6 +7,7 @@
 //! equivalence test both lean on this.
 
 use tiscc_program::LayoutSpec;
+use tiscc_telemetry::{json_f64, json_string};
 
 use crate::engine::{FrontierPoint, FrontierReport};
 
@@ -171,35 +172,6 @@ pub fn stats_to_json(report: &FrontierReport, elapsed_s: f64, trace_json: Option
     )
 }
 
-/// Formats a float as a JSON value: shortest round-trip text for finite
-/// values, `null` otherwise (JSON has no NaN/inf).
-pub fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Escapes and quotes a string as a JSON string literal.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,13 +239,5 @@ mod tests {
         assert!(json.matches("\"on_frontier\":").count() == report.points.len());
         assert!(json.contains("\"grid\":[4,4]"));
         assert!(json.contains("\"auto_grid\":"));
-    }
-
-    #[test]
-    fn json_floats_are_shortest_round_trip() {
-        assert_eq!(json_f64(0.1), "0.1");
-        assert_eq!(json_f64(1e-9), "1e-9");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }

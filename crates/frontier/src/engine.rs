@@ -10,17 +10,16 @@
 //! given `(d, profile)` cost the same on every floorplan. The engine
 //! therefore compiles `kinds × distances × profiles` rows exactly once
 //! (disk first, then rayon over whatever is missing) and reuses them
-//! across all layouts; per-layout work is just placement, scheduling and
-//! arithmetic.
-
-use std::collections::HashMap;
+//! across all layouts; per-layout work is the [`LogicalCounts`] of the
+//! floorplan, priced once per (distance, profile) cell.
 
 use rayon::prelude::*;
 
 use tiscc_core::instruction::Instruction;
 use tiscc_estimator::compiler::{CompileRequest, Compiler};
-use tiscc_estimator::sweep::SweepKey;
-use tiscc_program::{schedule_with, LayoutSpec, LogicalProgram, Placement, Schedule};
+use tiscc_estimator::tables::ResourceRow;
+use tiscc_estimator::LogicalCounts;
+use tiscc_program::{LayoutSpec, LogicalProgram, Placement};
 use tiscc_telemetry::{Span, Telemetry};
 
 use crate::cache::DiskCache;
@@ -119,15 +118,6 @@ impl FrontierReport {
     }
 }
 
-/// A placed-and-scheduled floorplan, reused across every (distance,
-/// profile) cell of its sub-matrix.
-struct PlacedLayout {
-    spec: LayoutSpec,
-    placement: Placement,
-    sched: Schedule,
-    patch_steps: u64,
-}
-
 /// Runs the frontier search: evaluates `program` at every configuration
 /// of `spec`, resolving per-instruction compiles disk-first through
 /// `disk` (when attached), then through `compiler`'s in-process memo.
@@ -162,50 +152,54 @@ pub fn run_frontier_with(
         norm
     };
 
-    // Place and schedule each floorplan once; both are distance- and
+    // Count each floorplan once: placement and schedule are distance- and
     // profile-independent.
     let layout_span = parent.child("layout");
-    let mut layouts = Vec::with_capacity(norm.layouts.len());
-    for &layout in &norm.layouts {
-        let placement = Placement::allocate_with(program, &layout)
-            .map_err(|e| FrontierError::Placement(e.to_string()))?;
-        let sched = schedule_with(program, &placement, &layout_span)
-            .map_err(|e| FrontierError::Placement(e.to_string()))?;
-        let patch_steps = sched.patch_steps(placement.total_tiles());
-        layouts.push(PlacedLayout { spec: layout, placement, sched, patch_steps });
-    }
+    let counts = norm
+        .layouts
+        .iter()
+        .map(|layout| {
+            let placement = Placement::allocate_with(program, layout)
+                .map_err(|e| FrontierError::Placement(e.to_string()))?;
+            LogicalCounts::new(program, placement, &layout_span)
+                .map_err(|e| FrontierError::Placement(e.to_string()))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     layout_span.finish();
 
-    let kinds = distinct_kinds(program);
-    let (times, stats) = {
+    // Every floorplan counts the same kinds in the same order, and
+    // normalization guarantees at least one floorplan.
+    let kinds = &counts[0].kinds;
+    let (rows, stats) = {
         let resolve_span = parent.child("resolve");
-        let (times, stats) = resolve_rows(&kinds, &norm, compiler, disk)?;
+        let (rows, stats) = resolve_rows(kinds, &norm, compiler, disk)?;
         resolve_span.add("frontier.jobs", stats.jobs as u64);
         resolve_span.add("frontier.disk_hits", stats.disk_hits as u64);
         resolve_span.add("frontier.computed", stats.computed as u64);
         resolve_span.add("frontier.corrupt_entries", stats.corrupt_entries as u64);
         resolve_span.add("frontier.duplicates_dropped", norm.duplicates_dropped as u64);
-        (times, stats)
+        (rows, stats)
     };
 
-    // Assemble the matrix in deterministic layout-major order.
+    // Assemble the matrix in deterministic layout-major order. The rows of
+    // cell (distance `di`, profile `pi`) are the `k` kinds' rows at job
+    // `(pi · distances + di) · k`, the order `resolve_rows` lists them in.
     let assemble_span = parent.child("assemble");
+    let k = kinds.len();
     let mut points = Vec::with_capacity(norm.matrix_len());
-    for placed in &layouts {
-        let grid = (placed.placement.tile_rows(), placed.placement.tile_cols());
-        for &d in &norm.distances {
-            let machine = placed.placement.layout(d);
+    for (&layout, counts) in norm.layouts.iter().zip(&counts) {
+        let grid = (counts.placement.tile_rows(), counts.placement.tile_cols());
+        for (di, &d) in norm.distances.iter().enumerate() {
+            let machine = counts.placement.layout(d);
             let zones = machine.trapping_zone_count();
             let area_m2 = machine.area_m2();
-            let error = spec.model.program_error(d, placed.patch_steps);
-            let qubit_rounds = zones as u64 * placed.sched.logical_time_steps as u64 * d as u64;
-            for profile in &norm.profiles {
-                let fp = profile.fingerprint();
-                let duration_s = duration_s(program, &placed.sched, |kind| {
-                    times[&SweepKey { instruction: kind, dx: d, dz: d, dt: d, spec: fp }]
-                });
+            let error = spec.model.program_error(d, counts.patch_steps);
+            let qubit_rounds = zones as u64 * counts.schedule.logical_time_steps as u64 * d as u64;
+            for (pi, profile) in norm.profiles.iter().enumerate() {
+                let job = (pi * norm.distances.len() + di) * k;
+                let (duration_s, _) = counts.price(&rows[job..job + k]);
                 points.push(FrontierPoint {
-                    layout: placed.spec,
+                    layout,
                     grid,
                     d,
                     profile: profile.name.clone(),
@@ -239,26 +233,15 @@ pub fn run_frontier_with(
     })
 }
 
-/// The program's distinct instruction kinds, in first-appearance order.
-fn distinct_kinds(program: &LogicalProgram) -> Vec<Instruction> {
-    let mut kinds: Vec<Instruction> = Vec::new();
-    for pi in program.instructions() {
-        if !kinds.contains(&pi.instruction) {
-            kinds.push(pi.instruction);
-        }
-    }
-    kinds
-}
-
 /// Resolves every compile job of the matrix — disk cache first, then a
-/// rayon fan-out over whatever is missing — and returns the
-/// per-instruction execution times keyed by [`SweepKey`].
+/// rayon fan-out over whatever is missing — and returns one row per job,
+/// profile-major, then distance, then kind.
 fn resolve_rows(
     kinds: &[Instruction],
     norm: &NormalizedSpec,
     compiler: &Compiler,
     disk: Option<&DiskCache>,
-) -> Result<(HashMap<SweepKey, f64>, FrontierStats), FrontierError> {
+) -> Result<(Vec<ResourceRow>, FrontierStats), FrontierError> {
     let requests: Vec<CompileRequest> = norm
         .profiles
         .iter()
@@ -277,55 +260,28 @@ fn resolve_rows(
         ..FrontierStats::default()
     };
 
-    let mut times: HashMap<SweepKey, f64> = HashMap::with_capacity(requests.len());
-    let mut missing: Vec<CompileRequest> = Vec::new();
-    for request in requests {
-        let key = request.key();
-        match disk.and_then(|cache| cache.get(&key)) {
-            Some(row) => {
-                times.insert(key, row.resources.execution_time_s);
-            }
-            None => missing.push(request),
-        }
-    }
+    let mut rows: Vec<Option<ResourceRow>> =
+        requests.iter().map(|request| disk.and_then(|cache| cache.get(&request.key()))).collect();
+    let missing: Vec<usize> = (0..rows.len()).filter(|&job| rows[job].is_none()).collect();
     stats.disk_hits = stats.jobs - missing.len();
     stats.computed = missing.len();
 
     let computed: Result<Vec<_>, _> = missing
         .into_par_iter()
-        .map(|request| {
+        .map(|job| {
             compiler
-                .compile_row(&request)
-                .map(|row| (request.key(), row))
+                .compile_row(&requests[job])
+                .map(|row| (job, row))
                 .map_err(|e| FrontierError::Compile(e.to_string()))
         })
         .collect();
-    for (key, row) in computed? {
+    for (job, row) in computed? {
         if let Some(cache) = disk {
-            cache.insert(&key, &row)?;
+            cache.insert(&requests[job].key(), &row)?;
         }
-        times.insert(key, row.resources.execution_time_s);
+        rows[job] = Some(row);
     }
-    Ok((times, stats))
-}
-
-/// Wall-clock duration of a scheduled program: each parallel step costs
-/// its longest member instruction; the program costs the sum over steps.
-fn duration_s(
-    program: &LogicalProgram,
-    sched: &Schedule,
-    time_of: impl Fn(Instruction) -> f64,
-) -> f64 {
-    sched
-        .steps
-        .iter()
-        .map(|step| {
-            step.instructions
-                .iter()
-                .map(|&i| time_of(program.instructions()[i].instruction))
-                .fold(0.0, f64::max)
-        })
-        .sum()
+    Ok((rows.into_iter().map(|row| row.expect("every job resolved")).collect(), stats))
 }
 
 #[cfg(test)]

@@ -39,10 +39,9 @@ use tiscc_estimator::compiler::Compiler;
 use tiscc_estimator::program::{estimate_program_with, ProgramEstimateSpec};
 use tiscc_hw::HardwareSpec;
 use tiscc_program::{ErrorModel, LayoutSpec, LogicalProgram};
-use tiscc_telemetry::Telemetry;
+use tiscc_telemetry::{json_f64, json_string, Telemetry};
 
 use crate::cache::DiskCache;
-use crate::emit::{json_f64, json_string};
 use crate::engine::run_frontier_with;
 use crate::spec::FrontierSpec;
 

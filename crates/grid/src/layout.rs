@@ -170,14 +170,20 @@ impl Layout {
         })
     }
 
-    /// Total number of sites.
+    /// Total number of sites: seven per unit (one junction and the three
+    /// zones of each arm).
     pub fn site_count(&self) -> usize {
-        self.all_sites().count()
+        7 * self.unit_count()
     }
 
-    /// Total number of trapping zones (sites that are not junctions).
+    /// Total number of trapping zones (sites that are not junctions): six
+    /// per unit.
     pub fn trapping_zone_count(&self) -> usize {
-        self.all_sites().filter(|&s| self.is_trapping_zone(s)).count()
+        6 * self.unit_count()
+    }
+
+    fn unit_count(&self) -> usize {
+        self.unit_rows as usize * self.unit_cols as usize
     }
 
     /// Physical area of the grid in square metres: every lattice line cell is
@@ -264,13 +270,19 @@ mod tests {
     }
 
     #[test]
-    fn each_unit_contributes_seven_sites() {
-        // The repeating unit is {M, O, M, J, M, O, M}: 7 sites per unit.
-        for (r, c) in [(1, 1), (2, 3), (4, 4)] {
-            let l = Layout::new(r, c);
-            assert_eq!(l.site_count(), 7 * (r * c) as usize, "{r}x{c}");
-            assert_eq!(l.trapping_zone_count(), 6 * (r * c) as usize);
+    fn closed_form_counts_match_a_walk_over_every_site() {
+        // The repeating unit is {M, O, M, J, M, O, M}: 7 sites per unit,
+        // 6 of them trapping zones.
+        for r in 1..=8 {
+            for c in 1..=8 {
+                let l = Layout::new(r, c);
+                assert_eq!(l.site_count(), l.all_sites().count(), "{r}x{c}");
+                let zones = l.all_sites().filter(|&s| l.is_trapping_zone(s)).count();
+                assert_eq!(l.trapping_zone_count(), zones, "{r}x{c}");
+            }
         }
+        assert_eq!(Layout::new(2, 3).site_count(), 42);
+        assert_eq!(Layout::new(2, 3).trapping_zone_count(), 36);
     }
 
     #[test]

@@ -342,27 +342,51 @@ fn at_line(line: &Option<usize>) -> String {
     }
 }
 
+/// Longest prefix of an input token an error message quotes, in chars.
+const QUOTED_CHARS: usize = 24;
+
+/// An input token as error messages quote it: at most [`QUOTED_CHARS`]
+/// characters, then `…`, with control characters escaped. A program read
+/// from the wrong file (a host secret, a binary) is never echoed whole.
+pub(crate) fn short(token: &str) -> String {
+    let mut out = String::new();
+    for (i, c) in token.chars().enumerate() {
+        if i == QUOTED_CHARS {
+            out.push('…');
+            break;
+        }
+        if c.is_control() {
+            out.extend(c.escape_default());
+        } else {
+            out.push(c);
+        }
+    }
+    out
+}
+
 impl fmt::Display for ProgramError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ProgramError::DuplicateQubit(q) => write!(f, "qubit '{q}' declared twice"),
-            ProgramError::UnknownQubit(q) => write!(f, "unknown qubit '{q}'"),
+            ProgramError::DuplicateQubit(q) => write!(f, "qubit '{}' declared twice", short(q)),
+            ProgramError::UnknownQubit(q) => write!(f, "unknown qubit '{}'", short(q)),
             ProgramError::ArityMismatch { instruction, expected, got } => {
                 write!(f, "{} takes {expected} qubit(s), got {got}", instruction.id())
             }
             ProgramError::SameQubitTwice { instruction, qubit } => {
-                write!(f, "{} names qubit '{qubit}' twice", instruction.id())
+                write!(f, "{} names qubit '{}' twice", instruction.id(), short(qubit))
             }
             ProgramError::NotLive { instruction, qubit, line } => write!(
                 f,
-                "{} on qubit '{qubit}' which is not live{}",
+                "{} on qubit '{}' which is not live{}",
                 instruction.id(),
+                short(qubit),
                 at_line(line)
             ),
             ProgramError::AlreadyLive { instruction, qubit, line } => write!(
                 f,
-                "{} on qubit '{qubit}' which is already live{}",
+                "{} on qubit '{}' which is already live{}",
                 instruction.id(),
+                short(qubit),
                 at_line(line)
             ),
         }

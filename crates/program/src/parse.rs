@@ -25,7 +25,7 @@ use std::fmt;
 use tiscc_core::instruction::Instruction;
 use tiscc_telemetry::Span;
 
-use crate::ir::{LogicalProgram, QubitRef};
+use crate::ir::{short, LogicalProgram, QubitRef};
 
 /// An error raised while parsing `.tql` text, annotated with its 1-based
 /// source line.
@@ -145,16 +145,20 @@ impl LogicalProgram {
             let instruction = instruction_from_mnemonic(head).ok_or_else(|| ParseError {
                 line: lineno,
                 message: format!(
-                    "unknown instruction '{head}'; valid mnemonics include qubit, prep_z, \
+                    "unknown instruction '{}'; valid mnemonics include qubit, prep_z, \
                      prep_x, inject_y, inject_t, meas_z, meas_x, x, y, z, h, idle, \
-                     merge_xx, merge_zz"
+                     merge_xx, merge_zz",
+                    short(head)
                 ),
             })?;
             let operands: Result<Vec<QubitRef>, ParseError> = tokens
                 .map(|tok| {
                     program.qubit(tok).ok_or_else(|| ParseError {
                         line: lineno,
-                        message: format!("unknown qubit '{tok}' (declare it with 'qubit {tok}')"),
+                        message: format!(
+                            "unknown qubit '{tok}' (declare it with 'qubit {tok}')",
+                            tok = short(tok)
+                        ),
                     })
                 })
                 .collect();

@@ -47,6 +47,7 @@ mod json;
 mod render;
 
 pub use json::trace_from_json;
+pub use render::{json_f64, json_string};
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};

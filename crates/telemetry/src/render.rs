@@ -73,9 +73,11 @@ pub(crate) fn render_tree(trace: &TraceReport) -> String {
     out
 }
 
-/// Emits an `f64` the way the serve protocol does: shortest round-trip
-/// representation, `null` for non-finite values.
-pub(crate) fn json_f64(value: f64) -> String {
+/// Formats an `f64` as a JSON value: the shortest round-trip text, so the
+/// literal parses back to the identical bits, and `null` for non-finite
+/// values (JSON has no NaN or infinity). Every JSON document the system
+/// emits writes its floats through this.
+pub fn json_f64(value: f64) -> String {
     if value.is_finite() {
         format!("{value:?}")
     } else {
@@ -83,8 +85,9 @@ pub(crate) fn json_f64(value: f64) -> String {
     }
 }
 
-/// Escapes and quotes a JSON string.
-pub(crate) fn json_string(value: &str) -> String {
+/// Escapes and quotes a string as a JSON string literal; control
+/// characters become `\n`, `\r`, `\t` or `\u00XX` escapes.
+pub fn json_string(value: &str) -> String {
     let mut out = String::with_capacity(value.len() + 2);
     out.push('"');
     for ch in value.chars() {
@@ -214,5 +217,7 @@ mod tests {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_f64(1.5), "1.5");
+        assert_eq!(json_f64(0.1), "0.1");
+        assert_eq!(json_f64(1e-9), "1e-9");
     }
 }

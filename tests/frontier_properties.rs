@@ -8,7 +8,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
-use tiscc::estimator::compiler::Compiler;
+use tiscc::core::instruction::Instruction;
+use tiscc::estimator::compiler::{CompileRequest, Compiler};
 use tiscc::frontier::engine::run_frontier;
 use tiscc::frontier::{
     matrix_to_csv, pareto_flags, pareto_flags_bruteforce, DiskCache, FrontierSpec,
@@ -105,6 +106,44 @@ fn warm_cache_dir_rerun_is_bit_identical_and_compile_free() {
         assert_eq!(a.error.to_bits(), b.error.to_bits());
         assert_eq!(a.area_m2.to_bits(), b.area_m2.to_bits());
     }
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// Rows read back from a cache directory carry the scheduling-pass stats
+/// of a fresh compile, not zeros.
+#[test]
+fn cached_rows_carry_the_stats_of_a_fresh_compile() {
+    let root = scratch_root("stats");
+    let program = examples::ripple_adder();
+    let mut wide = HardwareSpec::slow_junction();
+    wide.simd_width = 2;
+    let spec = FrontierSpec::new(vec![LayoutSpec::default()], vec![wide]).with_distances(3, 5);
+    let cold =
+        run_frontier(&program, &spec, &Compiler::new(), Some(&DiskCache::open(&root).unwrap()))
+            .unwrap();
+    assert_eq!(cold.stats.computed, cold.stats.jobs);
+
+    let warm = DiskCache::open(&root).unwrap();
+    let fresh = Compiler::new();
+    let mut kinds: Vec<Instruction> = Vec::new();
+    for inst in program.instructions() {
+        if !kinds.contains(&inst.instruction) {
+            kinds.push(inst.instruction);
+        }
+    }
+    let (mut stalls, mut pulses) = (0, 0);
+    for d in [3, 5] {
+        for &kind in &kinds {
+            let request = CompileRequest::new(kind, d, d, d).with_spec(spec.profiles[0].clone());
+            let row = warm.get(&request.key()).expect("every job was persisted");
+            let compiled = fresh.compile(&request).unwrap();
+            assert_eq!(row.stats, compiled.stats, "{kind:?} d={d}");
+            assert_eq!(row, compiled.row(), "{kind:?} d={d}");
+            stalls += row.stats.junction_stalls;
+            pulses += row.stats.batched_pulses;
+        }
+    }
+    assert!(stalls > 0 && pulses > 0, "slow_junction at width 2 stalls and batches");
     std::fs::remove_dir_all(&root).unwrap();
 }
 

@@ -1,15 +1,28 @@
 //! Integration tests for the algorithm-level program estimator: the
 //! bundled `.tql` programs stay in sync with their canonical builders, the
 //! scheduler packs independent instructions into shared parallel steps,
-//! and error-budget distance selection is monotone in the budget.
+//! error-budget distance selection is monotone in the budget, pricing
+//! logical counts matches a walk over every instruction, and parse errors
+//! quote only a short prefix of their input.
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
 
-use tiscc::estimator::{estimate_program, Compiler, ProgramEstimateSpec};
+use tiscc::core::instruction::Instruction;
+use tiscc::estimator::compiler::CompileStats;
+use tiscc::estimator::sweep::{run_sweep, SweepSpec};
+use tiscc::estimator::tables::ResourceRow;
+use tiscc::estimator::{
+    estimate_program, CompileRequest, Compiler, LogicalCounts, ProgramEstimateSpec,
+};
+use tiscc::frontier::{handle_line, ServeState};
 use tiscc::hw::HardwareSpec;
-use tiscc::program::{examples, schedule, ErrorModel, LogicalProgram, Placement};
+use tiscc::program::{
+    examples, schedule, ErrorModel, LayoutSpec, LogicalProgram, Placement, Schedule,
+};
+use tiscc::telemetry::{json_string, Telemetry};
+use tiscc::workloads::{generate, Family, GenSpec};
 
 fn bundled(stem: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -93,6 +106,132 @@ fn teleport_estimate_reports_two_profiles() {
     for needle in ["teleport", "h1", "projected", "qubit-rounds"] {
         assert!(report.contains(needle), "report missing {needle}:\n{report}");
     }
+}
+
+/// The per-instruction walk `LogicalCounts::price` replaced: every step
+/// looks up the row of each member instruction and costs the longest, and
+/// the stats add up one row per instruction.
+fn walk_price<'a>(
+    program: &LogicalProgram,
+    sched: &Schedule,
+    row_of: impl Fn(Instruction) -> &'a ResourceRow,
+) -> (f64, CompileStats) {
+    let duration_s = sched
+        .steps
+        .iter()
+        .map(|step| {
+            step.instructions
+                .iter()
+                .map(|&i| row_of(program.instructions()[i].instruction).resources.execution_time_s)
+                .fold(0.0, f64::max)
+        })
+        .sum();
+    let stats = program.instructions().iter().fold(CompileStats::default(), |sum, inst| {
+        let stats = row_of(inst.instruction).stats;
+        CompileStats {
+            junction_stalls: sum.junction_stalls + stats.junction_stalls,
+            batched_pulses: sum.batched_pulses + stats.batched_pulses,
+        }
+    });
+    (duration_s, stats)
+}
+
+/// Pricing logical counts is bit-identical to the per-instruction walk
+/// over the workload zoo × {lane, row, checkerboard} × every profile at
+/// SIMD width 1 and 2.
+#[test]
+fn pricing_counts_matches_the_per_instruction_walk() {
+    let compiler = Compiler::new();
+    let mut stalled = false;
+    for &family in Family::all() {
+        let program = generate(&GenSpec::new(family).with_n(3).with_seed(5)).unwrap();
+        for layout in ["lane", "row", "checkerboard"] {
+            let layout = LayoutSpec::by_name(layout).unwrap();
+            let placement = Placement::allocate_with(&program, &layout).unwrap();
+            let span = Telemetry::off().root("counts");
+            let counts = LogicalCounts::new(&program, placement, &span).unwrap();
+            let sched = schedule(&program, &counts.placement).unwrap();
+            assert_eq!(counts.schedule, sched);
+            for base in HardwareSpec::presets() {
+                for simd_width in [1, 2] {
+                    let profile = HardwareSpec { simd_width, ..base.clone() };
+                    let rows: Vec<ResourceRow> = counts
+                        .kinds
+                        .iter()
+                        .map(|&kind| {
+                            let request =
+                                CompileRequest::new(kind, 3, 3, 3).with_spec(profile.clone());
+                            compiler.compile_row(&request).unwrap()
+                        })
+                        .collect();
+                    let row_of =
+                        |kind| &rows[counts.kinds.iter().position(|&k| k == kind).unwrap()];
+                    let (duration_s, stats) = counts.price(&rows);
+                    let (walked_s, walked) = walk_price(&program, &sched, row_of);
+                    let ctx =
+                        format!("{} {layout:?} {} width {simd_width}", family.name(), profile.name);
+                    assert_eq!(duration_s.to_bits(), walked_s.to_bits(), "{ctx}");
+                    assert_eq!(stats, walked, "{ctx}");
+                    stalled |= stats.junction_stalls > 0;
+                }
+            }
+        }
+    }
+    assert!(stalled, "some zoo program stalls under slow_junction");
+}
+
+/// A compiler whose memo a sweep warmed reports the same estimate rows as
+/// a fresh one, scheduling stats included: the rows carry their stats.
+#[test]
+fn sweep_warmed_and_fresh_compilers_give_equal_estimates() {
+    let program = examples::ripple_adder();
+    let spec = ProgramEstimateSpec::new(1e-3).with_profiles(vec![HardwareSpec::slow_junction()]);
+    let fresh = estimate_program(&program, &spec, &Compiler::new()).unwrap();
+    let d = fresh.rows[0].distance;
+    assert_eq!(d, 7);
+    assert_eq!(fresh.rows[0].junction_stalls, 3864);
+
+    let warmed = Compiler::new();
+    let sweep = SweepSpec::square(Instruction::all().to_vec(), &[d])
+        .with_profiles(vec![HardwareSpec::slow_junction()]);
+    run_sweep(&sweep, warmed.cache()).unwrap();
+    let misses = warmed.cache().misses();
+    let estimate = estimate_program(&program, &spec, &warmed).unwrap();
+    assert_eq!(warmed.cache().misses(), misses, "every row came from the sweep");
+    assert_eq!(estimate.rows, fresh.rows);
+    assert_eq!(estimate.render(), fresh.render());
+}
+
+/// A parse error quotes at most a short, escaped prefix of the offending
+/// token, so reading a host file as a program does not echo the file; the
+/// serve protocol forwards the same short message.
+#[test]
+fn parse_errors_quote_a_short_escaped_prefix_of_the_token() {
+    let token = format!("SECRET=\u{1b}[0m{}", "x".repeat(4096));
+    let text = format!("{token} more\n");
+    let err = LogicalProgram::parse("leak", &text).unwrap_err().to_string();
+    assert!(err.len() < 200, "{err}");
+    assert!(err.starts_with("line 1: unknown instruction 'SECRET=\\u{1b}[0mxxx"), "{err}");
+    assert!(!err.contains(&"x".repeat(64)), "{err}");
+    assert!(!err.contains('\u{1b}'), "control characters are escaped: {err}");
+
+    let dir = std::env::temp_dir().join(format!("tiscc-parse-echo-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("leak.tql");
+    std::fs::write(&path, &text).unwrap();
+    let request =
+        format!("{{\"op\":\"estimate\",\"program\":{}}}", json_string(path.to_str().unwrap()));
+    let reply = handle_line(&request, &ServeState::new(None));
+    assert!(reply.contains("\"kind\":\"bad_request\""), "{reply}");
+    assert!(reply.len() < 400 + path.to_str().unwrap().len(), "{reply}");
+    assert!(!reply.contains(&"x".repeat(64)), "{reply}");
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // Short tokens are quoted whole, as before.
+    let err = LogicalProgram::parse("p", "qubit a\nprep_z b\n").unwrap_err();
+    assert_eq!(err.message, "unknown qubit 'b' (declare it with 'qubit b')");
+    let err = LogicalProgram::parse("p", "qubit a a\n").unwrap_err();
+    assert_eq!(err.message, "qubit 'a' declared twice");
 }
 
 proptest! {

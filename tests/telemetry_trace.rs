@@ -96,3 +96,40 @@ fn trace_format_parsing_matches_the_cli_flag_grammar() {
     assert!(err.contains("tree"), "{err}");
     assert!(err.contains("json"), "{err}");
 }
+
+/// The frontier pipeline records its documented phases once each under
+/// the root, with one `schedule` span per floorplan under `layout`.
+#[test]
+fn frontier_records_the_documented_span_taxonomy() {
+    use tiscc::frontier::{run_frontier_with, FrontierSpec};
+    use tiscc::program::LayoutSpec;
+
+    let layouts = vec![LayoutSpec::default(), LayoutSpec::checkerboard().with_grid(4, 4)];
+    let spec = FrontierSpec::new(layouts, vec![HardwareSpec::h1()]).with_distances(3, 5);
+    let tel = Telemetry::new_enabled();
+    let root = tel.root("frontier");
+    run_frontier_with(&examples::bell_pair(), &spec, &Compiler::new(), None, &root).unwrap();
+    root.finish();
+    let trace = tel.snapshot().unwrap();
+
+    assert_eq!(trace.roots(), vec!["frontier"]);
+    let root_index =
+        trace.spans.iter().position(|s| s.parent.is_none()).expect("root span missing");
+    let only = |phase: &str| {
+        let hits: Vec<usize> = (0..trace.spans.len())
+            .filter(|&i| trace.spans[i].name == phase && trace.spans[i].parent == Some(root_index))
+            .collect();
+        assert_eq!(hits.len(), 1, "expected exactly one {phase:?} span under the root");
+        assert!(trace.spans[hits[0]].duration_us.is_some(), "{phase} span left open");
+        hits[0]
+    };
+    for phase in ["normalize", "resolve", "assemble", "pareto"] {
+        only(phase);
+    }
+    let layout = only("layout");
+    let schedules: Vec<_> = trace.spans.iter().filter(|s| s.name == "schedule").collect();
+    assert_eq!(schedules.len(), 2, "one schedule span per floorplan");
+    assert!(schedules.iter().all(|s| s.parent == Some(layout)), "schedule spans sit under layout");
+    let paths: Vec<String> = (0..trace.spans.len()).map(|i| trace.path(i)).collect();
+    assert!(paths.contains(&"frontier/layout/schedule".to_string()), "{paths:?}");
+}
