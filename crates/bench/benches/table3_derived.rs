@@ -3,11 +3,13 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tiscc_estimator::tables::table3_rows;
+use tiscc_hw::HardwareSpec;
 
 fn bench(c: &mut Criterion) {
+    let spec = HardwareSpec::default();
     let mut group = c.benchmark_group("table3_derived");
     group.sample_size(10);
-    group.bench_function("all_derived_d2", |b| b.iter(|| table3_rows(2, 1).unwrap()));
+    group.bench_function("all_derived_d2", |b| b.iter(|| table3_rows(&spec, 2, 1).unwrap()));
     group.finish();
 }
 

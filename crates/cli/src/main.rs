@@ -13,7 +13,6 @@
 //! tiscc sweep [--dmax N] [--dt N|d] [--out F]  batched resource sweep (CSV + JSON)
 //! tiscc profiles                               list hardware profiles and parameters
 //! tiscc verify [--seed N]                      run the Sec. 4 verification harness
-//! tiscc bench-report <results.txt>...          convert/gate criterion bench output
 //! ```
 //!
 //! `compile`, `tables`, `sweep` and `estimate` accept `--profile <name>` to
@@ -41,7 +40,7 @@ use tiscc_frontier::{
 };
 use tiscc_hw::HardwareSpec;
 use tiscc_program::{BudgetError, ErrorModel, LayoutSpec, LogicalProgram, Placement};
-use tiscc_telemetry::{trace_from_json, JsonSink, Sink, Span, Telemetry, TraceFormat};
+use tiscc_telemetry::{JsonSink, Sink, Span, Telemetry, TraceFormat};
 use tiscc_workloads::{generate, Family, GenSpec, WorkloadError};
 
 const USAGE: &str = "usage: tiscc <subcommand> [args]
@@ -98,13 +97,6 @@ subcommands:
         [--quiet]                        suppress stderr stats
   profiles                               list hardware profiles and parameters
   verify [--seed N]                      run the verification harness
-  bench-report <results.txt>...          parse `cargo bench` output into JSON
-         [--out F.json]                  write the parsed measurements
-         [--baseline F.json]             gate against a committed baseline
-         [--tolerance X]                 allowed slowdown fraction (default 0.3)
-         [--trace=F.json]               ingest a --trace=json file: each phase
-                                        becomes a `trace/<path>` measurement
-         [--filter SUBSTR]              gate only ids containing SUBSTR
 
 flags take a value as `--flag VALUE` or `--flag=VALUE`; unknown flags are
 rejected; `tiscc <subcommand> --help` prints this text
@@ -192,6 +184,16 @@ impl Args {
                 .parse()
                 .map_err(|_| CliError::usage(format!("--{name} expects a number, got {v:?}"))),
         }
+    }
+
+    /// [`Args::flag_usize`] that also rejects a value below `min` as a
+    /// usage error naming the flag.
+    fn flag_at_least(&self, name: &str, default: usize, min: usize) -> Result<usize, CliError> {
+        let value = self.flag_usize(name, default)?;
+        if value < min {
+            return Err(CliError::usage(format!("--{name} must be at least {min}, got {value}")));
+        }
+        Ok(value)
     }
 
     fn flag_f64(&self, name: &str, default: f64) -> Result<f64, CliError> {
@@ -319,7 +321,6 @@ fn run(raw: &[String]) -> Result<(), CliError> {
         "sweep" => (cmd_sweep, "dmax dt profile out json trace quiet"),
         "profiles" => (|_| cmd_profiles(), ""),
         "verify" => (cmd_verify, "seed"),
-        "bench-report" => (cmd_bench_report, "out baseline tolerance trace filter"),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             return Ok(());
@@ -734,16 +735,16 @@ type TableJob =
     fn(&HardwareSpec, usize, usize) -> Result<Vec<tables::ResourceRow>, tiscc_core::CoreError>;
 
 fn cmd_tables(args: &Args) -> Result<(), CliError> {
-    let d = args.flag_usize("d", 3)?.max(2);
-    let dt = args.flag_usize("dt", 2)?;
+    let d = args.flag_at_least("d", 3, 2)?;
+    let dt = args.flag_at_least("dt", 2, 1)?;
     let spec = args.profile()?;
-    println!("{}", tables::table5_with(&spec));
+    println!("{}", tables::table5(&spec));
     let jobs: [(&str, TableJob); 3] = [
         ("Table 1: local lattice-surgery instruction set", |spec, d, dt| {
-            tables::table1_rows_with(spec, &[d], dt)
+            tables::table1_rows(spec, &[d], dt)
         }),
-        ("Table 2: primitive operations", tables::table2_rows_with),
-        ("Table 3: derived instruction set", tables::table3_rows_with),
+        ("Table 2: primitive operations", tables::table2_rows),
+        ("Table 3: derived instruction set", tables::table3_rows),
     ];
     for (title, job) in jobs {
         let rows = job(&spec, d, dt)
@@ -764,7 +765,7 @@ fn cmd_profiles() -> Result<(), CliError> {
 }
 
 fn cmd_sweep(args: &Args) -> Result<(), CliError> {
-    let dmax = args.flag_usize("dmax", 5)?.max(2);
+    let dmax = args.flag_at_least("dmax", 5, 2)?;
     let profiles = args.profile_list()?;
     let mut spec = SweepSpec::paper(dmax).with_profiles(profiles);
     if let Some(dt) = args.flag("dt") {
@@ -772,6 +773,9 @@ fn cmd_sweep(args: &Args) -> Result<(), CliError> {
             let dt = dt.parse::<usize>().map_err(|_| {
                 CliError::usage(format!("--dt expects a number or 'd', got {dt:?}"))
             })?;
+            if dt == 0 {
+                return Err(CliError::usage("--dt must be at least 1, got 0"));
+            }
             spec.dts = vec![DtPolicy::Fixed(dt)];
         }
     }
@@ -864,254 +868,6 @@ fn cmd_sweep(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// One parsed benchmark measurement.
-#[derive(Clone, Debug, PartialEq)]
-struct BenchEntry {
-    id: String,
-    median_ns: f64,
-}
-
-/// Parses a `Duration` debug rendering (`"153ns"`, `"12.5µs"`, `"1.2ms"`,
-/// `"3.4s"`) into nanoseconds.
-///
-/// The unit conversion shifts the decimal point in the digit string rather
-/// than multiplying floats: `1e6` scaling turns `2.063274ms` into
-/// 2063273.9999999998 because neither 2.063274 nor the product is exactly
-/// representable, and that noise then gets committed to
-/// `BENCH_BASELINE.json`. `Duration`'s debug output never prints more
-/// fractional digits than the unit has (9 for `s`, 6 for `ms`, 3 for `µs`,
-/// 0 for `ns`), so the shift always lands on an exact integer nanosecond
-/// count.
-fn parse_duration_ns(text: &str) -> Option<f64> {
-    let text = text.trim();
-    // Order matters: try the longest suffixes first ("ms" before "s").
-    for (suffix, power) in [("ns", 0usize), ("µs", 3), ("us", 3), ("ms", 6), ("s", 9)] {
-        if let Some(value) = text.strip_suffix(suffix) {
-            return parse_decimal_shifted(value.trim(), power);
-        }
-    }
-    None
-}
-
-/// Parses a non-negative decimal literal times `10^power`, exactly.
-fn parse_decimal_shifted(value: &str, power: usize) -> Option<f64> {
-    let (int_part, frac_part) = value.split_once('.').unwrap_or((value, ""));
-    if int_part.is_empty() && frac_part.is_empty() {
-        return None;
-    }
-    let all_digits = |s: &str| s.bytes().all(|b| b.is_ascii_digit());
-    if !all_digits(int_part) || !all_digits(frac_part) {
-        return None;
-    }
-    let mut digits = String::from(int_part);
-    if frac_part.len() <= power {
-        // The usual case: the shift absorbs every fractional digit.
-        digits.push_str(frac_part);
-        digits.push_str(&"0".repeat(power - frac_part.len()));
-        digits.parse::<u64>().ok().map(|n| n as f64)
-    } else {
-        // More fractional digits than the shift absorbs (does not occur in
-        // `Duration` output, but keep the parser total): split into an
-        // exact integer head and a small fractional tail.
-        let (head, tail) = frac_part.split_at(power);
-        digits.push_str(head);
-        let int = digits.parse::<u64>().ok()?;
-        let frac = tail.parse::<u64>().ok()?;
-        Some(int as f64 + frac as f64 / 10f64.powi(tail.len() as i32))
-    }
-}
-
-/// Parses the benchmark-harness output format
-/// `<id>: median <duration> over <n> sample(s), total <duration>`
-/// (and the `--test` form `<id>: ok (<duration>)`) into entries.
-fn parse_bench_output(text: &str) -> Vec<BenchEntry> {
-    let mut entries = Vec::new();
-    for line in text.lines() {
-        let Some((id, rest)) = line.split_once(": ") else { continue };
-        let median = if let Some(rest) = rest.strip_prefix("median ") {
-            rest.split(" over ").next().and_then(parse_duration_ns)
-        } else if let Some(rest) = rest.strip_prefix("ok (") {
-            rest.strip_suffix(')').and_then(parse_duration_ns)
-        } else {
-            None
-        };
-        if let Some(median_ns) = median {
-            entries.push(BenchEntry { id: id.trim().to_string(), median_ns });
-        }
-    }
-    entries
-}
-
-/// Renders entries as the committed `BENCH_BASELINE.json` document.
-fn render_bench_json(entries: &[BenchEntry]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"tiscc.bench.v1\",\n  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"id\": \"{}\", \"median_ns\": {} }}{}\n",
-            e.id.replace('\\', "\\\\").replace('"', "\\\""),
-            e.median_ns,
-            if i + 1 < entries.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Parses a `BENCH_BASELINE.json` document (as written by
-/// [`render_bench_json`]): one `{ "id": …, "median_ns": … }` object per line.
-fn parse_bench_json(text: &str) -> Result<Vec<BenchEntry>, String> {
-    let mut entries = Vec::new();
-    for line in text.lines() {
-        let Some(id_at) = line.find("\"id\":") else { continue };
-        let rest = &line[id_at + 5..];
-        let Some(open) = rest.find('"') else { continue };
-        let Some(close) = rest[open + 1..].find('"') else { continue };
-        let id = rest[open + 1..open + 1 + close].to_string();
-        let Some(med_at) = rest.find("\"median_ns\":") else {
-            return Err(format!("entry for {id:?} is missing median_ns"));
-        };
-        let tail = rest[med_at + 12..].trim_start();
-        let num: String = tail
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-            .collect();
-        let median_ns: f64 =
-            num.parse().map_err(|_| format!("entry for {id:?} has a malformed median_ns"))?;
-        entries.push(BenchEntry { id, median_ns });
-    }
-    Ok(entries)
-}
-
-/// One benchmark that slowed down past the allowed tolerance.
-#[derive(Clone, Debug, PartialEq)]
-struct BenchRegression {
-    id: String,
-    baseline_ns: f64,
-    current_ns: f64,
-}
-
-/// Compares current entries against a baseline: a benchmark regresses when
-/// its median exceeds `baseline * (1 + tolerance)`. Benchmarks present only
-/// on one side never fail the gate (renames and new benches are reported by
-/// the caller, not gated).
-fn bench_regressions(
-    baseline: &[BenchEntry],
-    current: &[BenchEntry],
-    tolerance: f64,
-) -> Vec<BenchRegression> {
-    let mut regressions = Vec::new();
-    for base in baseline {
-        let Some(cur) = current.iter().find(|c| c.id == base.id) else { continue };
-        if cur.median_ns > base.median_ns * (1.0 + tolerance) {
-            regressions.push(BenchRegression {
-                id: base.id.clone(),
-                baseline_ns: base.median_ns,
-                current_ns: cur.median_ns,
-            });
-        }
-    }
-    regressions
-}
-
-fn cmd_bench_report(args: &Args) -> Result<(), CliError> {
-    let trace_path = args.flag("trace");
-    if trace_path == Some("") {
-        return Err(CliError::usage(
-            "--trace expects a file path here (write one with e.g. \
-             `tiscc estimate ... --trace=json 2> trace.json`); pass it as --trace=FILE",
-        ));
-    }
-    if args.positional.is_empty() && trace_path.is_none() {
-        return Err(CliError::usage(
-            "usage: tiscc bench-report <results.txt>... [--trace=F.json] [--out F.json] \
-             [--baseline F.json] [--tolerance X] [--filter SUBSTR]",
-        ));
-    }
-    let tolerance = args.flag_f64("tolerance", 0.3)?;
-    if !(0.0..=100.0).contains(&tolerance) {
-        return Err(CliError::usage(format!(
-            "--tolerance expects a fraction >= 0 (got {tolerance})"
-        )));
-    }
-
-    let mut entries = Vec::new();
-    for path in &args.positional {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| CliError::usage(format!("cannot read {path}: {e}")))?;
-        entries.extend(parse_bench_output(&text));
-    }
-    if let Some(path) = trace_path {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| CliError::usage(format!("cannot read {path}: {e}")))?;
-        let report = trace_from_json(&text)
-            .map_err(|e| CliError::runtime(format!("malformed trace {path}: {e}")))?;
-        // Each span path becomes one pseudo-benchmark whose median is the
-        // path's aggregated duration, so traces feed the same baseline
-        // gate as the real benchmark suites.
-        for (span_path, total_us, _calls) in report.phase_totals() {
-            entries.push(BenchEntry {
-                id: format!("trace/{span_path}"),
-                median_ns: total_us * 1000.0,
-            });
-        }
-    }
-    if let Some(filter) = args.flag("filter") {
-        entries.retain(|e| e.id.contains(filter));
-    }
-    if entries.is_empty() {
-        return Err(CliError::runtime(
-            "no benchmark measurements found in the input (expected \
-             `<id>: median <time> over <n> sample(s)` lines)",
-        ));
-    }
-    println!("parsed {} benchmark measurement(s)", entries.len());
-
-    if let Some(out) = args.flag("out") {
-        std::fs::write(out, render_bench_json(&entries))
-            .map_err(|e| CliError::runtime(format!("cannot write {out}: {e}")))?;
-        println!("wrote {out}");
-    }
-
-    if let Some(baseline_path) = args.flag("baseline") {
-        let text = std::fs::read_to_string(baseline_path)
-            .map_err(|e| CliError::usage(format!("cannot read {baseline_path}: {e}")))?;
-        let mut baseline = parse_bench_json(&text)
-            .map_err(|e| CliError::runtime(format!("malformed baseline {baseline_path}: {e}")))?;
-        if let Some(filter) = args.flag("filter") {
-            baseline.retain(|e| e.id.contains(filter));
-        }
-        for base in &baseline {
-            if !entries.iter().any(|c| c.id == base.id) {
-                eprintln!("warning: baseline benchmark {:?} was not measured", base.id);
-            }
-        }
-        let regressions = bench_regressions(&baseline, &entries, tolerance);
-        if regressions.is_empty() {
-            println!(
-                "bench gate passed: no benchmark regressed more than {:.0}% vs {}",
-                tolerance * 100.0,
-                baseline_path
-            );
-        } else {
-            for r in &regressions {
-                eprintln!(
-                    "REGRESSION {}: {:.0}ns -> {:.0}ns ({:+.1}%)",
-                    r.id,
-                    r.baseline_ns,
-                    r.current_ns,
-                    (r.current_ns / r.baseline_ns - 1.0) * 100.0
-                );
-            }
-            return Err(CliError::runtime(format!(
-                "bench gate failed: {} benchmark(s) regressed more than {:.0}%",
-                regressions.len(),
-                tolerance * 100.0
-            )));
-        }
-    }
-    Ok(())
-}
-
 fn cmd_verify(args: &Args) -> Result<(), CliError> {
     let seed = args.flag_usize("seed", 17)? as u64;
     let mut failures = 0usize;
@@ -1163,76 +919,5 @@ fn cmd_verify(args: &Args) -> Result<(), CliError> {
     } else {
         println!("verification FAILED ({failures} check(s))");
         Err(CliError { code: 1, message: String::new() })
-    }
-}
-
-#[cfg(test)]
-mod bench_report_tests {
-    use super::*;
-
-    #[test]
-    fn durations_parse_in_every_unit() {
-        assert_eq!(parse_duration_ns("153ns"), Some(153.0));
-        assert_eq!(parse_duration_ns("12.5µs"), Some(12_500.0));
-        assert_eq!(parse_duration_ns("12.5us"), Some(12_500.0));
-        assert_eq!(parse_duration_ns("1.2ms"), Some(1_200_000.0));
-        assert_eq!(parse_duration_ns("3.5s"), Some(3_500_000_000.0));
-        assert_eq!(parse_duration_ns("nonsense"), None);
-        assert_eq!(parse_duration_ns("1.e3ms"), None);
-        assert_eq!(parse_duration_ns(".s"), None);
-    }
-
-    #[test]
-    fn unit_scaling_is_exact_to_the_nanosecond() {
-        // The float-multiply version returned 2063273.9999999998 here, and
-        // that noise round-tripped into the committed baseline.
-        assert_eq!(parse_duration_ns("2.063274ms"), Some(2_063_274.0));
-        assert_eq!(parse_duration_ns("4.499999999s"), Some(4_499_999_999.0));
-        assert_eq!(parse_duration_ns("0.001µs"), Some(1.0));
-        // Every exact parse serializes as a plain integer.
-        let json = render_bench_json(&[BenchEntry {
-            id: "x".into(),
-            median_ns: parse_duration_ns("2.063274ms").unwrap(),
-        }]);
-        assert!(json.contains("\"median_ns\": 2063274 "), "got: {json}");
-        assert_eq!(parse_bench_json(&json).unwrap()[0].median_ns, 2_063_274.0);
-        // Excess fractional digits still parse (totality, not exactness).
-        assert_eq!(parse_duration_ns("1.5ns"), Some(1.5));
-    }
-
-    #[test]
-    fn bench_output_round_trips_through_json() {
-        let raw = "profile_throughput/h1/idle: median 1.5ms over 10 sample(s), total 15ms\n\
-                   warm_cache/idle: median 220ns over 10 sample(s), total 2.2µs\n\
-                   some unrelated line\n\
-                   tested/one: ok (3.1µs)\n";
-        let entries = parse_bench_output(raw);
-        assert_eq!(entries.len(), 3);
-        assert_eq!(entries[0].id, "profile_throughput/h1/idle");
-        assert_eq!(entries[0].median_ns, 1_500_000.0);
-        assert_eq!(entries[2], BenchEntry { id: "tested/one".into(), median_ns: 3_100.0 });
-        let json = render_bench_json(&entries);
-        assert!(json.contains("\"schema\": \"tiscc.bench.v1\""));
-        let parsed = parse_bench_json(&json).unwrap();
-        assert_eq!(parsed, entries);
-    }
-
-    #[test]
-    fn gate_flags_only_regressions_beyond_tolerance() {
-        let baseline = vec![
-            BenchEntry { id: "a".into(), median_ns: 1000.0 },
-            BenchEntry { id: "b".into(), median_ns: 1000.0 },
-            BenchEntry { id: "gone".into(), median_ns: 1000.0 },
-        ];
-        let current = vec![
-            BenchEntry { id: "a".into(), median_ns: 1290.0 }, // +29% — within tolerance
-            BenchEntry { id: "b".into(), median_ns: 1400.0 }, // +40% — regression
-            BenchEntry { id: "new".into(), median_ns: 9999.0 }, // unknown — ignored
-        ];
-        let regressions = bench_regressions(&baseline, &current, 0.30);
-        assert_eq!(regressions.len(), 1);
-        assert_eq!(regressions[0].id, "b");
-        // A faster run never fails.
-        assert!(bench_regressions(&baseline, &baseline, 0.0).is_empty());
     }
 }

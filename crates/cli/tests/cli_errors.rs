@@ -33,6 +33,10 @@ fn bad_arguments_exit_2_with_one_line_messages() {
     assert_usage_error(&["compile", "idle", "3", "x"], "dz expects a number");
     assert_usage_error(&["compile", "idle", "0", "0", "0"], "dx, dz >= 2 and dt >= 1");
     assert_usage_error(&["compile", "idle", "3", "3", "0"], "dt >= 1");
+    assert_usage_error(&["tables", "--d", "1"], "--d must be at least 2");
+    assert_usage_error(&["tables", "--dt", "0"], "--dt must be at least 1");
+    assert_usage_error(&["sweep", "--dmax", "1"], "--dmax must be at least 2");
+    assert_usage_error(&["sweep", "--dt", "0"], "--dt must be at least 1");
 }
 
 /// Every subcommand has a flag whitelist: a misspelt or removed flag is a

@@ -1,7 +1,6 @@
 //! Process-level tests of the telemetry surface: `--trace` writes to
 //! stderr without perturbing stdout, `--quiet` silences the informational
-//! stderr stats, `--stats-json` emits the machine-readable run record,
-//! and `bench-report --trace=FILE` ingests a JSON trace.
+//! stderr stats, and `--stats-json` emits the machine-readable run record.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -92,36 +91,5 @@ fn frontier_stats_json_embeds_the_trace() {
     ] {
         assert!(stats.contains(needle), "stats missing {needle:?}: {stats}");
     }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// `bench-report --trace=FILE` turns a JSON trace into `trace/<path>`
-/// pseudo-benchmarks; a bare `--trace` is a usage error.
-#[test]
-fn bench_report_ingests_a_json_trace() {
-    let traced = tiscc(&["estimate", &program("bell"), "--budget", "1e-3", "--trace=json"]);
-    assert!(traced.status.success());
-    let dir = std::env::temp_dir().join(format!("tiscc-trace-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let trace_path = dir.join("trace.json");
-    std::fs::write(&trace_path, &traced.stderr).unwrap();
-    let trace_arg = format!("--trace={}", trace_path.to_str().unwrap());
-
-    let report =
-        tiscc(&["bench-report", &trace_arg, "--out", dir.join("cur.json").to_str().unwrap()]);
-    assert!(report.status.success(), "{}", String::from_utf8_lossy(&report.stderr));
-    let stdout = String::from_utf8_lossy(&report.stdout);
-    assert!(stdout.contains("benchmark measurement(s)"), "{stdout}");
-    let written = std::fs::read_to_string(dir.join("cur.json")).unwrap();
-    assert!(written.contains("trace/estimate/compile"), "{written}");
-
-    // Filtering keeps only matching ids; an empty selection is an error.
-    let filtered = tiscc(&["bench-report", &trace_arg, "--filter", "no-such-phase"]);
-    assert_eq!(filtered.status.code(), Some(1));
-
-    // A bare --trace (no =FILE) cannot name a file: usage error.
-    let bare = tiscc(&["bench-report", "--trace"]);
-    assert_eq!(bare.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&bare.stderr).contains("--trace=FILE"));
     std::fs::remove_dir_all(&dir).ok();
 }

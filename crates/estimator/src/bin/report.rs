@@ -7,8 +7,10 @@
 //! Every distance must be an integer of at least 2 (default: 2 and 3). A bad
 //! argument exits 2 naming it; a failed compile exits 1.
 
+use tiscc_estimator::sweep::{run_sweep, CompileCache, SweepSpec};
 use tiscc_estimator::verify::{process_map_of, Fiducial, SingleTile};
 use tiscc_estimator::{experiments, tables};
+use tiscc_hw::HardwareSpec;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -27,18 +29,20 @@ fn main() {
         distances = vec![2, 3];
     }
 
+    let h1 = HardwareSpec::default();
     match experiment {
         "table1" => print_rows(
             "Table 1: local lattice-surgery instruction set",
-            tables::table1_rows(&distances, 2),
+            tables::table1_rows(&h1, &distances, 2),
         ),
         "table2" => {
-            print_rows("Table 2: primitive operations", tables::table2_rows(distances[0], 2))
+            print_rows("Table 2: primitive operations", tables::table2_rows(&h1, distances[0], 2))
         }
-        "table3" => {
-            print_rows("Table 3: derived instruction set", tables::table3_rows(distances[0], 2))
-        }
-        "table5" => println!("{}", tables::table5()),
+        "table3" => print_rows(
+            "Table 3: derived instruction set",
+            tables::table3_rows(&h1, distances[0], 2),
+        ),
+        "table5" => println!("{}", tables::table5(&h1)),
         "fig2" => println!("{}", experiments::arrangements_report(distances[0], distances[0])),
         "fig3" => println!("{}", experiments::operator_movement_report(distances[0].max(3))),
         "fig4" => match experiments::translation_report(distances[0]) {
@@ -51,14 +55,18 @@ fn main() {
         "fig6" => println!("{}", experiments::patterns_report()),
         "resources" => print_rows(
             "Sec. 3.4 resource-estimation sweep (dt = d)",
-            tables::resource_sweep(&distances, true),
+            run_sweep(
+                &SweepSpec::square(tables::RESOURCE_SWEEP_OPS.to_vec(), &distances),
+                &CompileCache::new(),
+            )
+            .map(|result| result.rows),
         ),
         "verification" => run_verification(),
         "all" => {
-            println!("{}", tables::table5());
-            print_rows("Table 1", tables::table1_rows(&distances, 2));
-            print_rows("Table 2", tables::table2_rows(distances[0], 2));
-            print_rows("Table 3", tables::table3_rows(distances[0], 2));
+            println!("{}", tables::table5(&h1));
+            print_rows("Table 1", tables::table1_rows(&h1, &distances, 2));
+            print_rows("Table 2", tables::table2_rows(&h1, distances[0], 2));
+            print_rows("Table 3", tables::table3_rows(&h1, distances[0], 2));
             println!("{}", experiments::arrangements_report(3, 3));
             println!("{}", experiments::operator_movement_report(3));
             println!("{}", experiments::patterns_report());

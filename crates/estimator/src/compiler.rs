@@ -288,8 +288,14 @@ mod tests {
         let compiler = Compiler::new();
         let artifact =
             compiler.compile(&CompileRequest::new(Instruction::PrepareZ, 2, 2, 1)).unwrap();
-        let legacy =
-            crate::tables::compile_instruction_row(Instruction::PrepareZ, 2, 2, 1).unwrap();
+        let legacy = crate::tables::compile_instruction_row(
+            &HardwareSpec::default(),
+            Instruction::PrepareZ,
+            2,
+            2,
+            1,
+        )
+        .unwrap();
         assert_eq!(artifact.row(), legacy);
         assert!(artifact.rounds.total_ops() > 0);
         assert!(!artifact.circuit().is_empty());

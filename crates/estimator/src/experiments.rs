@@ -103,8 +103,11 @@ pub fn translation_report(d: usize) -> Result<(String, ResourceReport), CoreErro
     let before = fixture.hw.circuit().len();
     let transport_ops = move_right_then_swap_left(&mut fixture.hw, &mut fixture.patch)?;
     let ops: Vec<_> = fixture.hw.circuit().ops()[before..].to_vec();
-    let report =
-        ResourceReport::from_circuit(&tiscc_hw::Circuit::from_ops(ops), fixture.hw.grid().layout());
+    let report = ResourceReport::from_circuit(
+        &tiscc_hw::Circuit::from_ops(ops),
+        fixture.hw.grid().layout(),
+        fixture.hw.spec(),
+    );
     let text = format!(
         "Move Right + Swap Left at d={d}: {} transport operations, {:.6} s, {} junction(s) traversed\n",
         transport_ops, report.execution_time_s, report.junctions

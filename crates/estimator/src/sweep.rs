@@ -35,7 +35,7 @@ use tiscc_core::CoreError;
 use tiscc_hw::{HardwareSpec, SpecFingerprint};
 use tiscc_telemetry::{json_f64, json_string, Span, Telemetry};
 
-use crate::tables::{compile_instruction_row_with, csv_header, render_csv, ResourceRow};
+use crate::tables::{compile_instruction_row, csv_header, render_csv, ResourceRow};
 
 /// How the temporal code distance `dt` (rounds of error correction per
 /// logical time-step) is chosen for each spatial configuration.
@@ -374,7 +374,7 @@ pub fn run_sweep_with(
             let profile = profiles
                 .get(&key.spec)
                 .expect("every resolved key's fingerprint maps to a spec profile");
-            compile_instruction_row_with(profile, key.instruction, key.dx, key.dz, key.dt)
+            compile_instruction_row(profile, key.instruction, key.dx, key.dz, key.dt)
                 .map(|row| (key, row))
         })
         .collect::<Result<_, CoreError>>()?;

@@ -7,7 +7,7 @@ use rayon::prelude::*;
 use tiscc_core::derived::DerivedInstruction;
 use tiscc_core::instruction::Instruction;
 use tiscc_core::CoreError;
-use tiscc_hw::{HardwareSpec, NativeOp, RecordError, ResourceReport};
+use tiscc_hw::{HardwareSpec, NativeOp, RecordError, RecordFields, ResourceReport};
 
 use crate::compiler::{instruction_rounds, CompileRequest, CompileStats};
 use crate::verify::{Fiducial, SingleTile, TwoTiles};
@@ -98,58 +98,27 @@ impl ResourceRow {
     }
 
     /// Parses a record produced by [`ResourceRow::to_record`]. Any
-    /// malformation — truncation, missing or duplicate fields, unknown op
-    /// names — is a [`RecordError`]; persistent-cache consumers recompute
-    /// such entries rather than trusting them.
+    /// malformation — truncation, missing, duplicate or unknown fields,
+    /// unknown op names — is a [`RecordError`]; persistent-cache consumers
+    /// recompute such entries rather than trusting them.
     pub fn from_record(text: &str) -> Result<ResourceRow, RecordError> {
-        let mut fields: std::collections::HashMap<&str, &str> = std::collections::HashMap::new();
-        for line in text.lines() {
-            if line.is_empty() {
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(bad_record(format!("line {line:?} is not key=value")));
-            };
-            if fields.insert(key, value).is_some() {
-                return Err(bad_record(format!("duplicate field {key:?}")));
-            }
-        }
-        fn text_field(
-            fields: &std::collections::HashMap<&str, &str>,
-            key: &str,
-        ) -> Result<String, RecordError> {
-            fields
-                .get(key)
-                .map(|v| v.to_string())
-                .ok_or_else(|| bad_record(format!("missing field {key:?}")))
-        }
-        fn num_field(
-            fields: &std::collections::HashMap<&str, &str>,
-            key: &str,
-        ) -> Result<usize, RecordError> {
-            let raw = text_field(fields, key)?;
-            raw.parse().map_err(|_| bad_record(format!("field {key:?} ({raw:?}) is malformed")))
-        }
-        Ok(ResourceRow {
-            name: text_field(&fields, "name")?,
-            dx: num_field(&fields, "dx")?,
-            dz: num_field(&fields, "dz")?,
-            tiles: num_field(&fields, "tiles")?,
-            logical_time_steps: num_field(&fields, "logical_time_steps")?,
-            profile: text_field(&fields, "profile")?,
-            resources: ResourceReport::from_record(text)?,
+        let mut fields = RecordFields::parse(text)?;
+        let row = ResourceRow {
+            name: fields.text("name")?.to_string(),
+            dx: fields.num("dx")?,
+            dz: fields.num("dz")?,
+            tiles: fields.num("tiles")?,
+            logical_time_steps: fields.num("logical_time_steps")?,
+            profile: fields.text("profile")?.to_string(),
+            resources: ResourceReport::take_fields(&mut fields)?,
             stats: CompileStats {
-                junction_stalls: num_field(&fields, "junction_stalls")?,
-                batched_pulses: num_field(&fields, "batched_pulses")?,
+                junction_stalls: fields.num("junction_stalls")?,
+                batched_pulses: fields.num("batched_pulses")?,
             },
-        })
+        };
+        fields.finish()?;
+        Ok(row)
     }
-}
-
-/// Builds a [`RecordError`] with the given message (the error type lives in
-/// `tiscc-hw` next to [`ResourceReport::from_record`]).
-fn bad_record(message: String) -> RecordError {
-    RecordError { message }
 }
 
 /// CSV header matching [`ResourceRow::csv`].
@@ -157,14 +126,9 @@ pub fn csv_header() -> &'static str {
     "operation,dx,dz,tiles,logical_time_steps,execution_time_s,trapping_zones,native_ops,area_m2,spacetime_volume_s_m2,active_zone_seconds,profile"
 }
 
-/// Table 5 / Fig. 5: the native gate set and its durations under the
-/// default profile.
-pub fn table5() -> String {
-    table5_with(&HardwareSpec::default())
-}
-
-/// Table 5 / Fig. 5 under an arbitrary hardware profile.
-pub fn table5_with(spec: &HardwareSpec) -> String {
+/// Table 5 / Fig. 5: the native gate set and its durations under a
+/// hardware profile.
+pub fn table5(spec: &HardwareSpec) -> String {
     let mut out =
         format!("Native trapped-ion gate set (paper Table 5 / Fig. 5; profile '{}')\n", spec.name);
     out.push_str(&format!("{:<12} {:>10}\n", "Operation", "Time (us)"));
@@ -174,20 +138,10 @@ pub fn table5_with(spec: &HardwareSpec) -> String {
     out
 }
 
-/// Compiles one Table 1 instruction at the given distances under the
-/// default profile and reports its resources. Thin wrapper over the
-/// [`Compiler`](crate::compiler::Compiler) front door (see [`crate::compiler`]).
+/// Compiles one Table 1 instruction at the given distances under a
+/// hardware profile and reports its resources, through the stateless
+/// pipeline behind the [`Compiler`](crate::compiler::Compiler) front door.
 pub fn compile_instruction_row(
-    instruction: Instruction,
-    dx: usize,
-    dz: usize,
-    dt: usize,
-) -> Result<ResourceRow, CoreError> {
-    compile_instruction_row_with(&HardwareSpec::default(), instruction, dx, dz, dt)
-}
-
-/// Compiles one Table 1 instruction under an arbitrary hardware profile.
-pub fn compile_instruction_row_with(
     spec: &HardwareSpec,
     instruction: Instruction,
     dx: usize,
@@ -226,13 +180,8 @@ fn row_since(
 }
 
 /// Table 1: every instruction compiled at each requested distance, under
-/// the default profile.
-pub fn table1_rows(distances: &[usize], dt: usize) -> Result<Vec<ResourceRow>, CoreError> {
-    table1_rows_with(&HardwareSpec::default(), distances, dt)
-}
-
-/// Table 1 under an arbitrary hardware profile.
-pub fn table1_rows_with(
+/// a hardware profile.
+pub fn table1_rows(
     spec: &HardwareSpec,
     distances: &[usize],
     dt: usize,
@@ -243,21 +192,16 @@ pub fn table1_rows_with(
             jobs.push((i, d));
         }
     }
-    jobs.into_par_iter().map(|(i, d)| compile_instruction_row_with(spec, i, d, d, dt)).collect()
+    jobs.into_par_iter().map(|(i, d)| compile_instruction_row(spec, i, d, d, dt)).collect()
 }
 
 /// A Table 2 primitive exercised through the patch API.
 type PrimitiveOp = Box<dyn Fn(&mut SingleTile) -> Result<(), CoreError>>;
 
 /// Table 2: the primitive operations with their logical time-steps, compiled
-/// at a single distance under the default profile (the primitives are
+/// at a single distance under a hardware profile (the primitives are
 /// exercised through the patch API).
-pub fn table2_rows(d: usize, dt: usize) -> Result<Vec<ResourceRow>, CoreError> {
-    table2_rows_with(&HardwareSpec::default(), d, dt)
-}
-
-/// Table 2 under an arbitrary hardware profile.
-pub fn table2_rows_with(
+pub fn table2_rows(
     spec: &HardwareSpec,
     d: usize,
     dt: usize,
@@ -317,13 +261,8 @@ pub fn table2_rows_with(
 }
 
 /// Table 3: the derived instruction set compiled at a single distance under
-/// the default profile.
-pub fn table3_rows(d: usize, dt: usize) -> Result<Vec<ResourceRow>, CoreError> {
-    table3_rows_with(&HardwareSpec::default(), d, dt)
-}
-
-/// Table 3 under an arbitrary hardware profile.
-pub fn table3_rows_with(
+/// a hardware profile.
+pub fn table3_rows(
     spec: &HardwareSpec,
     d: usize,
     dt: usize,
@@ -406,41 +345,17 @@ pub fn table3_rows_with(
     Ok(rows)
 }
 
-/// The Sec. 3.4 resource-estimation sweep: a set of representative
-/// operations compiled across a range of code distances, in parallel, under
-/// the default profile.
-pub fn resource_sweep(
-    distances: &[usize],
-    dt_equals_d: bool,
-) -> Result<Vec<ResourceRow>, CoreError> {
-    resource_sweep_with(&HardwareSpec::default(), distances, dt_equals_d)
-}
-
-/// The Sec. 3.4 sweep under an arbitrary hardware profile.
-pub fn resource_sweep_with(
-    spec: &HardwareSpec,
-    distances: &[usize],
-    dt_equals_d: bool,
-) -> Result<Vec<ResourceRow>, CoreError> {
-    let ops = [
-        Instruction::PrepareZ,
-        Instruction::Idle,
-        Instruction::Hadamard,
-        Instruction::MeasureZ,
-        Instruction::MeasureXX,
-        Instruction::MeasureZZ,
-    ];
-    let mut jobs = Vec::new();
-    for &d in distances {
-        let dt = if dt_equals_d { d } else { 1 };
-        for op in ops {
-            jobs.push((op, d, dt));
-        }
-    }
-    jobs.into_par_iter()
-        .map(|(op, d, dt)| compile_instruction_row_with(spec, op, d, d, dt))
-        .collect()
-}
+/// The representative operations of the Sec. 3.4 resource-estimation
+/// sweep (`tiscc-report resources`), which compiles them with
+/// [`crate::sweep::SweepSpec::square`].
+pub const RESOURCE_SWEEP_OPS: [Instruction; 6] = [
+    Instruction::PrepareZ,
+    Instruction::Idle,
+    Instruction::Hadamard,
+    Instruction::MeasureZ,
+    Instruction::MeasureXX,
+    Instruction::MeasureZZ,
+];
 
 /// Renders a set of rows as an aligned text table.
 pub fn render_rows(title: &str, rows: &[ResourceRow]) -> String {
@@ -469,7 +384,7 @@ mod tests {
 
     #[test]
     fn table5_contains_all_native_ops() {
-        let t = table5();
+        let t = table5(&HardwareSpec::default());
         for op in NativeOp::all() {
             assert!(t.contains(op.mnemonic()), "missing {}", op.mnemonic());
         }
@@ -478,7 +393,7 @@ mod tests {
 
     #[test]
     fn table1_rows_cover_all_instructions_at_d2() {
-        let rows = table1_rows(&[2], 1).unwrap();
+        let rows = table1_rows(&HardwareSpec::default(), &[2], 1).unwrap();
         assert_eq!(rows.len(), Instruction::all().len());
         for row in &rows {
             assert!(row.resources.execution_time_s >= 0.0);
@@ -490,7 +405,7 @@ mod tests {
 
     #[test]
     fn csv_rendering_has_header_and_rows() {
-        let rows = table1_rows(&[2], 1).unwrap();
+        let rows = table1_rows(&HardwareSpec::default(), &[2], 1).unwrap();
         let csv = render_csv(&rows);
         assert!(csv.starts_with("operation,"));
         assert_eq!(csv.lines().count(), rows.len() + 1);
@@ -498,7 +413,7 @@ mod tests {
 
     #[test]
     fn row_records_round_trip_exactly() {
-        let rows = table1_rows(&[2], 1).unwrap();
+        let rows = table1_rows(&HardwareSpec::default(), &[2], 1).unwrap();
         for row in &rows {
             let revived = ResourceRow::from_record(&row.to_record()).unwrap();
             assert_eq!(&revived, row, "{} record round trip", row.name);
@@ -507,5 +422,7 @@ mod tests {
         let record = rows[0].to_record();
         assert!(ResourceRow::from_record(&record[..record.len() / 3]).is_err());
         assert!(ResourceRow::from_record(&record.replace("dx=", "dx=?")).is_err());
+        let stray = ResourceRow::from_record(&format!("{record}bogus=1\n")).unwrap_err();
+        assert!(stray.message.contains("\"bogus\""), "{stray}");
     }
 }

@@ -55,6 +55,6 @@ pub use ops::NativeOp;
 pub use passes::{
     batch_ops, batch_rounds, BatchStats, RoundBatchStats, SchedulePolicy, Scheduler, Slot,
 };
-pub use resources::{RecordError, ResourceReport};
+pub use resources::{RecordError, RecordFields, ResourceReport};
 pub use rounds::{CompiledRounds, ReplicatedSpan, RoundTemplate};
 pub use spec::{HardwareSpec, SpecFingerprint, UnknownProfile};

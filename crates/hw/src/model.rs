@@ -184,7 +184,7 @@ impl HardwareModel {
     /// Space-time resource report of the circuit compiled so far, accounted
     /// under this model's hardware profile.
     pub fn resource_report(&self) -> ResourceReport {
-        ResourceReport::from_circuit_with_spec(&self.circuit, self.grid.layout(), &self.spec)
+        ResourceReport::from_circuit(&self.circuit, self.grid.layout(), &self.spec)
     }
 
     /// The circuit compiled so far.

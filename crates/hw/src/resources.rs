@@ -45,17 +45,11 @@ pub struct ResourceReport {
 }
 
 impl ResourceReport {
-    /// Computes the report for `circuit` compiled on `layout`, under the
-    /// paper-faithful default profile ([`HardwareSpec::h1`]).
-    pub fn from_circuit(circuit: &Circuit, layout: &Layout) -> Self {
-        ResourceReport::from_circuit_with_spec(circuit, layout, &HardwareSpec::default())
-    }
-
     /// Computes the report for `circuit` compiled on `layout` under the
     /// given hardware profile: the physical area uses the profile's zone
     /// pitch. Time-dependent quantities are read off the circuit's schedule,
     /// which was already laid out with the profile's durations.
-    pub fn from_circuit_with_spec(circuit: &Circuit, layout: &Layout, spec: &HardwareSpec) -> Self {
+    pub fn from_circuit(circuit: &Circuit, layout: &Layout, spec: &HardwareSpec) -> Self {
         ResourceReport::from_stream_with_spec(circuit, layout, spec)
     }
 
@@ -170,37 +164,18 @@ impl ResourceReport {
     /// [`RecordError`], which persistent-cache consumers treat as a corrupt
     /// entry to recompute, never as data to trust.
     pub fn from_record(text: &str) -> Result<ResourceReport, RecordError> {
-        let mut fields: std::collections::HashMap<&str, &str> = std::collections::HashMap::new();
-        for line in text.lines() {
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| RecordError::new(format!("line {line:?} is not key=value")))?;
-            if fields.insert(key, value).is_some() {
-                return Err(RecordError::new(format!("duplicate field {key:?}")));
-            }
-        }
-        fn take<'a>(
-            fields: &std::collections::HashMap<&str, &'a str>,
-            key: &str,
-        ) -> Result<&'a str, RecordError> {
-            fields
-                .get(key)
-                .copied()
-                .ok_or_else(|| RecordError::new(format!("missing field {key:?}")))
-        }
-        fn num<T: std::str::FromStr>(
-            fields: &std::collections::HashMap<&str, &str>,
-            key: &str,
-        ) -> Result<T, RecordError> {
-            let raw = take(fields, key)?;
-            raw.parse()
-                .map_err(|_| RecordError::new(format!("field {key:?} ({raw:?}) is malformed")))
-        }
+        let mut fields = RecordFields::parse(text)?;
+        let report = ResourceReport::take_fields(&mut fields)?;
+        fields.finish()?;
+        Ok(report)
+    }
+
+    /// Takes the report's ten fields out of a parsed record, leaving any
+    /// other fields for the caller (a record that embeds a report, such as
+    /// a resource-table row, adds its own).
+    pub fn take_fields(fields: &mut RecordFields<'_>) -> Result<ResourceReport, RecordError> {
         let mut op_counts = BTreeMap::new();
-        let raw_counts = take(&fields, "op_counts")?;
+        let raw_counts = fields.text("op_counts")?;
         if !raw_counts.is_empty() {
             for pair in raw_counts.split(',') {
                 let (name, count) = pair.split_once(':').ok_or_else(|| {
@@ -220,16 +195,16 @@ impl ResourceReport {
             }
         }
         Ok(ResourceReport {
-            execution_time_s: num(&fields, "execution_time_s")?,
-            area_m2: num(&fields, "area_m2")?,
-            spacetime_volume_s_m2: num(&fields, "spacetime_volume_s_m2")?,
-            trapping_zones: num(&fields, "trapping_zones")?,
-            junctions: num(&fields, "junctions")?,
-            zone_seconds: num(&fields, "zone_seconds")?,
-            active_zone_seconds: num(&fields, "active_zone_seconds")?,
+            execution_time_s: fields.num("execution_time_s")?,
+            area_m2: fields.num("area_m2")?,
+            spacetime_volume_s_m2: fields.num("spacetime_volume_s_m2")?,
+            trapping_zones: fields.num("trapping_zones")?,
+            junctions: fields.num("junctions")?,
+            zone_seconds: fields.num("zone_seconds")?,
+            active_zone_seconds: fields.num("active_zone_seconds")?,
             op_counts,
-            total_ops: num(&fields, "total_ops")?,
-            measurements: num(&fields, "measurements")?,
+            total_ops: fields.num("total_ops")?,
+            measurements: fields.num("measurements")?,
         })
     }
 
@@ -362,6 +337,59 @@ impl std::fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
+/// The fields of a `key=value` record, one per line (blank lines are
+/// skipped), in record order. Parsing rejects a line without `=` and a
+/// repeated key; readers then take each field they know by name, and
+/// [`RecordFields::finish`] rejects any field left over, so a stray or
+/// misspelt key is a [`RecordError`] rather than data silently ignored.
+#[derive(Debug)]
+pub struct RecordFields<'a> {
+    fields: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> RecordFields<'a> {
+    /// Splits `text` into fields.
+    pub fn parse(text: &'a str) -> Result<RecordFields<'a>, RecordError> {
+        let mut fields: Vec<(&str, &str)> = Vec::new();
+        for line in text.lines().filter(|line| !line.is_empty()) {
+            let (key, value) = line
+                .split_once('=')
+                .ok_or_else(|| RecordError::new(format!("line {line:?} is not key=value")))?;
+            if fields.iter().any(|&(seen, _)| seen == key) {
+                return Err(RecordError::new(format!("duplicate field {key:?}")));
+            }
+            fields.push((key, value));
+        }
+        Ok(RecordFields { fields })
+    }
+
+    /// Removes and returns the raw value of `key`; a missing field is an
+    /// error naming it.
+    pub fn text(&mut self, key: &str) -> Result<&'a str, RecordError> {
+        let at = self
+            .fields
+            .iter()
+            .position(|&(k, _)| k == key)
+            .ok_or_else(|| RecordError::new(format!("missing field {key:?}")))?;
+        Ok(self.fields.remove(at).1)
+    }
+
+    /// Removes `key` and parses its value.
+    pub fn num<T: std::str::FromStr>(&mut self, key: &str) -> Result<T, RecordError> {
+        let raw = self.text(key)?;
+        raw.parse().map_err(|_| RecordError::new(format!("field {key:?} ({raw:?}) is malformed")))
+    }
+
+    /// Succeeds only if every field was taken; otherwise names the first
+    /// one left.
+    pub fn finish(self) -> Result<(), RecordError> {
+        match self.fields.first() {
+            None => Ok(()),
+            Some((key, _)) => Err(RecordError::new(format!("unknown field {key:?}"))),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,7 +412,7 @@ mod tests {
         hw.apply_1q(NativeOp::XPi2, q).unwrap();
         hw.measure_z(q, "final").unwrap();
         let layout = hw.grid().layout().clone();
-        let report = ResourceReport::from_circuit(hw.circuit(), &layout);
+        let report = ResourceReport::from_circuit(hw.circuit(), &layout, &HardwareSpec::default());
         let parsed = ResourceReport::from_record(&report.to_record()).unwrap();
         assert_eq!(parsed, report);
         // The float fields survive exactly, not approximately.
@@ -398,7 +426,8 @@ mod tests {
         let q = hw.place_qubit(QSite::new(0, 1)).unwrap();
         hw.prepare_z(q).unwrap();
         let layout = hw.grid().layout().clone();
-        let record = ResourceReport::from_circuit(hw.circuit(), &layout).to_record();
+        let record = ResourceReport::from_circuit(hw.circuit(), &layout, &HardwareSpec::default())
+            .to_record();
 
         // Truncation drops required fields.
         let truncated = &record[..record.len() / 2];
@@ -413,6 +442,9 @@ mod tests {
         // Duplicate fields are rejected rather than last-wins.
         let doubled = format!("{record}total_ops=7\n");
         assert!(ResourceReport::from_record(&doubled).is_err());
+        // A stray key is rejected and named, not ignored.
+        let err = ResourceReport::from_record(&format!("{record}bogus=1\n")).unwrap_err();
+        assert!(err.to_string().contains("unknown field \"bogus\""), "{err}");
     }
 
     #[test]
@@ -440,7 +472,7 @@ mod tests {
         hw.apply_1q(NativeOp::XPi2, q).unwrap();
         hw.measure_z(q, "final").unwrap();
         let layout = hw.grid().layout().clone();
-        let report = ResourceReport::from_circuit(hw.circuit(), &layout);
+        let report = ResourceReport::from_circuit(hw.circuit(), &layout, &HardwareSpec::default());
 
         assert!((report.execution_time_s - 140e-6).abs() < 1e-12);
         assert_eq!(report.trapping_zones, 1);
@@ -465,7 +497,7 @@ mod tests {
         let q = hw.place_qubit(QSite::new(0, 1)).unwrap();
         hw.route_and_move(q, QSite::new(4, 1)).unwrap();
         let layout = hw.grid().layout().clone();
-        let report = ResourceReport::from_circuit(hw.circuit(), &layout);
+        let report = ResourceReport::from_circuit(hw.circuit(), &layout, &HardwareSpec::default());
         assert!(report.junctions >= 1);
         assert!(report.trapping_zones >= 2);
         assert!(report.area_m2 > ZONE_WIDTH_M * ZONE_WIDTH_M);
@@ -489,7 +521,7 @@ mod tests {
         let q = hw.place_qubit(QSite::new(0, 1)).unwrap();
         hw.prepare_z(q).unwrap();
         let layout = hw.grid().layout().clone();
-        let report = ResourceReport::from_circuit(hw.circuit(), &layout);
+        let report = ResourceReport::from_circuit(hw.circuit(), &layout, &HardwareSpec::default());
         let text = report.render();
         for needle in [
             "execution time",

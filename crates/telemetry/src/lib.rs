@@ -19,8 +19,7 @@
 //! * [`Sink`] — how a finished [`TraceReport`] leaves the process: the
 //!   near-zero-overhead [`NoopSink`] default, the human-readable
 //!   [`TreeSink`], or the [`JsonSink`] flat-JSON emitter whose output
-//!   round-trips through [`trace_from_json`] (the same document `tiscc
-//!   bench-report --trace` ingests).
+//!   round-trips through [`trace_from_json`].
 //!
 //! ```
 //! use tiscc_telemetry::{Telemetry, TraceFormat};
@@ -260,26 +259,6 @@ impl TraceReport {
         parts.join("/")
     }
 
-    /// Closed-span durations aggregated by path, in first-seen order:
-    /// `(path, total_us, calls)`. Repeated phases (a warm sweep re-running
-    /// `sweep/compile`) sum their durations and count their calls — the
-    /// stable ids `tiscc bench-report --trace` baselines against.
-    pub fn phase_totals(&self) -> Vec<(String, f64, usize)> {
-        let mut totals: Vec<(String, f64, usize)> = Vec::new();
-        for (i, span) in self.spans.iter().enumerate() {
-            let Some(duration_us) = span.duration_us else { continue };
-            let path = self.path(i);
-            match totals.iter_mut().find(|(p, _, _)| *p == path) {
-                Some((_, total, calls)) => {
-                    *total += duration_us;
-                    *calls += 1;
-                }
-                None => totals.push((path, duration_us, 1)),
-            }
-        }
-        totals
-    }
-
     /// The names of every span whose parent is `None`.
     pub fn roots(&self) -> Vec<&str> {
         self.spans.iter().filter(|s| s.parent.is_none()).map(|s| s.name.as_str()).collect()
@@ -423,25 +402,9 @@ mod tests {
         let root = tel.root("serve");
         let report = tel.snapshot().unwrap();
         assert_eq!(report.spans[0].duration_us, None);
-        assert!(report.phase_totals().is_empty(), "open spans have no phase total");
         root.finish();
         let report = tel.snapshot().unwrap();
         assert!(report.spans[0].duration_us.is_some());
-    }
-
-    #[test]
-    fn phase_totals_aggregate_repeated_paths_in_first_seen_order() {
-        let tel = Telemetry::new_enabled();
-        let root = tel.root("sweep");
-        root.child("compile").finish();
-        root.child("assemble").finish();
-        root.child("compile").finish();
-        root.finish();
-        let totals = tel.snapshot().unwrap().phase_totals();
-        let ids: Vec<&str> = totals.iter().map(|(p, _, _)| p.as_str()).collect();
-        assert_eq!(ids, vec!["sweep", "sweep/compile", "sweep/assemble"]);
-        let compile = totals.iter().find(|(p, _, _)| p == "sweep/compile").unwrap();
-        assert_eq!(compile.2, 2, "two compile calls aggregate");
     }
 
     #[test]

@@ -187,25 +187,27 @@ fn corrupt_cache_entries_fall_back_to_recompute() {
     let dir = cache.dir().to_path_buf();
     drop(cache);
 
-    // Vandalise two entries: one truncated mid-record, one overwritten
-    // with garbage.
+    // Vandalise three entries: one truncated mid-record, one overwritten
+    // with garbage, one intact but for a stray key.
     let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|d| d.unwrap().path())
         .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("entry"))
         .collect();
     entries.sort();
-    assert!(entries.len() >= 2);
+    assert!(entries.len() >= 3);
     let text = std::fs::read_to_string(&entries[0]).unwrap();
     std::fs::write(&entries[0], &text[..text.len() * 2 / 3]).unwrap();
     std::fs::write(&entries[1], "tiscc-frontier-cache v1\nstem=wrong\nnope\n").unwrap();
+    let text = std::fs::read_to_string(&entries[2]).unwrap();
+    std::fs::write(&entries[2], format!("{text}bogus=1\n")).unwrap();
 
     let healed_cache = DiskCache::open(&root).unwrap();
-    assert_eq!(healed_cache.corrupt_entries(), 2);
+    assert_eq!(healed_cache.corrupt_entries(), 3);
     let rerun = run_frontier(&program, &spec, &Compiler::new(), Some(&healed_cache)).unwrap();
-    assert_eq!(rerun.stats.corrupt_entries, 2);
-    assert_eq!(rerun.stats.computed, 2, "exactly the vandalised rows recompute");
-    assert_eq!(rerun.stats.disk_hits, rerun.stats.jobs - 2);
+    assert_eq!(rerun.stats.corrupt_entries, 3);
+    assert_eq!(rerun.stats.computed, 3, "exactly the vandalised rows recompute");
+    assert_eq!(rerun.stats.disk_hits, rerun.stats.jobs - 3);
     assert_eq!(matrix_to_csv(&rerun), matrix_to_csv(&cold), "corruption never changes results");
 
     // The re-insert healed the files: a third open sees no corruption.

@@ -61,7 +61,14 @@ fn default_profile_rows_match_the_legacy_pipeline() {
     let compiler = Compiler::new();
     for &instr in &[Instruction::PrepareZ, Instruction::Idle, Instruction::MeasureXX] {
         let artifact = compiler.compile(&CompileRequest::new(instr, 2, 2, 1)).unwrap();
-        let legacy = tiscc::estimator::tables::compile_instruction_row(instr, 2, 2, 1).unwrap();
+        let legacy = tiscc::estimator::tables::compile_instruction_row(
+            &HardwareSpec::default(),
+            instr,
+            2,
+            2,
+            1,
+        )
+        .unwrap();
         assert_eq!(artifact.row(), legacy, "{}", instr.name());
         assert_eq!(artifact.row().profile, "h1");
     }

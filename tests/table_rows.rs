@@ -9,6 +9,7 @@
 
 use tiscc::core::instruction::Instruction;
 use tiscc::estimator::tables::{compile_instruction_row, table2_rows, table3_rows};
+use tiscc::hw::HardwareSpec;
 
 /// Paper Table 1: `(id, logical_time_steps, tiles)` for every instruction.
 /// The accounting is distance-independent; compilation below checks it at
@@ -47,7 +48,7 @@ fn golden_table_covers_exactly_the_instruction_set() {
 
 fn check_table1_at(d: usize) {
     for &instr in Instruction::all() {
-        let row = compile_instruction_row(instr, d, d, d)
+        let row = compile_instruction_row(&HardwareSpec::default(), instr, d, d, d)
             .unwrap_or_else(|e| panic!("{} failed to compile at d={d}: {e}", instr.name()));
         let (steps, tiles) = golden_for(instr.id());
         assert_eq!(
@@ -98,7 +99,7 @@ const TABLE2_GOLDEN: [(&str, usize, usize); 9] = [
 
 #[test]
 fn table2_accounting_is_stable_at_d3() {
-    let rows = table2_rows(3, 2).expect("table 2 compiles at d=3");
+    let rows = table2_rows(&HardwareSpec::default(), 3, 2).expect("table 2 compiles at d=3");
     let got: Vec<(&str, usize, usize)> =
         rows.iter().map(|r| (r.name.as_str(), r.logical_time_steps, r.tiles)).collect();
     assert_eq!(got, TABLE2_GOLDEN.to_vec());
@@ -118,7 +119,7 @@ const TABLE3_GOLDEN: [(&str, usize, usize); 7] = [
 
 #[test]
 fn table3_accounting_is_stable_at_d3() {
-    let rows = table3_rows(3, 2).expect("table 3 compiles at d=3");
+    let rows = table3_rows(&HardwareSpec::default(), 3, 2).expect("table 3 compiles at d=3");
     let got: Vec<(&str, usize, usize)> =
         rows.iter().map(|r| (r.name.as_str(), r.logical_time_steps, r.tiles)).collect();
     assert_eq!(got, TABLE3_GOLDEN.to_vec());

@@ -64,9 +64,8 @@ fn json_sink_round_trips_through_trace_from_json() {
         assert_eq!(a.parent, b.parent);
     }
     assert_eq!(parsed.counters, trace.counters);
-    // Aggregated phase totals survive the round trip, so `tiscc
-    // bench-report --trace=F.json` sees the same numbers the sink wrote.
-    let paths: Vec<String> = parsed.phase_totals().into_iter().map(|(p, _, _)| p).collect();
+    // Span paths survive the round trip.
+    let paths: Vec<String> = (0..parsed.spans.len()).map(|i| parsed.path(i)).collect();
     assert!(paths.contains(&"estimate/compile".to_string()), "{paths:?}");
 }
 
