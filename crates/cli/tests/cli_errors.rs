@@ -131,6 +131,13 @@ fn meaningless_estimate_parameters_exit_2() {
     let out = tiscc(&["estimate", program, "--p-phys", "0.5"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("not below threshold"));
+    // No distance below 3 exists to select, even under a budget d=3 meets.
+    for dmax in ["2", "0"] {
+        let out = tiscc(&["estimate", program, "--dmax", dmax, "--budget", "0.5"]);
+        assert_eq!(out.status.code(), Some(2), "--dmax {dmax}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("d_max must be at least 3, got {dmax}")), "{stderr}");
+    }
 }
 
 #[test]

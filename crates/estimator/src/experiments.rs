@@ -103,7 +103,7 @@ pub fn translation_report(d: usize) -> Result<(String, ResourceReport), CoreErro
     let before = fixture.hw.circuit().len();
     let transport_ops = move_right_then_swap_left(&mut fixture.hw, &mut fixture.patch)?;
     let ops: Vec<_> = fixture.hw.circuit().ops()[before..].to_vec();
-    let report = ResourceReport::from_circuit(
+    let report = ResourceReport::from_stream_with_spec(
         &tiscc_hw::Circuit::from_ops(ops),
         fixture.hw.grid().layout(),
         fixture.hw.spec(),

@@ -603,12 +603,17 @@ mod tests {
     #[test]
     fn bad_requests_get_error_responses() {
         let state = ServeState::new(None);
+        let dmax_zero = format!(
+            "{{\"cmd\":\"estimate\",\"program\":{},\"dmax\":0,\"budget\":0.5}}",
+            json_string(write_program("serve_dmax_zero").to_str().unwrap())
+        );
         for (request, expect) in [
             ("nonsense", "ok\":false"),
             ("{\"cmd\":\"warp\"}", "unknown cmd"),
             ("{}", "missing \\\"cmd\\\""),
             ("{\"cmd\":\"estimate\"}", "missing \\\"program\\\""),
             ("{\"cmd\":\"frontier\",\"program\":\"/does/not/exist.tql\"}", "cannot read"),
+            (dmax_zero.as_str(), "d_max must be at least 3, got 0"),
         ] {
             let reply = handle_line(request, &state);
             assert!(reply.contains("\"ok\":false"), "{request} -> {reply}");

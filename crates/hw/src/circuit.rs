@@ -228,19 +228,6 @@ impl Circuit {
         flat + replicated
     }
 
-    /// Every distinct trapping zone touched by the circuit (junctions held
-    /// during hops are not included; they are counted separately by the
-    /// resource report). Replicas revisit the zones of their template, so
-    /// the materialized ops already cover the full set.
-    pub fn zones_touched(&self) -> std::collections::BTreeSet<QSite> {
-        self.ops.iter().flat_map(|t| t.sites.iter().copied()).collect()
-    }
-
-    /// Every distinct junction traversed.
-    pub fn junctions_touched(&self) -> std::collections::BTreeSet<QSite> {
-        self.ops.iter().filter_map(|t| t.junction).collect()
-    }
-
     /// Flattens the circuit: every replicated occurrence becomes a
     /// materialized op (with its replayed schedule and re-numbered
     /// measurement index). Identity for circuits without spans.
@@ -347,7 +334,10 @@ impl OpStream for Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resources::ResourceReport;
     use crate::rounds::CompiledRounds;
+    use crate::spec::HardwareSpec;
+    use tiscc_grid::Layout;
 
     fn dummy_op(op: NativeOp, start: f64) -> TimedOp {
         TimedOp {
@@ -355,7 +345,7 @@ mod tests {
             sites: [QSite::new(0, 1)].into(),
             qubits: [QubitId(0)].into(),
             start_us: start,
-            duration_us: op.duration_us(&crate::spec::HardwareSpec::h1()),
+            duration_us: op.duration_us(&HardwareSpec::h1()),
             junction: None,
             measurement: None,
         }
@@ -377,7 +367,9 @@ mod tests {
         assert!((c.makespan_us() - 133.0).abs() < 1e-9);
         assert_eq!(c.count_of(NativeOp::ZPi2), 1);
         assert_eq!(c.count_of(NativeOp::ZZ), 0);
-        assert_eq!(c.zones_touched().len(), 1);
+        let report =
+            ResourceReport::from_stream_with_spec(&c, &Layout::new(1, 1), &HardwareSpec::h1());
+        assert_eq!(report.trapping_zones, 1);
     }
 
     #[test]

@@ -52,9 +52,7 @@ pub use label::{Label, RoundLabel};
 pub use model::{HardwareModel, HwError, RoundReplication};
 pub use operands::Operands;
 pub use ops::NativeOp;
-pub use passes::{
-    batch_ops, batch_rounds, BatchStats, RoundBatchStats, SchedulePolicy, Scheduler, Slot,
-};
+pub use passes::{batch_ops, batch_rounds, BatchStats, RoundBatchStats, Scheduler, Slot};
 pub use resources::{RecordError, RecordFields, ResourceReport};
 pub use rounds::{CompiledRounds, ReplicatedSpan, RoundTemplate};
 pub use spec::{HardwareSpec, SpecFingerprint, UnknownProfile};

@@ -15,15 +15,15 @@
 //! decision to a [`Scheduler`], which enforces
 //! [`HardwareSpec::junction_capacity`] at schedule time and flags every op
 //! that stalled waiting for a junction slot
-//! ([`HardwareModel::junction_stalls`]).
+//! ([`HardwareModel::stall_flags`]).
 
-use tiscc_grid::{GridError, GridManager, MoveStep, QSite, QubitId, Router, SiteKind};
+use tiscc_grid::{GridError, GridManager, MoveStep, QSite, QubitId, Router};
 
 use crate::circuit::{Circuit, MeasurementRecord, TimedOp};
 use crate::label::Label;
 use crate::operands::Operands;
 use crate::ops::NativeOp;
-use crate::passes::{SchedulePolicy, Scheduler};
+use crate::passes::Scheduler;
 use crate::resources::ResourceReport;
 use crate::rounds::{replay_round, ReplicatedSpan};
 use crate::spec::HardwareSpec;
@@ -124,34 +124,14 @@ impl HardwareModel {
         }
     }
 
-    /// Switches the scheduling pass's junction-contention rule. The default
-    /// [`SchedulePolicy::Windowed`] rule is byte-identical to
-    /// [`SchedulePolicy::Legacy`] at `junction_capacity == 1`; the legacy
-    /// rule is kept as the oracle for the differential test harness.
-    pub fn set_schedule_policy(&mut self, policy: SchedulePolicy) {
-        self.sched.set_policy(policy);
-    }
-
-    /// The active junction-contention rule.
-    pub fn schedule_policy(&self) -> SchedulePolicy {
-        self.sched.policy()
-    }
-
-    /// Number of materialized ops that *junction-stalled* — waited on a
-    /// junction beyond pure transit exclusivity, either into a recovery
-    /// (recool) window ([`HardwareSpec::junction_recovery_us`] > 0) or
-    /// behind a hop that was itself junction-delayed (see
-    /// [`Slot::junction_stall`](crate::passes::Slot::junction_stall)).
-    /// This is the scheduling pass's contention measure. Replicated rounds
-    /// are not included (each replica repeats its captured round's stalls;
-    /// consumers scale by the repeat count).
-    pub fn junction_stalls(&self) -> usize {
-        self.stall_flags.iter().filter(|&&s| s).count()
-    }
-
     /// Per-materialized-op stall flags (parallel to `circuit().ops()`):
-    /// `true` where the op junction-stalled (see
-    /// [`HardwareModel::junction_stalls`]).
+    /// `true` where the op *junction-stalled* — waited on a junction beyond
+    /// pure transit exclusivity, either into a recovery (recool) window
+    /// ([`HardwareSpec::junction_recovery_us`] > 0) or behind a hop that was
+    /// itself junction-delayed (see
+    /// [`Slot::junction_stall`](crate::passes::Slot::junction_stall)).
+    /// Replicated rounds have no flags of their own (each replica repeats
+    /// its captured round's stalls; consumers scale by the repeat count).
     pub fn stall_flags(&self) -> &[bool] {
         &self.stall_flags
     }
@@ -184,7 +164,7 @@ impl HardwareModel {
     /// Space-time resource report of the circuit compiled so far, accounted
     /// under this model's hardware profile.
     pub fn resource_report(&self) -> ResourceReport {
-        ResourceReport::from_circuit(&self.circuit, self.grid.layout(), &self.spec)
+        ResourceReport::from_stream_with_spec(&self.circuit, self.grid.layout(), &self.spec)
     }
 
     /// The circuit compiled so far.
@@ -528,15 +508,6 @@ impl HardwareModel {
             })
             .ok_or(HwError::NoRoute(from, dest))?;
         self.move_along(qubit, &steps)
-    }
-
-    /// True if `site` is an operation or memory zone free of ions.
-    pub fn is_free_zone(&self, site: QSite) -> bool {
-        self.grid.is_free(site)
-            && matches!(
-                self.grid.layout().site_kind(site),
-                Some(SiteKind::Memory) | Some(SiteKind::Operation)
-            )
     }
 }
 

@@ -15,11 +15,6 @@
 //!   of one of the pulse's own ions. Width 1 is a strict no-op.
 //! * Round templating (unchanged, in [`crate::rounds`]) runs on top: a
 //!   batched round still templates and replicates bit-exactly.
-//!
-//! The pre-pipeline junction rule is preserved verbatim behind
-//! [`SchedulePolicy::Legacy`] as the oracle for the differential test
-//! harness: at `junction_capacity == 1` the windowed rule is byte-identical
-//! to it (pinned by tests), so refactor regressions surface as bit diffs.
 
 use std::collections::HashMap;
 
@@ -29,23 +24,6 @@ use crate::circuit::{Circuit, TimedOp};
 use crate::ops::NativeOp;
 use crate::rounds::{CompiledRounds, RoundTemplate};
 use crate::spec::HardwareSpec;
-
-/// Which junction-contention rule the scheduling pass applies.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedulePolicy {
-    /// Junction occupancy windows are a capacity-limited scheduling
-    /// resource: a hop waits until fewer than
-    /// [`HardwareSpec::junction_capacity`] earlier hops are still in
-    /// flight through the junction. Byte-identical to [`Legacy`] at
-    /// capacity 1.
-    ///
-    /// [`Legacy`]: SchedulePolicy::Legacy
-    #[default]
-    Windowed,
-    /// The pre-pipeline single-slot rule (the junction remembers only its
-    /// last hop's end time). Kept as the differential-test oracle.
-    Legacy,
-}
 
 /// The scheduling decision for one operation: where its start landed, which
 /// earlier op's end determined it, and whether a saturated junction was the
@@ -104,7 +82,6 @@ pub struct Scheduler {
     barrier_us: f64,
     capacity: usize,
     recovery_us: f64,
-    policy: SchedulePolicy,
 }
 
 /// The busy entry of a resource no op has used: `ready`'s strict `end > t`
@@ -113,11 +90,8 @@ const IDLE: (f64, usize) = (f64::NEG_INFINITY, usize::MAX);
 
 impl Scheduler {
     /// A quiescent scheduler for ops on `layout`'s sites with the given
-    /// junction capacity (clamped to at least 1), post-hop recovery window
-    /// ([`HardwareSpec::junction_recovery_us`]) and the default
-    /// [`SchedulePolicy::Windowed`] policy. Recovery only affects the
-    /// windowed rule; the legacy oracle predates it and always releases a
-    /// junction at the hop's raw end.
+    /// junction capacity (clamped to at least 1) and post-hop recovery
+    /// window ([`HardwareSpec::junction_recovery_us`]).
     pub fn new(layout: &Layout, junction_capacity: usize, junction_recovery_us: f64) -> Self {
         Scheduler {
             layout: layout.clone(),
@@ -128,28 +102,7 @@ impl Scheduler {
             barrier_us: 0.0,
             capacity: junction_capacity.max(1),
             recovery_us: junction_recovery_us.max(0.0),
-            policy: SchedulePolicy::default(),
         }
-    }
-
-    /// Switches the junction-contention rule (see [`SchedulePolicy`]).
-    pub fn set_policy(&mut self, policy: SchedulePolicy) {
-        self.policy = policy;
-    }
-
-    /// The active junction-contention rule.
-    pub fn policy(&self) -> SchedulePolicy {
-        self.policy
-    }
-
-    /// The junction capacity this scheduler enforces.
-    pub fn junction_capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The post-hop junction recovery window this scheduler enforces (µs).
-    pub fn junction_recovery_us(&self) -> f64 {
-        self.recovery_us
     }
 
     /// Raises the barrier: every subsequent op starts no earlier than `now`.
@@ -190,36 +143,20 @@ impl Scheduler {
         let mut junction_stall = false;
         if let Some(j) = junction {
             if let Some(windows) = self.layout.index_of(j).map(|i| &self.junction_windows[i]) {
-                match self.policy {
-                    SchedulePolicy::Legacy => {
-                        // Single-slot rule: only the last hop's end matters.
-                        if let Some(&(end, idx)) = windows.first() {
-                            if end > t {
-                                t = end;
-                                src = Some(idx);
-                                junction_bound = true;
-                                junction_stall = self.was_junction_delayed(idx);
-                            }
-                        }
-                    }
-                    SchedulePolicy::Windowed => {
-                        // Hops whose release (end + recovery) is past t
-                        // occupy a slot each. `windows` is descending by
-                        // release, so if `capacity` of them are open the
-                        // capacity-th largest release is the first moment a
-                        // slot frees. Binding on a release with a nonzero
-                        // recovery window means the op waited past pure
-                        // transit exclusivity — a stall by definition.
-                        let open = windows.iter().take_while(|(end, _)| *end > t).count();
-                        if open >= self.capacity {
-                            let (end, idx) = windows[self.capacity - 1];
-                            t = end;
-                            src = Some(idx);
-                            junction_bound = true;
-                            junction_stall =
-                                self.recovery_us > 0.0 || self.was_junction_delayed(idx);
-                        }
-                    }
+                // Hops whose release (end + recovery) is past t occupy a
+                // slot each. `windows` is descending by release, so if
+                // `capacity` of them are open the capacity-th largest
+                // release is the first moment a slot frees. Binding on a
+                // release with a nonzero recovery window means the op
+                // waited past pure transit exclusivity — a stall by
+                // definition.
+                let open = windows.iter().take_while(|(end, _)| *end > t).count();
+                if open >= self.capacity {
+                    let (end, idx) = windows[self.capacity - 1];
+                    t = end;
+                    src = Some(idx);
+                    junction_bound = true;
+                    junction_stall = self.recovery_us > 0.0 || self.was_junction_delayed(idx);
                 }
             }
         }
@@ -268,27 +205,16 @@ impl Scheduler {
         if let Some(j) = junction {
             let i = self.layout.index_of(j).expect(ON_LAYOUT);
             let windows = &mut self.junction_windows[i];
-            match self.policy {
-                SchedulePolicy::Legacy => {
-                    windows.clear();
-                    windows.push((end_us, op_idx));
-                }
-                SchedulePolicy::Windowed => {
-                    // A slot frees only after the hop's recovery window
-                    // elapses. The single fp add matches replay arithmetic
-                    // (`fl(end + recovery)`) so replication stays bit-exact;
-                    // at recovery 0 the release is the raw end, unchanged.
-                    let release =
-                        if self.recovery_us > 0.0 { end_us + self.recovery_us } else { end_us };
-                    windows.push((release, op_idx));
-                    windows.sort_by(|a, b| {
-                        b.0.partial_cmp(&a.0)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.1.cmp(&b.1))
-                    });
-                    windows.truncate(self.capacity);
-                }
-            }
+            // A slot frees only after the hop's recovery window elapses.
+            // The single fp add matches replay arithmetic
+            // (`fl(end + recovery)`) so replication stays bit-exact; at
+            // recovery 0 the release is the raw end, unchanged.
+            let release = if self.recovery_us > 0.0 { end_us + self.recovery_us } else { end_us };
+            windows.push((release, op_idx));
+            windows.sort_by(|a, b| {
+                b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
+            });
+            windows.truncate(self.capacity);
         }
     }
 }
@@ -300,14 +226,6 @@ pub struct BatchStats {
     pub batched_pulses: usize,
     /// Original ops that ended up inside multi-op pulses.
     pub merged_ops: usize,
-}
-
-impl BatchStats {
-    /// Ops removed from the stream by merging (`merged_ops` minus the
-    /// pulses that carry them).
-    pub fn ops_saved(&self) -> usize {
-        self.merged_ops - self.batched_pulses
-    }
 }
 
 /// True if `op` may join a SIMD batch: a single-qubit, record-free,
@@ -539,27 +457,34 @@ mod tests {
         spec
     }
 
-    #[test]
-    fn windowed_capacity_one_matches_legacy_rule() {
-        // Same op sequence through both policies: decisions must agree.
-        let layout = Layout::new(2, 2);
-        let mut a = Scheduler::new(&layout, 1, 0.0);
-        let mut b = Scheduler::new(&layout, 1, 0.0);
-        b.set_policy(SchedulePolicy::Legacy);
-        let j = QSite::new(0, 4);
-        let hops = [
-            (QubitId(0), QSite::new(0, 3), QSite::new(0, 5)),
-            (QubitId(1), QSite::new(1, 4), QSite::new(0, 3)),
-            (QubitId(2), QSite::new(0, 5), QSite::new(1, 4)),
-        ];
-        for (i, (q, from, to)) in hops.iter().enumerate() {
-            let sites = [*from, *to];
-            let sa = a.ready(&[*q], &sites, Some(j));
-            let sb = b.ready(&[*q], &sites, Some(j));
-            assert_eq!(sa, sb, "hop {i}");
-            a.occupy(&[*q], &sites, Some(j), sa.start_us + 210.0, i);
-            b.occupy(&[*q], &sites, Some(j), sb.start_us + 210.0, i);
+    /// Schedules one 100 µs hop of ion `q` through J(0,4) with no zones, so
+    /// only the junction can bind, and notes the delay as the model does.
+    fn hop(s: &mut Scheduler, q: u32, idx: usize) -> Slot {
+        let j = Some(QSite::new(0, 4));
+        let slot = s.ready(&[QubitId(q)], &[], j);
+        if slot.junction_bound {
+            s.note_junction_delay(idx);
         }
+        s.occupy(&[QubitId(q)], &[], j, slot.start_us + 100.0, idx);
+        slot
+    }
+
+    #[test]
+    fn capacity_one_serializes_hops_and_flags_chained_stalls() {
+        let mut s = Scheduler::new(&Layout::new(2, 2), 1, 0.0);
+        let slot = |start_us, src, junction_bound, junction_stall| Slot {
+            start_us,
+            src,
+            junction_bound,
+            junction_stall,
+        };
+        assert_eq!(hop(&mut s, 0, 0), slot(0.0, None, false, false), "free hop");
+        assert_eq!(hop(&mut s, 1, 1), slot(100.0, Some(0), true, false), "exclusive transit");
+        assert_eq!(hop(&mut s, 2, 2), slot(200.0, Some(1), true, true), "chained stall");
+
+        let mut s = Scheduler::new(&Layout::new(2, 2), 1, 50.0);
+        assert_eq!(hop(&mut s, 0, 0), slot(0.0, None, false, false), "free hop");
+        assert_eq!(hop(&mut s, 1, 1), slot(150.0, Some(0), true, true), "recovery stall");
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Space-time resource accounting (paper Sec. 3.4).
 //!
-//! Given a compiled [`Circuit`] and the [`Layout`] it was compiled for, the
-//! [`ResourceReport`] computes the quantities the paper reports for every
-//! surface-code patch operation: execution time, grid area, space-time
-//! volume, number of trapping zones, trapping-zone-seconds and *active*
-//! trapping-zone-seconds, plus native-operation counts.
+//! Given a compiled [`Circuit`](crate::Circuit) and the [`Layout`] it was
+//! compiled for, the [`ResourceReport`] computes the quantities the paper
+//! reports for every surface-code patch operation: execution time, grid
+//! area, space-time volume, number of trapping zones, trapping-zone-seconds
+//! and *active* trapping-zone-seconds, plus native-operation counts.
 
 use std::collections::BTreeMap;
 
 use tiscc_grid::{Layout, QSite};
 
-use crate::circuit::{Circuit, OpStream, OpView};
+use crate::circuit::{OpStream, OpView};
 use crate::ops::NativeOp;
 use crate::spec::HardwareSpec;
 
@@ -45,23 +45,18 @@ pub struct ResourceReport {
 }
 
 impl ResourceReport {
-    /// Computes the report for `circuit` compiled on `layout` under the
-    /// given hardware profile: the physical area uses the profile's zone
-    /// pitch. Time-dependent quantities are read off the circuit's schedule,
-    /// which was already laid out with the profile's durations.
-    pub fn from_circuit(circuit: &Circuit, layout: &Layout, spec: &HardwareSpec) -> Self {
-        ResourceReport::from_stream_with_spec(circuit, layout, spec)
-    }
-
     /// Computes the report for any [`OpStream`] — a materialized circuit,
     /// a circuit carrying replicated rounds, or a
-    /// [`CompiledRounds`](crate::rounds::CompiledRounds) — with running
-    /// accumulators over the logical op stream. Streaming a periodic
-    /// circuit costs the arithmetic of every occurrence but never clones or
-    /// materializes its operations, and the accumulation order matches a
-    /// fully materialized walk, so reports agree bit-for-bit. Distinct
-    /// zones and junctions are counted in bitsets over
-    /// [`Layout::index_of`], once per distinct op.
+    /// [`CompiledRounds`](crate::rounds::CompiledRounds) — compiled on
+    /// `layout` under the given hardware profile: the physical area uses
+    /// the profile's zone pitch, and time-dependent quantities are read off
+    /// the stream's schedule, which was already laid out with the profile's
+    /// durations. The report is built with running accumulators over the
+    /// logical op stream. Streaming a periodic circuit costs the arithmetic
+    /// of every occurrence but never clones or materializes its operations,
+    /// and the accumulation order matches a fully materialized walk, so
+    /// reports agree bit-for-bit. Distinct zones and junctions are counted
+    /// in bitsets over [`Layout::index_of`], once per distinct op.
     pub fn from_stream_with_spec(
         stream: &(impl OpStream + ?Sized),
         layout: &Layout,
@@ -411,8 +406,7 @@ mod tests {
         hw.prepare_z(q).unwrap();
         hw.apply_1q(NativeOp::XPi2, q).unwrap();
         hw.measure_z(q, "final").unwrap();
-        let layout = hw.grid().layout().clone();
-        let report = ResourceReport::from_circuit(hw.circuit(), &layout, &HardwareSpec::default());
+        let report = hw.resource_report();
         let parsed = ResourceReport::from_record(&report.to_record()).unwrap();
         assert_eq!(parsed, report);
         // The float fields survive exactly, not approximately.
@@ -425,9 +419,7 @@ mod tests {
         let mut hw = HardwareModel::new(1, 1);
         let q = hw.place_qubit(QSite::new(0, 1)).unwrap();
         hw.prepare_z(q).unwrap();
-        let layout = hw.grid().layout().clone();
-        let record = ResourceReport::from_circuit(hw.circuit(), &layout, &HardwareSpec::default())
-            .to_record();
+        let record = hw.resource_report().to_record();
 
         // Truncation drops required fields.
         let truncated = &record[..record.len() / 2];
@@ -471,8 +463,7 @@ mod tests {
         hw.prepare_z(q).unwrap();
         hw.apply_1q(NativeOp::XPi2, q).unwrap();
         hw.measure_z(q, "final").unwrap();
-        let layout = hw.grid().layout().clone();
-        let report = ResourceReport::from_circuit(hw.circuit(), &layout, &HardwareSpec::default());
+        let report = hw.resource_report();
 
         assert!((report.execution_time_s - 140e-6).abs() < 1e-12);
         assert_eq!(report.trapping_zones, 1);
@@ -496,8 +487,7 @@ mod tests {
         let mut hw = HardwareModel::new(2, 2);
         let q = hw.place_qubit(QSite::new(0, 1)).unwrap();
         hw.route_and_move(q, QSite::new(4, 1)).unwrap();
-        let layout = hw.grid().layout().clone();
-        let report = ResourceReport::from_circuit(hw.circuit(), &layout, &HardwareSpec::default());
+        let report = hw.resource_report();
         assert!(report.junctions >= 1);
         assert!(report.trapping_zones >= 2);
         assert!(report.area_m2 > ZONE_WIDTH_M * ZONE_WIDTH_M);
@@ -520,8 +510,7 @@ mod tests {
         let mut hw = HardwareModel::new(1, 1);
         let q = hw.place_qubit(QSite::new(0, 1)).unwrap();
         hw.prepare_z(q).unwrap();
-        let layout = hw.grid().layout().clone();
-        let report = ResourceReport::from_circuit(hw.circuit(), &layout, &HardwareSpec::default());
+        let report = hw.resource_report();
         let text = report.render();
         for needle in [
             "execution time",

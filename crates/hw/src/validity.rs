@@ -19,7 +19,7 @@ use std::collections::HashMap;
 
 use tiscc_grid::{Layout, QSite, QubitId, SiteKind};
 
-use crate::circuit::{Circuit, OpStream, OpView};
+use crate::circuit::{OpStream, OpView};
 use crate::ops::NativeOp;
 
 /// A violation found while replaying a circuit.
@@ -81,36 +81,22 @@ impl std::fmt::Display for ValidityError {
 
 impl std::error::Error for ValidityError {}
 
-/// Replays `circuit` against `layout`, starting from `initial_positions`
+/// Replays `stream` against `layout`, starting from `initial_positions`
 /// (the grid snapshot taken *before* compilation began), and returns the
 /// first violation found, or `Ok(())`.
-pub fn check_circuit(
-    layout: &Layout,
-    initial_positions: &[(QubitId, QSite)],
-    circuit: &Circuit,
-) -> Result<(), ValidityError> {
-    check_stream(layout, initial_positions, circuit)
-}
-
-/// Replays any [`OpStream`] — including periodic circuits, whose replicated
-/// rounds are streamed with their replayed schedules rather than
-/// materialized — with running accumulators: ion positions evolve in stream
-/// order for the movement/addressing checks, and per-site busy intervals
-/// are collected on the fly for the exclusivity checks.
-pub fn check_stream(
-    layout: &Layout,
-    initial_positions: &[(QubitId, QSite)],
-    stream: &(impl OpStream + ?Sized),
-) -> Result<(), ValidityError> {
-    check_stream_with_capacity(layout, initial_positions, stream, 1)
-}
-
-/// [`check_stream`] under a relaxed junction-exclusivity rule: up to
-/// `junction_capacity` hops may overlap in time on one junction before a
-/// [`ValidityError::JunctionTimeConflict`] is reported. Capacity 1 is
-/// exactly [`check_stream`]; the scheduling pass enforces the same capacity
-/// constructively ([`HardwareSpec::junction_capacity`]), so circuits it
-/// compiles are clean under the capacity they were scheduled with.
+///
+/// Any [`OpStream`] replays — including periodic circuits, whose
+/// replicated rounds are streamed with their replayed schedules rather
+/// than materialized — with running accumulators: ion positions evolve in
+/// stream order for the movement/addressing checks, and per-site busy
+/// intervals are collected on the fly for the exclusivity checks.
+///
+/// Up to `junction_capacity` hops (at least 1, the exclusive-transit rule)
+/// may overlap in time on one junction before a
+/// [`ValidityError::JunctionTimeConflict`] is reported. The scheduling pass
+/// enforces the same capacity constructively
+/// ([`HardwareSpec::junction_capacity`]), so circuits it compiles are clean
+/// under the capacity they were scheduled with.
 ///
 /// [`HardwareSpec::junction_capacity`]: crate::spec::HardwareSpec::junction_capacity
 pub fn check_stream_with_capacity(
@@ -242,6 +228,7 @@ pub fn check_stream_with_capacity(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::Circuit;
     use crate::model::HardwareModel;
 
     #[test]
@@ -259,7 +246,7 @@ mod tests {
             snapshot
         };
         let layout = hw.grid().layout().clone();
-        check_circuit(&layout, &initial, hw.circuit()).expect("valid circuit");
+        check_stream_with_capacity(&layout, &initial, hw.circuit(), 1).expect("valid circuit");
     }
 
     #[test]
@@ -290,7 +277,8 @@ mod tests {
             junction: None,
             measurement: None,
         });
-        let err = check_circuit(&layout, &[(q0, site), (q1, other)], &circuit).unwrap_err();
+        let err = check_stream_with_capacity(&layout, &[(q0, site), (q1, other)], &circuit, 1)
+            .unwrap_err();
         assert!(matches!(err, ValidityError::ZoneTimeConflict { .. }));
     }
 
@@ -309,7 +297,8 @@ mod tests {
             junction: None,
             measurement: None,
         });
-        let err = check_circuit(&layout, &[(q0, QSite::new(0, 1))], &circuit).unwrap_err();
+        let err = check_stream_with_capacity(&layout, &[(q0, QSite::new(0, 1))], &circuit, 1)
+            .unwrap_err();
         assert!(matches!(err, ValidityError::WrongSite { .. }));
     }
 
@@ -338,7 +327,7 @@ mod tests {
         }
         let initial = vec![(QubitId(0), QSite::new(4, 3)), (QubitId(1), QSite::new(3, 4))];
         assert_eq!(
-            check_stream(&layout, &initial, &circuit).unwrap_err(),
+            check_stream_with_capacity(&layout, &initial, &circuit, 1).unwrap_err(),
             ValidityError::JunctionTimeConflict { junction, at_us: 100.0 },
             "capacity 1 keeps the exclusive rule"
         );
@@ -361,7 +350,8 @@ mod tests {
             junction: None,
             measurement: None,
         });
-        let err = check_circuit(&layout, &[(q0, QSite::new(0, 1))], &circuit).unwrap_err();
+        let err = check_stream_with_capacity(&layout, &[(q0, QSite::new(0, 1))], &circuit, 1)
+            .unwrap_err();
         assert!(matches!(err, ValidityError::IllegalStep(_, _)));
     }
 }

@@ -100,7 +100,8 @@ impl ErrorModel {
     /// error over `patch_steps` patch-steps meets `budget`, searching up
     /// to `d_max` (an even `d_max` caps the search at `d_max − 1`, since
     /// even distances are not modeled — see
-    /// [`Self::checked_logical_error_per_patch_step`]).
+    /// [`Self::checked_logical_error_per_patch_step`]). A `d_max` below 3
+    /// leaves nothing to search and is rejected as an invalid model.
     pub fn select_distance(
         &self,
         patch_steps: u64,
@@ -113,7 +114,12 @@ impl ErrorModel {
                 "error budget must be positive, got {budget}"
             )));
         }
-        let d_top = if d_max.is_multiple_of(2) { d_max.saturating_sub(1) } else { d_max }.max(3);
+        if d_max < 3 {
+            return Err(BudgetError::InvalidModel(format!(
+                "maximum code distance d_max must be at least 3, got {d_max}"
+            )));
+        }
+        let d_top = if d_max.is_multiple_of(2) { d_max - 1 } else { d_max };
         for d in (3..=d_top).step_by(2) {
             if self.program_error(d, patch_steps) <= budget {
                 return Ok(d);
@@ -253,6 +259,11 @@ mod tests {
         ));
         let err = m.select_distance(u64::MAX, 1e-30, 3).unwrap_err();
         assert!(err.to_string().contains("--dmax"));
+        // A d_max below 3 is rejected, not silently raised to 3.
+        let err = m.select_distance(0, 0.5, 2).unwrap_err();
+        assert!(matches!(err, BudgetError::InvalidModel(_)), "{err}");
+        assert!(err.to_string().contains("d_max must be at least 3, got 2"), "{err}");
+        assert_eq!(m.select_distance(0, 0.5, 3), Ok(3));
     }
 
     #[test]

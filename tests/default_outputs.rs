@@ -62,13 +62,13 @@ fn hash_op(h: u64, op: &TimedOp) -> u64 {
     }
 }
 
-/// One digest per profile × d ∈ {3, 5, 9} × SIMD width {1, 2}, each over
+/// One digest per profile × d ∈ {2, 3, 5, 9} × SIMD width {1, 2}, each over
 /// the compiled op streams of all 13 instructions (dx = dz = dt = d) in
 /// `Instruction::all()` order.
 fn opstream_digests() -> Vec<(String, u64)> {
     let mut digests = Vec::new();
     for profile in [HardwareSpec::h1(), HardwareSpec::projected(), HardwareSpec::slow_junction()] {
-        for d in [3, 5, 9] {
+        for d in [2, 3, 5, 9] {
             for width in [1, 2] {
                 let mut spec = profile.clone();
                 spec.simd_width = width;

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use tiscc::core::plaquette::{build_stabilizers, logical_x_support, logical_z_support};
 use tiscc::core::{Arrangement, LogicalQubit};
 use tiscc::grid::{route, route_avoiding, Layout, MoveStep, QSite, QubitId, Router, SiteKind};
-use tiscc::hw::validity::check_circuit;
+use tiscc::hw::validity::check_stream_with_capacity;
 use tiscc::hw::{
     Circuit, CompiledRounds, HardwareModel, HardwareSpec, NativeOp, OpStream, OpView,
     ResourceReport, RoundTemplate, TimedOp,
@@ -447,6 +447,7 @@ proptest! {
         patch.transversal_prepare_z(&mut hw).unwrap();
         patch.syndrome_round(&mut hw, "validity round").unwrap();
         let layout = hw.grid().layout().clone();
-        prop_assert!(check_circuit(&layout, &snapshot, hw.circuit()).is_ok());
+        let capacity = hw.spec().junction_capacity;
+        prop_assert!(check_stream_with_capacity(&layout, &snapshot, hw.circuit(), capacity).is_ok());
     }
 }

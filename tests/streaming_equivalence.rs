@@ -18,7 +18,7 @@ use tiscc::estimator::program::{estimate_program, ProgramEstimateSpec};
 use tiscc::estimator::tables::ResourceRow;
 use tiscc::estimator::verify::{Fiducial, SingleTile, TwoTiles};
 use tiscc::estimator::{CompileRequest, Compiler};
-use tiscc::hw::validity::{check_circuit, check_stream};
+use tiscc::hw::validity::check_stream_with_capacity;
 use tiscc::hw::{
     batch_rounds, CompiledRounds, HardwareModel, HardwareSpec, Label, ResourceReport, RoundLabel,
     TimedOp,
@@ -116,11 +116,15 @@ fn assert_equivalent(instruction: Instruction, d: usize, dt: usize, spec: &Hardw
     // The periodic sub-range flattens to the reference sub-range.
     assert_eq!(rounds.materialize().ops(), ref_rounds.materialize().ops());
 
-    // Validity: the streaming checker accepts the periodic circuit exactly
-    // as the materialized checker accepts the reference.
-    check_circuit(&layout, &ref_snapshot, reference.circuit()).expect("reference is valid");
-    check_stream(&layout, &snapshot, templated.circuit()).expect("periodic stream is valid");
-    check_stream(&layout, &snapshot, &flat).expect("flattened circuit is valid");
+    // Validity: the checker accepts the periodic circuit, streamed and
+    // flattened, exactly as it accepts the materialized reference.
+    let capacity = spec.junction_capacity;
+    check_stream_with_capacity(&layout, &ref_snapshot, reference.circuit(), capacity)
+        .expect("reference is valid");
+    check_stream_with_capacity(&layout, &snapshot, templated.circuit(), capacity)
+        .expect("periodic stream is valid");
+    check_stream_with_capacity(&layout, &snapshot, &flat, capacity)
+        .expect("flattened circuit is valid");
 }
 
 proptest! {

@@ -2,10 +2,11 @@
 //! hand-corrupted circuits that violate exactly one replay invariant each
 //! must surface the *specific* `ValidityError` variant — overlapping
 //! junction hops, gates addressing an empty zone, and corrupted transport
-//! streams (occupied destinations, teleporting moves).
+//! streams (occupied destinations, teleporting moves). Every replay runs
+//! under the exclusive-transit rule (junction capacity 1).
 
 use tiscc::grid::{Layout, QSite, QubitId};
-use tiscc::hw::validity::{check_circuit, ValidityError};
+use tiscc::hw::validity::{check_stream_with_capacity, ValidityError};
 use tiscc::hw::{Circuit, HardwareModel, NativeOp, TimedOp};
 
 fn timed(op: NativeOp, sites: Vec<QSite>, qubits: Vec<QubitId>, start_us: f64) -> TimedOp {
@@ -36,7 +37,7 @@ fn overlapping_junction_hops_conflict_on_the_junction() {
         timed(NativeOp::JunctionMove, vec![QSite::new(3, 4), QSite::new(5, 4)], vec![q1], 100.0);
     hop_ns.junction = Some(junction);
     let circuit = Circuit::from_ops(vec![hop_ew, hop_ns]);
-    let err = check_circuit(&layout, &initial, &circuit).unwrap_err();
+    let err = check_stream_with_capacity(&layout, &initial, &circuit, 1).unwrap_err();
     assert_eq!(
         err,
         ValidityError::JunctionTimeConflict { junction, at_us: 100.0 },
@@ -49,7 +50,7 @@ fn overlapping_junction_hops_conflict_on_the_junction() {
     let mut hop_ns =
         timed(NativeOp::JunctionMove, vec![QSite::new(3, 4), QSite::new(5, 4)], vec![q1], 210.0);
     hop_ns.junction = Some(junction);
-    check_circuit(&layout, &initial, &Circuit::from_ops(vec![hop_ew, hop_ns]))
+    check_stream_with_capacity(&layout, &initial, &Circuit::from_ops(vec![hop_ew, hop_ns]), 1)
         .expect("serialised hops are valid");
 }
 
@@ -62,7 +63,7 @@ fn gate_addressing_an_empty_zone_is_wrong_site() {
     let home = QSite::new(0, 1);
     let empty = QSite::new(0, 2);
     let circuit = Circuit::from_ops(vec![timed(NativeOp::XPi2, vec![empty], vec![q0], 0.0)]);
-    let err = check_circuit(&layout, &[(q0, home)], &circuit).unwrap_err();
+    let err = check_stream_with_capacity(&layout, &[(q0, home)], &circuit, 1).unwrap_err();
     assert_eq!(err, ValidityError::WrongSite { qubit: q0, claimed: empty, actual: Some(home) });
 }
 
@@ -77,7 +78,8 @@ fn gate_on_an_unplaced_ion_is_unknown_qubit() {
         vec![ghost],
         0.0,
     )]);
-    let err = check_circuit(&layout, &[(QubitId(0), QSite::new(0, 2))], &circuit).unwrap_err();
+    let err = check_stream_with_capacity(&layout, &[(QubitId(0), QSite::new(0, 2))], &circuit, 1)
+        .unwrap_err();
     assert_eq!(err, ValidityError::UnknownQubit(ghost));
 }
 
@@ -93,14 +95,16 @@ fn corrupted_transport_stream_hits_occupied_destination() {
     hw.route_and_move(mover, QSite::new(0, 3)).expect("legal move");
     // The untouched stream replays cleanly.
     let layout = hw.grid().layout().clone();
-    check_circuit(&layout, &initial, hw.circuit()).expect("compiled stream is valid");
+    check_stream_with_capacity(&layout, &initial, hw.circuit(), 1)
+        .expect("compiled stream is valid");
 
     let mut ops = hw.circuit().ops().to_vec();
     let mv =
         ops.iter().position(|o| matches!(o.op, NativeOp::Move)).expect("stream contains a Move");
     // Corrupt the destination: aim the move at the resident ion's zone.
     ops[mv].sites[1] = QSite::new(0, 1);
-    let err = check_circuit(&layout, &initial, &Circuit::from_ops(ops)).unwrap_err();
+    let err =
+        check_stream_with_capacity(&layout, &initial, &Circuit::from_ops(ops), 1).unwrap_err();
     assert_eq!(err, ValidityError::DestinationOccupied(QSite::new(0, 1), resident));
 }
 
@@ -119,6 +123,7 @@ fn corrupted_transport_stream_hits_illegal_step() {
         ops.iter().position(|o| matches!(o.op, NativeOp::Move)).expect("stream contains a Move");
     // Corrupt the destination: teleport across the grid.
     ops[mv].sites[1] = QSite::new(0, 7);
-    let err = check_circuit(&layout, &initial, &Circuit::from_ops(ops)).unwrap_err();
+    let err =
+        check_stream_with_capacity(&layout, &initial, &Circuit::from_ops(ops), 1).unwrap_err();
     assert_eq!(err, ValidityError::IllegalStep(QSite::new(0, 2), QSite::new(0, 7)));
 }
