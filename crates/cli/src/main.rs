@@ -24,23 +24,24 @@
 //! one-line message on stderr and exit code 2; runtime failures exit with
 //! code 1. `tiscc <subcommand> --help` (or `-h`) prints the usage text.
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use tiscc_core::instruction::Instruction;
 use tiscc_estimator::compiler::{CompileRequest, Compiler};
-use tiscc_estimator::program::{estimate_program_with, EstimateError, ProgramEstimateSpec};
+use tiscc_estimator::program::{estimate_program_with, EstimateError};
 use tiscc_estimator::sweep::{parse_csv, run_sweep_with, CompileCache, DtPolicy, SweepSpec};
 use tiscc_estimator::tables;
 use tiscc_estimator::verify::{process_map_of, Fiducial, SingleTile};
+use tiscc_frontier::request::{self, Params};
 use tiscc_frontier::{
-    frontier_to_csv, handle_line, matrix_from_csv, matrix_to_csv, parse_layout_entry,
-    report_to_json, run_frontier_with, split_list, stats_to_json, DiskCache, FrontierError,
-    FrontierSpec, ServeState,
+    frontier_to_csv, handle_line, matrix_from_csv, matrix_to_csv, report_to_json,
+    run_frontier_with, stats_to_json, DiskCache, FrontierError, ServeState,
 };
 use tiscc_hw::HardwareSpec;
-use tiscc_program::{BudgetError, ErrorModel, LayoutSpec, LogicalProgram, Placement};
-use tiscc_telemetry::{JsonSink, Sink, Span, Telemetry, TraceFormat};
+use tiscc_program::{BudgetError, Placement};
+use tiscc_telemetry::{JsonSink, Sink, Telemetry, TraceFormat};
 use tiscc_workloads::{generate, Family, GenSpec, WorkloadError};
 
 const USAGE: &str = "usage: tiscc <subcommand> [args]
@@ -56,7 +57,8 @@ subcommands:
           [--dmax N]                     distance-search ceiling (default 49)
           [--p-phys X] [--p-th X]        per-step error model parameters
           [--prefactor X]
-          [--layout lane|row|checkerboard]  floorplan strategy (default lane)
+          [--layout L[@RxC]]             floorplan: lane, row or checkerboard
+                                         (default lane), optionally on a grid
           [--grid HxW]                   tile-grid size, e.g. --grid 8x8
           [--show-layout]                print the ASCII floorplan
           [--simd-width N]               SIMD gate-batching width (default 1)
@@ -98,8 +100,8 @@ subcommands:
   profiles                               list hardware profiles and parameters
   verify [--seed N]                      run the verification harness
 
-flags take a value as `--flag VALUE` or `--flag=VALUE`; unknown flags are
-rejected; `tiscc <subcommand> --help` prints this text
+flags take a value as `--flag VALUE` or `--flag=VALUE`; unknown or repeated
+flags are rejected; `tiscc <subcommand> --help` prints this text
 
 profiles: h1 (default) projected slow_junction
 instructions: prepare_z prepare_x inject_y inject_t measure_z measure_x
@@ -126,131 +128,86 @@ impl CliError {
     }
 }
 
+/// A request that [`request`] cannot read is a bad argument.
+impl From<String> for CliError {
+    fn from(message: String) -> CliError {
+        CliError::usage(message)
+    }
+}
+
+/// Writes `text` to stdout, the CLI's one stdout writer. A closed stdout
+/// (the reader of a pipe exited, as `tiscc gen … | head` does) ends the
+/// command quietly with exit 0; any other write failure is a runtime error.
+fn emit(text: &str) -> Result<(), CliError> {
+    let mut stdout = std::io::stdout().lock();
+    stdout.write_all(text.as_bytes()).and_then(|()| stdout.flush()).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            CliError { code: 0, message: String::new() }
+        } else {
+            CliError::runtime(format!("cannot write to stdout: {e}"))
+        }
+    })
+}
+
 /// Minimal flag parser accepting `--flag VALUE` and `--flag=VALUE`: returns
-/// positional args and a lookup for flag values.
+/// positional args and the flags as `(name, value)` pairs, which
+/// [`request`] reads as the CLI's [`Params`].
 struct Args {
     positional: Vec<String>,
     flags: Vec<(String, String)>,
 }
 
 /// Flags that never take a value (so they never swallow a following
-/// positional argument).
+/// positional argument). Only `--trace` has an `=VALUE` form.
 const BOOLEAN_FLAGS: &[&str] = &["show-layout", "stdin-json", "trace", "quiet", "help"];
 
 /// The flags `compile` (and the bare `tiscc <instruction>` form) accepts.
 const COMPILE_FLAGS: &str = "profile simd-width trace";
 
 impl Args {
-    fn parse(raw: &[String]) -> Args {
+    /// Splits `raw` into positionals and flags; a flag given twice, or a
+    /// boolean flag given a value, is a usage error naming it.
+    fn parse(raw: &[String]) -> Result<Args, CliError> {
         let mut positional = Vec::new();
-        let mut flags = Vec::new();
+        let mut flags: Vec<(String, String)> = Vec::new();
         let mut it = raw.iter().peekable();
         while let Some(arg) = it.next() {
-            if arg == "-h" {
-                flags.push(("help".to_string(), String::new()));
+            let (name, value) = if arg == "-h" {
+                ("help", String::new())
             } else if let Some(name) = arg.strip_prefix("--") {
                 if let Some((name, value)) = name.split_once('=') {
-                    flags.push((name.to_string(), value.to_string()));
-                    continue;
+                    if BOOLEAN_FLAGS.contains(&name) && name != "trace" {
+                        return Err(CliError::usage(format!("--{name} takes no value, got {arg}")));
+                    }
+                    (name, value.to_string())
+                } else if BOOLEAN_FLAGS.contains(&name) {
+                    (name, String::new())
+                } else {
+                    let value = it.next_if(|v| !v.is_empty() && !v.starts_with("--"));
+                    (name, value.cloned().unwrap_or_default())
                 }
-                if BOOLEAN_FLAGS.contains(&name) {
-                    flags.push((name.to_string(), String::new()));
-                    continue;
-                }
-                let value = it
-                    .peek()
-                    .filter(|v| !v.starts_with("--"))
-                    .map(|v| v.to_string())
-                    .unwrap_or_default();
-                if !value.is_empty() {
-                    it.next();
-                }
-                flags.push((name.to_string(), value));
             } else {
                 positional.push(arg.clone());
+                continue;
+            };
+            if flags.iter().any(|(n, _)| n == name) {
+                return Err(CliError::usage(format!("--{name} given twice")));
             }
+            flags.push((name.to_string(), value));
         }
-        Args { positional, flags }
+        Ok(Args { positional, flags })
     }
 
     fn flag(&self, name: &str) -> Option<&str> {
         self.flags.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
     }
 
-    fn flag_usize(&self, name: &str, default: usize) -> Result<usize, CliError> {
-        match self.flag(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError::usage(format!("--{name} expects a number, got {v:?}"))),
-        }
-    }
-
-    /// [`Args::flag_usize`] that also rejects a value below `min` as a
-    /// usage error naming the flag.
-    fn flag_at_least(&self, name: &str, default: usize, min: usize) -> Result<usize, CliError> {
-        let value = self.flag_usize(name, default)?;
-        if value < min {
-            return Err(CliError::usage(format!("--{name} must be at least {min}, got {value}")));
-        }
-        Ok(value)
-    }
-
-    fn flag_f64(&self, name: &str, default: f64) -> Result<f64, CliError> {
-        match self.flag(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError::usage(format!("--{name} expects a number, got {v:?}"))),
-        }
-    }
-
     /// Resolves `--profile` to a single hardware profile (default: h1).
     fn profile(&self) -> Result<HardwareSpec, CliError> {
-        match self.flag("profile") {
-            None => Ok(HardwareSpec::default()),
-            Some(name) => resolve_profile(name),
-        }
+        self.flag("profile")
+            .map_or(Ok(HardwareSpec::default()), HardwareSpec::by_name)
+            .map_err(|e| CliError::usage(e.to_string()))
     }
-
-    /// Resolves `--profile` to a comma-separated list of profiles
-    /// (default: just h1). Entries are trimmed and deduplicated — a
-    /// repeated name never doubles the work or the report — and an
-    /// effectively empty list (`--profile ","`) is a usage error.
-    fn profile_list(&self) -> Result<Vec<HardwareSpec>, CliError> {
-        match self.flag("profile") {
-            None => Ok(vec![HardwareSpec::default()]),
-            Some(names) => split_list("profile", names)
-                .map_err(CliError::usage)?
-                .iter()
-                .map(|name| resolve_profile(name))
-                .collect(),
-        }
-    }
-
-    /// Resolves `--simd-width` to a SIMD batching width (default 1, which
-    /// keeps the gate stream byte-identical). Zero is a usage error: a
-    /// width-0 batch would merge nothing and is always a typo.
-    fn simd_width(&self) -> Result<usize, CliError> {
-        match self.flag("simd-width") {
-            None => Ok(1),
-            Some(v) => {
-                let width: usize = v.parse().map_err(|_| {
-                    CliError::usage(format!("--simd-width expects a positive integer, got {v:?}"))
-                })?;
-                if width == 0 {
-                    return Err(CliError::usage("--simd-width must be at least 1".to_string()));
-                }
-                Ok(width)
-            }
-        }
-    }
-}
-
-/// Looks up a preset profile by name; unknown names are a usage error
-/// listing the available profiles.
-fn resolve_profile(name: &str) -> Result<HardwareSpec, CliError> {
-    HardwareSpec::by_name(name).map_err(|e| CliError::usage(e.to_string()))
 }
 
 /// Resolves the `--trace[=tree|json]` flag: `None` when tracing is off,
@@ -301,7 +258,10 @@ fn run(raw: &[String]) -> Result<(), CliError> {
         eprintln!("{USAGE}");
         return Err(CliError { code: 2, message: String::new() });
     };
-    let mut args = Args::parse(&raw[1..]);
+    if matches!(subcommand.as_str(), "help" | "--help" | "-h") {
+        return emit(&format!("{USAGE}\n"));
+    }
+    let mut args = Args::parse(&raw[1..])?;
     type Command = fn(&Args) -> Result<(), CliError>;
     // Each subcommand's flag whitelist, space-separated.
     let (command, known_flags): (Command, &str) = match subcommand.as_str() {
@@ -321,10 +281,6 @@ fn run(raw: &[String]) -> Result<(), CliError> {
         "sweep" => (cmd_sweep, "dmax dt profile out json trace quiet"),
         "profiles" => (|_| cmd_profiles(), ""),
         "verify" => (cmd_verify, "seed"),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            return Ok(());
-        }
         // Backwards compatibility with the original single-purpose CLI:
         // `tiscc prepare_z 3` behaves as `tiscc compile prepare_z 3`.
         other if Instruction::from_id(other).is_ok() => {
@@ -338,8 +294,7 @@ fn run(raw: &[String]) -> Result<(), CliError> {
         }
     };
     if args.flag("help").is_some() {
-        println!("{USAGE}");
-        return Ok(());
+        return emit(&format!("{USAGE}\n"));
     }
     if let Some((name, _)) =
         args.flags.iter().find(|(name, _)| !known_flags.split_whitespace().any(|f| f == name))
@@ -376,7 +331,9 @@ fn cmd_compile(args: &Args) -> Result<(), CliError> {
         )));
     }
     let mut spec = args.profile()?;
-    spec.simd_width = args.simd_width()?;
+    if let Some(width) = request::simd_width(&args.flags[..])? {
+        spec.simd_width = width;
+    }
     let fmt = trace_format(args)?;
     let tel = telemetry_for(fmt.is_some());
     let root = tel.root("compile");
@@ -399,15 +356,14 @@ fn cmd_compile(args: &Args) -> Result<(), CliError> {
     };
     root.finish();
     emit_trace(&tel, fmt);
-    println!(
-        "{} at dx={dx} dz={dz} dt={dt} under profile '{}': {} logical time-step(s), {} tile(s)",
+    emit(&format!(
+        "{} at dx={dx} dz={dz} dt={dt} under profile '{}': {} logical time-step(s), {} tile(s)\n{}\n",
         instruction.name(),
         request.spec.name,
         artifact.report.logical_time_steps,
-        artifact.report.tiles
-    );
-    println!("{}", artifact.resources.render());
-    Ok(())
+        artifact.report.tiles,
+        artifact.resources.render()
+    ))
 }
 
 /// `tiscc gen <family>`: build a parametric workload program and emit its
@@ -425,120 +381,43 @@ fn cmd_gen(args: &Args) -> Result<(), CliError> {
     let family = Family::from_name(family_name).ok_or_else(|| {
         CliError::usage(WorkloadError::UnknownFamily(family_name.clone()).to_string())
     })?;
+    let flags = &args.flags[..];
     let mut spec = GenSpec::new(family);
-    spec.n = args.flag_usize("n", spec.n)?;
-    spec.steps = args.flag_usize("steps", spec.steps)?;
-    spec.coupling_j = args.flag_f64("j", spec.coupling_j)?;
-    spec.field_h = args.flag_f64("h", spec.field_h)?;
-    spec.t_fraction = args.flag_f64("t-frac", spec.t_fraction)?;
-    if let Some(v) = args.flag("seed") {
-        spec.seed = v.parse().map_err(|_| {
-            CliError::usage(format!("--seed expects an unsigned integer, got {v:?}"))
-        })?;
-    }
-    if let Some(v) = args.flag("qubits") {
-        let q = v
-            .parse()
-            .map_err(|_| CliError::usage(format!("--qubits expects a number, got {v:?}")))?;
-        spec.qubits = Some(q);
-    }
+    spec.n = flags.count("n")?.unwrap_or(spec.n);
+    spec.steps = flags.count("steps")?.unwrap_or(spec.steps);
+    spec.coupling_j = flags.number("j")?.unwrap_or(spec.coupling_j);
+    spec.field_h = flags.number("h")?.unwrap_or(spec.field_h);
+    spec.t_fraction = flags.number("t_frac")?.unwrap_or(spec.t_fraction);
+    spec.seed = flags.count("seed")?.map_or(spec.seed, |seed| seed as u64);
+    spec.qubits = flags.count("qubits")?.or(spec.qubits);
     let program = generate(&spec).map_err(|e| CliError::usage(e.to_string()))?;
     let text = program.to_tql();
     match args.flag("out") {
-        None | Some("") => print!("{text}"),
+        None | Some("") => emit(&text),
         Some(path) => std::fs::write(path, &text)
-            .map_err(|e| CliError::runtime(format!("cannot write {path}: {e}")))?,
+            .map_err(|e| CliError::runtime(format!("cannot write {path}: {e}"))),
     }
-    Ok(())
-}
-
-/// Parses a `HxW` grid value (e.g. `8x8`) into tile-grid dimensions;
-/// `flag` names the offending flag in the error message.
-fn parse_grid(flag: &str, value: &str) -> Result<(usize, usize), CliError> {
-    let bad = || CliError::usage(format!("{flag} expects ROWSxCOLS (e.g. 8x8), got {value:?}"));
-    let (rows, cols) = value.split_once(['x', 'X']).ok_or_else(bad)?;
-    let rows: usize = rows.trim().parse().map_err(|_| bad())?;
-    let cols: usize = cols.trim().parse().map_err(|_| bad())?;
-    if rows == 0 || cols == 0 {
-        return Err(bad());
-    }
-    Ok((rows, cols))
-}
-
-/// Resolves `--layout` and `--grid` into a floorplan spec.
-fn layout_spec(args: &Args) -> Result<LayoutSpec, CliError> {
-    let mut layout = match args.flag("layout") {
-        None => LayoutSpec::default(),
-        Some(name) => LayoutSpec::by_name(name).map_err(|e| CliError::usage(e.to_string()))?,
-    };
-    if let Some(grid) = args.flag("grid") {
-        let (rows, cols) = parse_grid("--grid", grid)?;
-        layout = layout.with_grid(rows, cols);
-    }
-    Ok(layout)
-}
-
-/// Reads and parses a `.tql` program file under a `parse` span;
-/// unreadable or unparseable files are usage errors naming the path.
-fn load_program(path: &str, parent: &Span) -> Result<LogicalProgram, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::usage(format!("cannot read {path}: {e}")))?;
-    let stem = PathBuf::from(path)
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "program".to_string());
-    LogicalProgram::parse_with(stem, &text, parent)
-        .map_err(|e| CliError::usage(format!("{path}:{e}")))
-}
-
-/// Resolves the `--p-phys`, `--p-th` and `--prefactor` flags into an
-/// error model (defaults unchanged where a flag is absent).
-fn error_model(args: &Args) -> Result<ErrorModel, CliError> {
-    Ok(ErrorModel {
-        p_physical: args.flag_f64("p-phys", ErrorModel::default().p_physical)?,
-        p_threshold: args.flag_f64("p-th", ErrorModel::default().p_threshold)?,
-        prefactor: args.flag_f64("prefactor", ErrorModel::default().prefactor)?,
-    })
 }
 
 fn cmd_estimate(args: &Args) -> Result<(), CliError> {
     let Some(path) = args.positional.first() else {
         return Err(CliError::usage(
             "usage: tiscc estimate <program.tql> [--budget X] [--profile NAME[,NAME...]] \
-             [--layout lane|row|checkerboard] [--grid HxW] [--show-layout]",
+             [--layout L[@RxC]] [--grid HxW] [--show-layout]",
         ));
     };
     let fmt = trace_format(args)?;
     let tel = telemetry_for(fmt.is_some());
     let root = tel.root("estimate");
-    let program = load_program(path, &root)?;
-
-    let model = error_model(args)?;
-    let layout = layout_spec(args)?;
-    // `--simd-width` is a scheduling knob, not a new profile: it applies
-    // uniformly to every profile in the comparison list.
-    let simd_width = args.simd_width()?;
-    let spec = ProgramEstimateSpec {
-        budget: args.flag_f64("budget", 1e-9)?,
-        model,
-        profiles: args
-            .profile_list()?
-            .into_iter()
-            .map(|mut profile| {
-                profile.simd_width = simd_width;
-                profile
-            })
-            .collect(),
-        d_max: args.flag_usize("dmax", 49)?,
-        layout,
-    };
+    let program = request::load_program(path, &root)?;
+    let spec = request::estimate_spec(&args.flags[..])?;
 
     if args.flag("show-layout").is_some() {
         // The floorplan is cheap: render it before any compilation so the
         // user sees it even when the estimate itself fails.
         let placement = Placement::allocate_with(&program, &spec.layout)
             .map_err(|e| CliError::usage(e.to_string()))?;
-        print!("{}", placement.render_ascii(&program));
+        emit(&placement.render_ascii(&program))?;
     }
 
     // Malformed-but-parseable argument values (zero budget, a physical
@@ -555,8 +434,7 @@ fn cmd_estimate(args: &Args) -> Result<(), CliError> {
         })?;
     root.finish();
     emit_trace(&tel, fmt);
-    print!("{}", estimate.render());
-    Ok(())
+    emit(&estimate.render())
 }
 
 /// Maps a frontier-engine failure onto the CLI exit-code convention:
@@ -580,35 +458,6 @@ fn open_cache(args: &Args) -> Result<Option<DiskCache>, CliError> {
     }
 }
 
-/// Resolves `--layouts` and `--grids` into the floorplan axis: each
-/// layout entry (`name` or `name@RxC`) that carries no explicit grid is
-/// crossed with every `--grids` entry; explicitly-gridded entries pass
-/// through unchanged. Duplicate entries in either list are dropped.
-fn frontier_layouts(args: &Args) -> Result<Vec<LayoutSpec>, CliError> {
-    let entries =
-        split_list("layouts", args.flag("layouts").unwrap_or("lane")).map_err(CliError::usage)?;
-    let grids: Vec<(usize, usize)> = match args.flag("grids") {
-        None => Vec::new(),
-        Some(raw) => split_list("grids", raw)
-            .map_err(CliError::usage)?
-            .iter()
-            .map(|g| parse_grid("--grids", g))
-            .collect::<Result<_, _>>()?,
-    };
-    let mut layouts = Vec::new();
-    for entry in &entries {
-        let layout = parse_layout_entry(entry).map_err(CliError::usage)?;
-        if layout.grid.is_some() || grids.is_empty() {
-            layouts.push(layout);
-        } else {
-            for &(rows, cols) in &grids {
-                layouts.push(layout.with_grid(rows, cols));
-            }
-        }
-    }
-    Ok(layouts)
-}
-
 fn cmd_frontier(args: &Args) -> Result<(), CliError> {
     let Some(path) = args.positional.first() else {
         return Err(CliError::usage(
@@ -628,14 +477,8 @@ fn cmd_frontier(args: &Args) -> Result<(), CliError> {
     // when no --trace format was requested for stderr.
     let tel = telemetry_for(fmt.is_some() || stats_json.is_some());
     let root = tel.root("frontier");
-    let program = load_program(path, &root)?;
-    let spec = FrontierSpec {
-        layouts: frontier_layouts(args)?,
-        d_min: args.flag_usize("dmin", 3)?,
-        d_max: args.flag_usize("dmax", 13)?,
-        profiles: args.profile_list()?,
-        model: error_model(args)?,
-    };
+    let program = request::load_program(path, &root)?;
+    let spec = request::frontier_spec(&args.flags[..])?;
     let disk = open_cache(args)?;
 
     let compiler = Compiler::new();
@@ -690,8 +533,7 @@ fn cmd_frontier(args: &Args) -> Result<(), CliError> {
             eprintln!("wrote {stats_path}");
         }
     }
-    print!("{}", frontier_to_csv(&report));
-    Ok(())
+    emit(&frontier_to_csv(&report))
 }
 
 fn cmd_serve(args: &Args) -> Result<(), CliError> {
@@ -725,9 +567,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         if line.is_empty() {
             continue;
         }
-        println!("{}", handle_line(line, &state));
-        use std::io::Write;
-        let _ = std::io::stdout().flush();
+        emit(&format!("{}\n", handle_line(line, &state)))?;
     }
 }
 
@@ -735,10 +575,10 @@ type TableJob =
     fn(&HardwareSpec, usize, usize) -> Result<Vec<tables::ResourceRow>, tiscc_core::CoreError>;
 
 fn cmd_tables(args: &Args) -> Result<(), CliError> {
-    let d = args.flag_at_least("d", 3, 2)?;
-    let dt = args.flag_at_least("dt", 2, 1)?;
+    let d = args.flags.count_at_least("d", 3, 2)?;
+    let dt = args.flags.count_at_least("dt", 2, 1)?;
     let spec = args.profile()?;
-    println!("{}", tables::table5(&spec));
+    emit(&format!("{}\n", tables::table5(&spec)))?;
     let jobs: [(&str, TableJob); 3] = [
         ("Table 1: local lattice-surgery instruction set", |spec, d, dt| {
             tables::table1_rows(spec, &[d], dt)
@@ -749,25 +589,29 @@ fn cmd_tables(args: &Args) -> Result<(), CliError> {
     for (title, job) in jobs {
         let rows = job(&spec, d, dt)
             .map_err(|e| CliError::runtime(format!("error compiling {title}: {e}")))?;
-        println!("{}", tables::render_rows(title, &rows));
+        emit(&format!("{}\n", tables::render_rows(title, &rows)))?;
     }
     Ok(())
 }
 
 fn cmd_profiles() -> Result<(), CliError> {
-    println!("Available hardware profiles (select with --profile NAME):\n");
+    let mut out = String::from("Available hardware profiles (select with --profile NAME):\n\n");
     for spec in HardwareSpec::presets() {
-        print!("{}", spec.render());
-        println!("  fingerprint         : {}", spec.fingerprint());
-        println!();
+        out.push_str(&format!(
+            "{}  fingerprint         : {}\n\n",
+            spec.render(),
+            spec.fingerprint()
+        ));
     }
-    Ok(())
+    emit(&out)
 }
 
 fn cmd_sweep(args: &Args) -> Result<(), CliError> {
-    let dmax = args.flag_at_least("dmax", 5, 2)?;
-    let profiles = args.profile_list()?;
-    let mut spec = SweepSpec::paper(dmax).with_profiles(profiles);
+    let dmax = args.flags.count_at_least("dmax", 5, 2)?;
+    let mut spec = SweepSpec::paper(dmax);
+    if let Some(profiles) = request::profiles(&args.flags[..])? {
+        spec = spec.with_profiles(profiles);
+    }
     if let Some(dt) = args.flag("dt") {
         if dt != "d" {
             let dt = dt.parse::<usize>().map_err(|_| {
@@ -863,15 +707,15 @@ fn cmd_sweep(args: &Args) -> Result<(), CliError> {
         }
     }
     if csv_path.is_none() && json_path.is_none() {
-        print!("{}", result.to_csv());
+        emit(&result.to_csv())?;
     }
     Ok(())
 }
 
 fn cmd_verify(args: &Args) -> Result<(), CliError> {
-    let seed = args.flag_usize("seed", 17)? as u64;
+    let seed = args.flags.count("seed")?.unwrap_or(17) as u64;
     let mut failures = 0usize;
-    println!("Sec. 4 verification (fiducial state preparation + Idle process map):");
+    emit("Sec. 4 verification (fiducial state preparation + Idle process map):\n")?;
     for fiducial in Fiducial::all() {
         let mut fixture = SingleTile::new(2, 2, 1)
             .map_err(|e| CliError::runtime(format!("fixture construction failed: {e}")))?;
@@ -886,14 +730,14 @@ fn cmd_verify(args: &Args) -> Result<(), CliError> {
         if !ok {
             failures += 1;
         }
-        println!(
-            "  prepare {:?}: bloch = ({:+.1}, {:+.1}, {:+.1})  {}",
+        emit(&format!(
+            "  prepare {:?}: bloch = ({:+.1}, {:+.1}, {:+.1})  {}\n",
             fiducial,
             bloch.x,
             bloch.y,
             bloch.z,
             if ok { "ok" } else { "MISMATCH" }
-        );
+        ))?;
     }
     match process_map_of(3, 3, 1, seed.wrapping_add(6), |hw, patch| patch.idle(hw).map(|_| ())) {
         Ok(map) => {
@@ -902,11 +746,11 @@ fn cmd_verify(args: &Args) -> Result<(), CliError> {
             if !ok {
                 failures += 1;
             }
-            println!(
-                "  Idle process map deviation from identity: {:.3e}  {}",
+            emit(&format!(
+                "  Idle process map deviation from identity: {:.3e}  {}\n",
                 deviation,
                 if ok { "ok" } else { "MISMATCH" }
-            );
+            ))?;
         }
         Err(e) => {
             eprintln!("idle process tomography failed: {e}");
@@ -914,10 +758,9 @@ fn cmd_verify(args: &Args) -> Result<(), CliError> {
         }
     }
     if failures == 0 {
-        println!("verification passed");
-        Ok(())
+        emit("verification passed\n")
     } else {
-        println!("verification FAILED ({failures} check(s))");
+        emit(&format!("verification FAILED ({failures} check(s))\n"))?;
         Err(CliError { code: 1, message: String::new() })
     }
 }

@@ -1,8 +1,9 @@
 //! Process-level tests of the CLI error contract: bad arguments exit with
 //! code 2 and a one-line stderr message; valid invocations succeed.
 
+use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn tiscc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tiscc")).args(args).output().expect("spawn tiscc")
@@ -55,6 +56,37 @@ fn unknown_flags_exit_2_naming_the_flag() {
     assert_usage_error(&["idle", "3", "--budget", "1"], "unknown flag --budget");
 }
 
+/// A flag given twice is a usage error naming it, never a silent choice
+/// of one of the two values.
+#[test]
+fn repeated_flags_exit_2_naming_the_flag() {
+    let program =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/programs/bell.tql");
+    let program = program.to_str().unwrap();
+    assert_usage_error(
+        &["estimate", program, "--budget", "1e-3", "--profile", "h1", "--profile", "projected"],
+        "--profile given twice",
+    );
+    assert_usage_error(
+        &["estimate", program, "--budget", "0.5", "--budget=1e-12"],
+        "--budget given twice",
+    );
+    assert_usage_error(&["sweep", "--quiet", "--dmax", "2", "--quiet"], "--quiet given twice");
+}
+
+/// Boolean flags take no `=VALUE` (`--quiet=false` is not "not quiet");
+/// only `--trace` has a value form.
+#[test]
+fn boolean_flags_reject_a_value() {
+    let program =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/programs/bell.tql");
+    let program = program.to_str().unwrap();
+    assert_usage_error(&["sweep", "--dmax", "2", "--quiet=false"], "--quiet takes no value");
+    assert_usage_error(&["estimate", program, "--show-layout=no"], "--show-layout takes no value");
+    assert_usage_error(&["serve", "--stdin-json=0"], "--stdin-json takes no value");
+    assert_usage_error(&["sweep", "--help=no"], "--help takes no value");
+}
+
 /// `--help` and `-h` print the usage text and exit 0 instead of running
 /// the subcommand (a bare `sweep` would compile the whole paper sweep).
 #[test]
@@ -93,19 +125,17 @@ fn bad_layout_arguments_exit_2() {
 fn show_layout_prints_the_floorplan() {
     let program =
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/programs/adder.tql");
-    let out = tiscc(&[
-        "estimate",
-        program.to_str().unwrap(),
-        "--budget",
-        "1e-3",
-        "--layout",
-        "checkerboard",
-        "--grid",
-        "8x8",
-        "--show-layout",
-    ]);
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let program = program.to_str().unwrap();
+    let estimate = |layout: &[&str]| {
+        let out =
+            tiscc(&[&["estimate", program, "--budget", "1e-3", "--show-layout"], layout].concat());
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    let stdout = estimate(&["--layout", "checkerboard", "--grid", "8x8"]);
+    // `--layout` takes the same `name@RxC` entry as `--layouts`.
+    assert_eq!(estimate(&["--layout", "checkerboard@8x8"]), stdout);
+    let stdout = String::from_utf8_lossy(&stdout);
     for needle in [
         "floorplan: checkerboard layout on 8x8 tiles",
         "a0",
@@ -178,4 +208,29 @@ fn help_and_profiles_succeed() {
     let out = tiscc(&["profiles"]);
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("slow_junction"));
+}
+
+/// A line nested far deeper than any request gets one `malformed_json`
+/// reply (the reader caps nesting instead of recursing off the stack),
+/// and the loop answers the next line.
+#[test]
+fn serve_survives_a_deeply_nested_line() {
+    let deep = format!("{{\"cmd\":{}", "[".repeat(65_000));
+    assert_eq!(deep.len(), 65_007);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tiscc"))
+        .args(["serve", "--stdin-json"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn tiscc serve");
+    let mut stdin = child.stdin.take().unwrap();
+    writeln!(stdin, "{deep}\n{{\"cmd\":\"ping\"}}").unwrap();
+    drop(stdin);
+    let replies: Vec<String> =
+        BufReader::new(child.stdout.take().unwrap()).lines().map(Result::unwrap).collect();
+    assert!(child.wait().unwrap().success());
+    assert_eq!(replies.len(), 2, "{replies:?}");
+    assert!(replies[0].contains("\"kind\":\"malformed_json\""), "{}", replies[0]);
+    assert!(replies[1].contains("\"reply\":\"pong\""), "{}", replies[1]);
 }

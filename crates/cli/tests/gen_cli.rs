@@ -3,7 +3,8 @@
 //! generate → estimate pipeline, and the exit-2 contract for bad families
 //! and parameters.
 
-use std::process::{Command, Output};
+use std::io::Read;
+use std::process::{Command, Output, Stdio};
 
 fn tiscc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tiscc")).args(args).output().expect("spawn tiscc")
@@ -95,4 +96,21 @@ fn bad_family_and_params_exit_2_naming_the_flag() {
     assert_usage_error(&["gen", "ising-trotter", "--steps", "0"], "--steps");
     assert_usage_error(&["gen", "ising-trotter", "--j", "nan"], "--j");
     assert_usage_error(&["gen", "qft", "--n", "100000"], "cap is 10000000");
+}
+
+/// `tiscc gen … | head -c 100`: a reader that closes the pipe early ends
+/// the command quietly with exit 0, not a broken-pipe panic.
+#[test]
+fn closed_stdout_exits_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tiscc"))
+        .args(["gen", "random-clifford-t", "--n", "100000", "--seed", "7"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn tiscc gen");
+    let mut head = [0u8; 100];
+    child.stdout.take().unwrap().read_exact(&mut head).unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(out.stderr.is_empty(), "{}", String::from_utf8_lossy(&out.stderr));
 }

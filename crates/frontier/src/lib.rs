@@ -19,6 +19,8 @@
 //!   invocation of a big search performs zero fresh compiles.
 //! - [`emit`] renders the matrix and the frontier as CSV/JSON with
 //!   shortest-round-trip floats (bit-exact re-parse).
+//! - [`request`] reads an estimate or frontier request, from CLI flags or
+//!   serve JSON fields, into one spec with one set of defaults.
 //! - [`serve`] answers newline-delimited JSON estimate/frontier requests
 //!   against one warm in-process compiler — the `tiscc serve
 //!   --stdin-json` loop.
@@ -48,6 +50,7 @@ pub mod cache;
 pub mod emit;
 pub mod engine;
 pub mod pareto;
+pub mod request;
 pub mod serve;
 pub mod spec;
 
@@ -55,5 +58,5 @@ pub use cache::{DiskCache, CACHE_FORMAT_VERSION};
 pub use emit::{frontier_to_csv, matrix_from_csv, matrix_to_csv, report_to_json, stats_to_json};
 pub use engine::{run_frontier, run_frontier_with, FrontierPoint, FrontierReport, FrontierStats};
 pub use pareto::{pareto_flags, pareto_flags_bruteforce};
-pub use serve::{handle_line, parse_layout_entry, split_list, ServeState, MAX_REQUEST_BYTES};
+pub use serve::{handle_line, ServeState, MAX_REQUEST_BYTES};
 pub use spec::{FrontierError, FrontierSpec, NormalizedSpec};

@@ -5,7 +5,9 @@
 //!
 //! Requests are **flat** JSON objects — every value is a string, number,
 //! boolean or null; lists (layouts, profiles) travel as comma-separated
-//! strings, exactly like their CLI flags:
+//! strings. Each key is the CLI flag of the same setting (`p_phys` is
+//! `--p-phys`, `profiles` is `--profile`), and [`crate::request`] reads
+//! both into one spec:
 //!
 //! ```text
 //! {"cmd":"ping"}
@@ -32,17 +34,17 @@
 //! persistent-cache statistics, so a session's cache behaviour is
 //! observable without scraping stderr.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use tiscc_estimator::compiler::Compiler;
 use tiscc_estimator::program::{estimate_program_with, ProgramEstimateSpec};
-use tiscc_hw::HardwareSpec;
-use tiscc_program::{ErrorModel, LayoutSpec, LogicalProgram};
-use tiscc_telemetry::{json_f64, json_string, Telemetry};
+use tiscc_program::LogicalProgram;
+use tiscc_telemetry::json::{self, Value};
+use tiscc_telemetry::{json_f64, json_string, Span, Telemetry};
 
 use crate::cache::DiskCache;
 use crate::engine::run_frontier_with;
+use crate::request::{self, Params};
 use crate::spec::FrontierSpec;
 
 /// Longest accepted request line in bytes; longer lines are answered with
@@ -125,7 +127,7 @@ fn handle(line: &str, state: &ServeState) -> Result<String, ServeError> {
     let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
     // "op" is an alias for "cmd"; "cmd" wins when both are present.
     let cmd = match get("cmd").or_else(|| get("op")) {
-        Some(JsonValue::Str(s)) => s.as_str(),
+        Some(Value::Str(s)) => s.as_str(),
         Some(_) => return Err(ServeError::bad_request("\"cmd\" must be a string".to_string())),
         None => return Err(ServeError::bad_request("request is missing \"cmd\"".to_string())),
     };
@@ -155,14 +157,24 @@ fn handle(line: &str, state: &ServeState) -> Result<String, ServeError> {
             state.disk.as_ref().map_or(0, |c| c.len())
         )),
         "metrics" => Ok(handle_metrics(state)),
-        "estimate" => {
-            let span = state.tel.root("estimate");
-            handle_estimate(&fields, state, &span).map_err(ServeError::bad_request)
-        }
-        _ => {
-            let span = state.tel.root("frontier");
-            handle_frontier(&fields, state, &span).map_err(ServeError::bad_request)
-        }
+        _ => handle_program(cmd, &fields, state).map_err(ServeError::bad_request),
+    }
+}
+
+/// Answers an `estimate` or `frontier` request under a root span named
+/// after the command, parsing the program under it.
+fn handle_program(
+    cmd: &str,
+    fields: &[(String, Value)],
+    state: &ServeState,
+) -> Result<String, String> {
+    let span = state.tel.root(cmd);
+    let path = fields.text("program")?.ok_or("request is missing \"program\"")?;
+    let program = request::load_program(path, &span)?;
+    if cmd == "estimate" {
+        handle_estimate(&program, &request::estimate_spec(fields)?, state, &span)
+    } else {
+        handle_frontier(&program, &request::frontier_spec(fields)?, state, &span)
     }
 }
 
@@ -198,122 +210,14 @@ fn handle_metrics(state: &ServeState) -> String {
     )
 }
 
-fn load_program(fields: &[(String, JsonValue)]) -> Result<LogicalProgram, String> {
-    let path = match fields.iter().find(|(k, _)| k == "program") {
-        Some((_, JsonValue::Str(s))) => s.clone(),
-        Some(_) => return Err("\"program\" must be a path string".to_string()),
-        None => return Err("request is missing \"program\"".to_string()),
-    };
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let stem = PathBuf::from(&path)
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "program".to_string());
-    LogicalProgram::parse(stem, &text).map_err(|e| format!("{path}:{e}"))
-}
-
-fn field_f64(fields: &[(String, JsonValue)], name: &str, default: f64) -> Result<f64, String> {
-    match fields.iter().find(|(k, _)| k == name) {
-        None => Ok(default),
-        Some((_, JsonValue::Num(x))) => Ok(*x),
-        Some(_) => Err(format!("{name:?} must be a number")),
-    }
-}
-
-fn field_usize(
-    fields: &[(String, JsonValue)],
-    name: &str,
-    default: usize,
-) -> Result<usize, String> {
-    let x = field_f64(fields, name, default as f64)?;
-    if x.fract() != 0.0 || x < 0.0 || x > usize::MAX as f64 {
-        return Err(format!("{name:?} must be a non-negative integer"));
-    }
-    Ok(x as usize)
-}
-
-fn field_str<'a>(
-    fields: &'a [(String, JsonValue)],
-    name: &str,
-    default: &'a str,
-) -> Result<&'a str, String> {
-    match fields.iter().find(|(k, _)| k == name) {
-        None => Ok(default),
-        Some((_, JsonValue::Str(s))) => Ok(s.as_str()),
-        Some(_) => Err(format!("{name:?} must be a string")),
-    }
-}
-
-/// Splits a comma-separated list field: entries are trimmed, empties
-/// dropped, and duplicates removed (first occurrence wins). An
-/// effectively empty list is an error naming the field.
-pub fn split_list(name: &str, raw: &str) -> Result<Vec<String>, String> {
-    let mut out: Vec<String> = Vec::new();
-    for entry in raw.split(',') {
-        let entry = entry.trim();
-        if !entry.is_empty() && !out.iter().any(|e| e == entry) {
-            out.push(entry.to_string());
-        }
-    }
-    if out.is_empty() {
-        return Err(format!("{name} list is empty (got {raw:?})"));
-    }
-    Ok(out)
-}
-
-fn parse_profiles(raw: &str) -> Result<Vec<HardwareSpec>, String> {
-    split_list("profiles", raw)?
-        .iter()
-        .map(|name| HardwareSpec::by_name(name).map_err(|e| e.to_string()))
-        .collect()
-}
-
-/// Parses one layout entry: a strategy name, optionally suffixed with an
-/// explicit grid as `name@RxC` (e.g. `checkerboard@8x8`).
-pub fn parse_layout_entry(entry: &str) -> Result<LayoutSpec, String> {
-    let (name, grid) = match entry.split_once('@') {
-        Some((name, grid)) => (name, Some(grid)),
-        None => (entry, None),
-    };
-    let mut layout = LayoutSpec::by_name(name).map_err(|e| e.to_string())?;
-    if let Some(grid) = grid {
-        let bad = || format!("layout {entry:?}: grid must be ROWSxCOLS (e.g. 8x8)");
-        let (rows, cols) = grid.split_once(['x', 'X']).ok_or_else(bad)?;
-        let rows: usize = rows.trim().parse().map_err(|_| bad())?;
-        let cols: usize = cols.trim().parse().map_err(|_| bad())?;
-        if rows == 0 || cols == 0 {
-            return Err(bad());
-        }
-        layout = layout.with_grid(rows, cols);
-    }
-    Ok(layout)
-}
-
-fn model_from(fields: &[(String, JsonValue)]) -> Result<ErrorModel, String> {
-    let defaults = ErrorModel::default();
-    Ok(ErrorModel {
-        p_physical: field_f64(fields, "p_phys", defaults.p_physical)?,
-        p_threshold: field_f64(fields, "p_th", defaults.p_threshold)?,
-        prefactor: field_f64(fields, "prefactor", defaults.prefactor)?,
-    })
-}
-
 fn handle_estimate(
-    fields: &[(String, JsonValue)],
+    program: &LogicalProgram,
+    spec: &ProgramEstimateSpec,
     state: &ServeState,
-    span: &tiscc_telemetry::Span,
+    span: &Span,
 ) -> Result<String, String> {
-    let program = load_program(fields)?;
-    let layout = parse_layout_entry(field_str(fields, "layout", "lane")?)?;
-    let spec = ProgramEstimateSpec {
-        budget: field_f64(fields, "budget", 1e-9)?,
-        model: model_from(fields)?,
-        profiles: parse_profiles(field_str(fields, "profiles", "h1")?)?,
-        d_max: field_usize(fields, "dmax", 49)?,
-        layout,
-    };
     let est =
-        estimate_program_with(&program, &spec, &state.compiler, span).map_err(|e| e.to_string())?;
+        estimate_program_with(program, spec, &state.compiler, span).map_err(|e| e.to_string())?;
     let mut out = format!(
         "{{\"ok\":true,\"program\":{},\"logical_qubits\":{},\"rows\":[",
         json_string(&est.program),
@@ -339,23 +243,12 @@ fn handle_estimate(
 }
 
 fn handle_frontier(
-    fields: &[(String, JsonValue)],
+    program: &LogicalProgram,
+    spec: &FrontierSpec,
     state: &ServeState,
-    span: &tiscc_telemetry::Span,
+    span: &Span,
 ) -> Result<String, String> {
-    let program = load_program(fields)?;
-    let layouts = split_list("layouts", field_str(fields, "layouts", "lane")?)?
-        .iter()
-        .map(|e| parse_layout_entry(e))
-        .collect::<Result<Vec<_>, _>>()?;
-    let spec = FrontierSpec {
-        layouts,
-        d_min: field_usize(fields, "dmin", 3)?,
-        d_max: field_usize(fields, "dmax", 13)?,
-        profiles: parse_profiles(field_str(fields, "profiles", "h1")?)?,
-        model: model_from(fields)?,
-    };
-    let report = run_frontier_with(&program, &spec, &state.compiler, state.disk.as_ref(), span)
+    let report = run_frontier_with(program, spec, &state.compiler, state.disk.as_ref(), span)
         .map_err(|e| e.to_string())?;
     let frontier = report.frontier();
     let mut out = format!(
@@ -385,166 +278,25 @@ fn handle_frontier(
     Ok(out)
 }
 
-/// A value of a flat JSON object: string, number, boolean or null —
-/// nested objects and arrays are deliberately out of protocol.
-#[derive(Clone, Debug, PartialEq)]
-pub enum JsonValue {
-    /// A JSON string (escapes decoded).
-    Str(String),
-    /// A JSON number.
-    Num(f64),
-    /// `true` or `false`.
-    Bool(bool),
-    /// `null`.
-    Null,
-}
-
 /// Parses a single flat JSON object (`{"key":value,...}`) into its fields
-/// in source order. Duplicate keys are rejected.
-pub fn parse_flat_json(text: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut fields: Vec<(String, JsonValue)> = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.string()?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate key {key:?}"));
-            }
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let value = p.value()?;
-            fields.push((key, value));
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                _ => return Err("expected ',' or '}' in object".to_string()),
-            }
+/// in source order: every value is a string, number, boolean or null.
+/// Duplicate keys are rejected.
+pub fn parse_flat_json(text: &str) -> Result<Vec<(String, Value)>, String> {
+    match json::parse(text)? {
+        Value::Obj(fields)
+            if fields.iter().any(|(_, v)| matches!(v, Value::Arr(_) | Value::Obj(_))) =>
+        {
+            Err("nested objects/arrays are not part of the flat protocol".to_string())
         }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err("trailing characters after the JSON object".to_string());
-    }
-    Ok(fields)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.next() {
-            Some(b) if b == want => Ok(()),
-            _ => Err(format!("expected {:?}", want as char)),
-        }
-    }
-
-    fn literal(&mut self, text: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') if self.literal("true") => Ok(JsonValue::Bool(true)),
-            Some(b'f') if self.literal("false") => Ok(JsonValue::Bool(false)),
-            Some(b'n') if self.literal("null") => Ok(JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(b'{' | b'[') => {
-                Err("nested objects/arrays are not part of the flat protocol".to_string())
-            }
-            _ => Err("expected a JSON value".to_string()),
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>().map(JsonValue::Num).map_err(|_| format!("malformed number {text:?}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"').map_err(|_| "expected a string".to_string())?;
-        let mut out = String::new();
-        loop {
-            match self.next() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        if self.pos + 4 > self.bytes.len() {
-                            return Err("truncated \\u escape".to_string());
-                        }
-                        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                            .map_err(|_| "malformed \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "malformed \\u escape".to_string())?;
-                        self.pos += 4;
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| "invalid \\u code point".to_string())?,
-                        );
-                    }
-                    other => return Err(format!("unsupported escape {other:?}")),
-                },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(_) => {
-                    // Multi-byte UTF-8: re-decode from the byte before.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos - 1..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8() - 1;
-                }
-            }
-        }
+        Value::Obj(fields) => Ok(fields),
+        _ => Err("expected '{'".to_string()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::Path;
+    use std::path::{Path, PathBuf};
 
     fn write_program(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("tiscc-serve-{}", std::process::id()));
@@ -565,12 +317,12 @@ mod tests {
             "{\"s\":\"a\\nb\",\"n\":1e-4,\"i\":13,\"t\":true,\"f\":false,\"z\":null}",
         )
         .unwrap();
-        assert_eq!(fields[0], ("s".to_string(), JsonValue::Str("a\nb".to_string())));
-        assert_eq!(fields[1], ("n".to_string(), JsonValue::Num(1e-4)));
-        assert_eq!(fields[2], ("i".to_string(), JsonValue::Num(13.0)));
-        assert_eq!(fields[3], ("t".to_string(), JsonValue::Bool(true)));
-        assert_eq!(fields[4], ("f".to_string(), JsonValue::Bool(false)));
-        assert_eq!(fields[5], ("z".to_string(), JsonValue::Null));
+        assert_eq!(fields[0], ("s".to_string(), Value::Str("a\nb".to_string())));
+        assert_eq!(fields[1], ("n".to_string(), Value::Num(1e-4)));
+        assert_eq!(fields[2], ("i".to_string(), Value::Num(13.0)));
+        assert_eq!(fields[3], ("t".to_string(), Value::Bool(true)));
+        assert_eq!(fields[4], ("f".to_string(), Value::Bool(false)));
+        assert_eq!(fields[5], ("z".to_string(), Value::Null));
         assert_eq!(parse_flat_json("{}").unwrap(), vec![]);
     }
 
@@ -783,26 +535,19 @@ mod tests {
         assert_eq!(report.roots(), vec!["estimate"]);
         let paths: Vec<String> = (0..report.spans.len()).map(|i| report.path(i)).collect();
         assert!(paths.contains(&"estimate/compile".to_string()), "{paths:?}");
+        assert!(paths.contains(&"estimate/parse".to_string()), "{paths:?}");
         let _ = std::fs::remove_file(Path::new(&path));
     }
 
     #[test]
-    fn split_list_dedupes_and_rejects_empty() {
-        assert_eq!(split_list("profiles", "a,b,a").unwrap(), vec!["a", "b"]);
-        assert_eq!(split_list("layouts", " x , ,x,").unwrap(), vec!["x"]);
-        let err = split_list("profiles", ", ,").unwrap_err();
-        assert!(err.contains("profiles list is empty"), "{err}");
-    }
-
-    #[test]
-    fn layout_entries_parse_with_optional_grids() {
-        assert_eq!(parse_layout_entry("lane").unwrap(), LayoutSpec::single_lane());
-        assert_eq!(
-            parse_layout_entry("checkerboard@8x8").unwrap(),
-            LayoutSpec::checkerboard().with_grid(8, 8)
-        );
-        assert!(parse_layout_entry("warp").is_err());
-        assert!(parse_layout_entry("row@8").is_err());
-        assert!(parse_layout_entry("row@0x8").is_err());
+    fn long_non_ascii_strings_parse_in_linear_time() {
+        let text = "\u{e9}".repeat(30_000);
+        let line = format!("{{\"cmd\":\"ping\",\"x\":\"{text}\"}}");
+        assert_eq!(line.len(), 60_021);
+        let started = Instant::now();
+        let fields = parse_flat_json(&line).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(fields[1].1, Value::Str(text));
+        assert!(elapsed.as_millis() < 100, "took {elapsed:?}");
     }
 }

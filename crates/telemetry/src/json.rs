@@ -1,23 +1,36 @@
-//! A minimal recursive JSON reader for `tiscc.trace.v1` documents.
+//! The one JSON reader of the stack: `tiscc serve` request lines and
+//! `tiscc.trace.v1` documents both go through [`parse`].
 //!
-//! The serve protocol deliberately rejects nesting, but a trace document
-//! carries arrays of span objects, so this module hosts its own small
-//! recursive parser instead of reusing the flat one. It only needs to
-//! round-trip what [`JsonSink`](crate::JsonSink) emits.
+//! Serve feeds it untrusted lines, so it is bounded: nesting deeper than
+//! [`MAX_DEPTH`] is an error (the recursion cannot exhaust the stack), a
+//! string decodes in time linear in its length, and a repeated object key
+//! is an error rather than a silent override.
 
 use crate::{SpanRecord, TraceReport};
 
+/// The deepest array/object nesting [`parse`] accepts. A trace document
+/// nests three levels (document, `spans`, span), a serve request one.
+pub const MAX_DEPTH: usize = 16;
+
+/// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
-enum Value {
+pub enum Value {
+    /// `null`.
     Null,
+    /// `true` or `false`.
     Bool(bool),
+    /// A number.
     Num(f64),
+    /// A string, escapes decoded.
     Str(String),
+    /// An array.
     Arr(Vec<Value>),
+    /// An object's fields in source order; keys are distinct.
     Obj(Vec<(String, Value)>),
 }
 
 impl Value {
+    /// The value of `key`, when `self` is an object that has it.
     fn get<'a>(&'a self, key: &str) -> Option<&'a Value> {
         match self {
             Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -25,6 +38,7 @@ impl Value {
         }
     }
 
+    /// The number, when `self` is one.
     fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
@@ -32,6 +46,7 @@ impl Value {
         }
     }
 
+    /// The string, when `self` is one.
     fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
@@ -39,6 +54,7 @@ impl Value {
         }
     }
 
+    /// The items, when `self` is an array.
     fn as_arr(&self) -> Option<&[Value]> {
         match self {
             Value::Arr(items) => Some(items),
@@ -47,134 +63,119 @@ impl Value {
     }
 }
 
+/// Parses one JSON document. An error says what was expected (`expected
+/// a JSON value`, `duplicate key "a"`) without a position, so a serve
+/// reply can quote it as it is.
+pub fn parse(text: &str) -> Result<Value, String> {
+    let mut p = Parser { text, pos: 0 };
+    p.skip_ws();
+    let value = p.value(0)?;
+    p.skip_ws();
+    if p.pos != text.len() {
+        return Err("trailing characters after the JSON object".to_string());
+    }
+    Ok(value)
+}
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser { bytes: text.as_bytes(), pos: 0 }
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn error(&self, message: &str) -> String {
-        format!("trace json: {message} at byte {}", self.pos)
+    fn next(&mut self) -> Option<u8> {
+        let b = self.peek()?;
+        self.pos += 1;
+        Some(b)
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
             self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected {:?}", b as char)))
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            _ => Err(self.error("expected a value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn literal(&mut self, word: &str) -> bool {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
-            Ok(value)
+            true
         } else {
-            Err(self.error(&format!("expected {word}")))
+            false
+        }
+    }
+
+    /// A value nested inside `depth` arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<Value, String> {
+        match self.peek() {
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b't') if self.literal("true") => Ok(Value::Bool(true)),
+            Some(b'f') if self.literal("false") => Ok(Value::Bool(false)),
+            Some(b'n') if self.literal("null") => Ok(Value::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} levels"))
+            }
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
+            _ => Err("expected a JSON value".to_string()),
         }
     }
 
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        while matches!(self.peek(), Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')) {
             self.pos += 1;
         }
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
-        text.parse::<f64>().map(Value::Num).map_err(|_| self.error("bad number"))
+        let text = &self.text[start..self.pos];
+        text.parse().map(Value::Num).map_err(|_| format!("malformed number {text:?}"))
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
+        if self.next() != Some(b'"') {
+            return Err("expected a string".to_string());
+        }
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.error("bad \\u hex"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("bad \\u hex"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.error("bad \\u code point"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.error("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Advance one full UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid utf-8"))?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+            // Copy the run before the next quote or backslash as one slice;
+            // both are ASCII, so the run ends on a character boundary.
+            let rest = &self.text[self.pos..];
+            let run = rest.find(['"', '\\']).ok_or("unterminated string")?;
+            out.push_str(&rest[..run]);
+            self.pos += run + 1;
+            if rest.as_bytes()[run] == b'"' {
+                return Ok(out);
             }
+            let escaped = match self.next() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'u') => {
+                    if self.pos + 4 > self.text.len() {
+                        return Err("truncated \\u escape".to_string());
+                    }
+                    // Four ASCII hex digits, so `pos + 4` is a boundary.
+                    let code = self.text[self.pos..]
+                        .get(..4)
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                        .ok_or("malformed \\u escape")?;
+                    self.pos += 4;
+                    char::from_u32(code).ok_or("invalid \\u code point")?
+                }
+                other => return Err(format!("unsupported escape {other:?}")),
+            };
+            out.push(escaped);
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
+    fn array(&mut self, depth: usize) -> Result<Value, String> {
+        self.pos += 1;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -182,24 +183,20 @@ impl<'a> Parser<'a> {
             return Ok(Value::Arr(items));
         }
         loop {
-            items.push(self.value()?);
             self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.error("expected ',' or ']'")),
+            items.push(self.value(depth)?);
+            self.skip_ws();
+            match self.next() {
+                Some(b',') => {}
+                Some(b']') => return Ok(Value::Arr(items)),
+                _ => return Err("expected ',' or ']' in array".to_string()),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
+    fn object(&mut self, depth: usize) -> Result<Value, String> {
+        self.pos += 1;
+        let mut fields: Vec<(String, Value)> = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -208,20 +205,21 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             let key = self.string()?;
+            if fields.iter().any(|(k, _)| *k == key) {
+                return Err(format!("duplicate key {key:?}"));
+            }
             self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
+            if self.next() != Some(b':') {
+                return Err("expected ':'".to_string());
+            }
+            self.skip_ws();
+            let value = self.value(depth)?;
             fields.push((key, value));
             self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(self.error("expected ',' or '}'")),
+            match self.next() {
+                Some(b',') => {}
+                Some(b'}') => return Ok(Value::Obj(fields)),
+                _ => return Err("expected ',' or '}' in object".to_string()),
             }
         }
     }
@@ -230,12 +228,7 @@ impl<'a> Parser<'a> {
 /// Parses a `tiscc.trace.v1` JSON document (as emitted by
 /// [`JsonSink`](crate::JsonSink)) back into a [`TraceReport`].
 pub fn trace_from_json(text: &str) -> Result<TraceReport, String> {
-    let mut parser = Parser::new(text);
-    let root = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.error("trailing data after document"));
-    }
+    let root = parse(text).map_err(|e| format!("trace json: {e}"))?;
 
     let schema =
         root.get("schema").and_then(Value::as_str).ok_or("trace json: missing \"schema\" field")?;
@@ -370,5 +363,21 @@ mod tests {
                     \"start_us\":0.0,\"duration_us\":null}],\"counters\":[],\"gauges\":[]}";
         let report = trace_from_json(json).unwrap();
         assert_eq!(report.spans[0].name, "A");
+    }
+
+    #[test]
+    fn nesting_is_capped_before_the_stack_runs_out() {
+        let deep = "[".repeat(65_000);
+        assert_eq!(parse(&deep), Err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        assert!(trace_from_json(&deep).is_err());
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+    }
+
+    #[test]
+    fn repeated_keys_are_rejected_at_every_level() {
+        assert_eq!(parse("{\"a\":1,\"a\":2}"), Err("duplicate key \"a\"".to_string()));
+        assert!(parse("[{\"b\":[],\"b\":null}]").is_err());
+        assert!(parse("{\"a\":{\"a\":1}}").is_ok(), "one key per object");
     }
 }

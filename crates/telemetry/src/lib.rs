@@ -20,6 +20,8 @@
 //!   near-zero-overhead [`NoopSink`] default, the human-readable
 //!   [`TreeSink`], or the [`JsonSink`] flat-JSON emitter whose output
 //!   round-trips through [`trace_from_json`].
+//! * [`json`] — the stack's one bounded JSON reader, behind both
+//!   [`trace_from_json`] and the serve protocol.
 //!
 //! ```
 //! use tiscc_telemetry::{Telemetry, TraceFormat};
@@ -42,7 +44,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod json;
+pub mod json;
 mod render;
 
 pub use json::trace_from_json;
