@@ -6,8 +6,10 @@
 //! subcommand makes and hashed with the FNV-64 of the benchmark reference.
 //! The op streams themselves are pinned too: one digest per hardware
 //! profile × distance × SIMD width over every instruction's compiled
-//! circuit. A mismatch prints the regenerated digest file, so updating it
-//! is a deliberate copy of that text.
+//! circuit. So are the program schedules: one digest per generated program
+//! × floorplan over every step, stall and corridor (or the routing error).
+//! A mismatch prints the regenerated digest file, so updating it is a
+//! deliberate copy of that text.
 
 use tiscc::core::instruction::Instruction;
 use tiscc::estimator::compiler::{CompileRequest, Compiler};
@@ -17,7 +19,8 @@ use tiscc::estimator::verify::{process_map_of, Fiducial, SingleTile};
 use tiscc::frontier::{frontier_to_csv, matrix_to_csv, report_to_json, run_frontier, FrontierSpec};
 use tiscc::hw::{HardwareSpec, TimedOp};
 use tiscc::orqcs::ProcessMap;
-use tiscc::program::{LayoutSpec, LogicalProgram};
+use tiscc::program::{schedule, LayoutSpec, LogicalProgram, Placement};
+use tiscc::workloads::{generate, Family, GenSpec};
 
 const DIGESTS: &str = include_str!("golden/default_outputs.txt");
 
@@ -80,6 +83,62 @@ fn opstream_digests() -> Vec<(String, u64)> {
                 }
                 digests.push((format!("opstream/{}/d{d}/w{width}", profile.name), h));
             }
+        }
+    }
+    digests
+}
+
+/// Folds a whole schedule into one digest: every step's member indices and
+/// logical time steps, the stall and parallel-merge counts, and every
+/// corridor tile; an unroutable program folds its routing error's text.
+fn schedule_digest(program: &LogicalProgram, spec: &LayoutSpec) -> u64 {
+    let placement = Placement::allocate_with(program, spec).unwrap();
+    let sched = match schedule(program, &placement) {
+        Ok(sched) => sched,
+        Err(err) => return fnv(fnv_step(FNV_OFFSET, 1), err.to_string().as_bytes()),
+    };
+    let mut h = fnv_step(fnv_step(FNV_OFFSET, 0), sched.steps.len() as u64);
+    for step in &sched.steps {
+        h = fnv_step(h, step.instructions.len() as u64);
+        h = step.instructions.iter().fold(h, |h, &i| fnv_step(h, i as u64));
+        h = fnv_step(h, step.logical_time_steps as u64);
+    }
+    h = fnv_step(fnv_step(h, sched.routing_stalls as u64), sched.parallel_merges as u64);
+    for corridor in &sched.corridors {
+        h = match corridor {
+            Some(tiles) => tiles.iter().fold(
+                fnv_step(fnv_step(h, 1), tiles.len() as u64),
+                |h, &(r, c)| fnv_step(fnv_step(h, r as u64), c as u64),
+            ),
+            None => fnv_step(h, 0),
+        };
+    }
+    h
+}
+
+/// One digest per generated program × floorplan: random Clifford+T at
+/// n = 1 024 and 10 240 (seed 7) and the 93-bit ripple-carry adder, on the
+/// auto-sized lane, row and checkerboard layouts and on two explicit grids
+/// (where the packed 10 240-instruction program is unroutable).
+fn schedule_digests() -> Vec<(String, u64)> {
+    let programs = [
+        GenSpec::new(Family::RandomCliffordT).with_n(1024).with_seed(7),
+        GenSpec::new(Family::RandomCliffordT).with_n(10_240).with_seed(7),
+        GenSpec::new(Family::RippleCarryAdder).with_n(93),
+    ];
+    let layouts = [
+        ("lane", LayoutSpec::single_lane()),
+        ("row", LayoutSpec::row_major()),
+        ("checkerboard", LayoutSpec::checkerboard()),
+        ("row@24x24", LayoutSpec::row_major().with_grid(24, 24)),
+        ("checkerboard@24x48", LayoutSpec::checkerboard().with_grid(24, 48)),
+    ];
+    let mut digests = Vec::new();
+    for gen in programs {
+        let program = generate(&gen).unwrap();
+        for (name, layout) in &layouts {
+            let digest = schedule_digest(&program, layout);
+            digests.push((format!("schedule/{}/{name}", gen.program_name()), digest));
         }
     }
     digests
@@ -160,6 +219,7 @@ fn outputs() -> Vec<(String, u64)> {
     let mut digests: Vec<(String, u64)> =
         texts.into_iter().map(|(name, text)| (name.to_string(), fnv64(&text))).collect();
     digests.extend(opstream_digests());
+    digests.extend(schedule_digests());
     digests
 }
 
