@@ -93,6 +93,24 @@ fn bench(c: &mut Criterion) {
             },
         );
     }
+    // The 2D path at program scale: random Clifford+T on the auto-sized
+    // checkerboard, where merges route through corridors and stall on
+    // reserved tiles.
+    for n in [1024usize, 10240] {
+        let program =
+            generate(&GenSpec::new(Family::RandomCliffordT).with_n(n).with_seed(7)).expect("valid");
+        let spec = LayoutSpec::checkerboard();
+        group.bench_with_input(
+            BenchmarkId::new("gen_schedule_checkerboard/random-clifford-t", program.len()),
+            &program,
+            |b, program| {
+                b.iter(|| {
+                    let placement = Placement::allocate_with(program, &spec).expect("fits");
+                    schedule(program, &placement).expect("routes")
+                })
+            },
+        );
+    }
     group.finish();
 }
 

@@ -36,7 +36,7 @@ use tiscc_estimator::tables;
 use tiscc_estimator::verify::{process_map_of, Fiducial, SingleTile};
 use tiscc_frontier::request::{self, Params};
 use tiscc_frontier::{
-    frontier_to_csv, handle_line, matrix_from_csv, matrix_to_csv, report_to_json,
+    frontier_to_csv, handle_request, matrix_from_csv, matrix_to_csv, read_request, report_to_json,
     run_frontier_with, stats_to_json, DiskCache, FrontierError, ServeState,
 };
 use tiscc_hw::HardwareSpec;
@@ -551,24 +551,16 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
             None => String::new(),
         }
     );
-    let stdin = std::io::stdin();
-    let mut input = String::new();
-    loop {
-        input.clear();
-        use std::io::BufRead;
-        let n = stdin
-            .lock()
-            .read_line(&mut input)
-            .map_err(|e| CliError::runtime(format!("stdin read failed: {e}")))?;
-        if n == 0 {
-            return Ok(());
+    let mut stdin = std::io::stdin().lock();
+    let mut line = Vec::new();
+    while let Some(len) = read_request(&mut stdin, &mut line)
+        .map_err(|e| CliError::runtime(format!("stdin read failed: {e}")))?
+    {
+        if let Some(reply) = handle_request(&line, len, &state) {
+            emit(&format!("{reply}\n"))?;
         }
-        let line = input.trim();
-        if line.is_empty() {
-            continue;
-        }
-        emit(&format!("{}\n", handle_line(line, &state)))?;
     }
+    Ok(())
 }
 
 type TableJob =

@@ -210,13 +210,9 @@ fn help_and_profiles_succeed() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("slow_junction"));
 }
 
-/// A line nested far deeper than any request gets one `malformed_json`
-/// reply (the reader caps nesting instead of recursing off the stack),
-/// and the loop answers the next line.
-#[test]
-fn serve_survives_a_deeply_nested_line() {
-    let deep = format!("{{\"cmd\":{}", "[".repeat(65_000));
-    assert_eq!(deep.len(), 65_007);
+/// Feeds `input` to `tiscc serve --stdin-json` and returns its reply
+/// lines, asserting a clean exit.
+fn serve_replies(input: &[u8]) -> Vec<String> {
     let mut child = Command::new(env!("CARGO_BIN_EXE_tiscc"))
         .args(["serve", "--stdin-json"])
         .stdin(Stdio::piped())
@@ -225,12 +221,51 @@ fn serve_survives_a_deeply_nested_line() {
         .spawn()
         .expect("spawn tiscc serve");
     let mut stdin = child.stdin.take().unwrap();
-    writeln!(stdin, "{deep}\n{{\"cmd\":\"ping\"}}").unwrap();
-    drop(stdin);
+    let input = input.to_vec();
+    // Write from a thread: a long input must not block on a full pipe
+    // while the replies wait unread.
+    let writer = std::thread::spawn(move || stdin.write_all(&input).unwrap());
     let replies: Vec<String> =
         BufReader::new(child.stdout.take().unwrap()).lines().map(Result::unwrap).collect();
+    writer.join().unwrap();
     assert!(child.wait().unwrap().success());
+    replies
+}
+
+/// A line nested far deeper than any request gets one `malformed_json`
+/// reply (the reader caps nesting instead of recursing off the stack),
+/// and the loop answers the next line.
+#[test]
+fn serve_survives_a_deeply_nested_line() {
+    let deep = format!("{{\"cmd\":{}", "[".repeat(65_000));
+    assert_eq!(deep.len(), 65_007);
+    let replies = serve_replies(format!("{deep}\n{{\"cmd\":\"ping\"}}\n").as_bytes());
     assert_eq!(replies.len(), 2, "{replies:?}");
     assert!(replies[0].contains("\"kind\":\"malformed_json\""), "{}", replies[0]);
+    assert!(replies[1].contains("\"reply\":\"pong\""), "{}", replies[1]);
+}
+
+/// A line that is not UTF-8 gets a `malformed_json` reply instead of
+/// ending the server, and the next line is answered.
+#[test]
+fn serve_survives_a_non_utf8_line() {
+    let replies = serve_replies(b"\xff\n{\"cmd\":\"ping\"}\n");
+    assert_eq!(replies.len(), 2, "{replies:?}");
+    assert!(replies[0].contains("\"kind\":\"malformed_json\""), "{}", replies[0]);
+    assert!(replies[0].contains("not UTF-8"), "{}", replies[0]);
+    assert!(replies[1].contains("\"reply\":\"pong\""), "{}", replies[1]);
+}
+
+/// A line past the 64 KiB cap is answered `oversized_line` with its full
+/// length, though the server skips it unbuffered, and the next line is
+/// answered.
+#[test]
+fn serve_skips_an_oversized_line_and_reports_its_length() {
+    let long = format!("{{\"cmd\":\"ping\",\"pad\":\"{}\"}}", "x".repeat(1 << 20));
+    let replies = serve_replies(format!("{long}\n{{\"cmd\":\"ping\"}}\n").as_bytes());
+    assert_eq!(replies.len(), 2, "{replies:?}");
+    assert!(replies[0].contains("\"kind\":\"oversized_line\""), "{}", replies[0]);
+    let message = format!("request line is {} bytes (limit 65536)", long.len());
+    assert!(replies[0].contains(&message), "{}", replies[0]);
     assert!(replies[1].contains("\"reply\":\"pong\""), "{}", replies[1]);
 }

@@ -58,5 +58,5 @@ pub use cache::{DiskCache, CACHE_FORMAT_VERSION};
 pub use emit::{frontier_to_csv, matrix_from_csv, matrix_to_csv, report_to_json, stats_to_json};
 pub use engine::{run_frontier, run_frontier_with, FrontierPoint, FrontierReport, FrontierStats};
 pub use pareto::{pareto_flags, pareto_flags_bruteforce};
-pub use serve::{handle_line, ServeState, MAX_REQUEST_BYTES};
+pub use serve::{handle_line, handle_request, read_request, ServeState, MAX_REQUEST_BYTES};
 pub use spec::{FrontierError, FrontierSpec, NormalizedSpec};

@@ -22,9 +22,14 @@
 //! Every response is one line: `{"ok":true,...}` on success,
 //! `{"ok":false,"error":"...","kind":"..."}` on failure, where `kind` is
 //! one of `oversized_line` (the line exceeds [`MAX_REQUEST_BYTES`]),
-//! `malformed_json`, `unknown_op` or `bad_request`. A malformed line
-//! never kills the server — it yields an error response and the loop
-//! continues.
+//! `malformed_json` (also for a line that is not UTF-8), `unknown_op` or
+//! `bad_request`. A malformed line never kills the server — it yields an
+//! error response and the loop continues.
+//!
+//! [`read_request`] reads the input a line at a time as bytes and buffers
+//! at most [`MAX_REQUEST_BYTES`]` + 1` of a line, skipping the rest to its
+//! newline, so a request's memory is bounded before it is parsed;
+//! [`handle_request`] answers what it read.
 //!
 //! The state keeps an always-on [`Telemetry`] recorder: every request
 //! bumps `serve.requests` (and `serve.requests.<op>` for known ops),
@@ -34,6 +39,7 @@
 //! persistent-cache statistics, so a session's cache behaviour is
 //! observable without scraping stderr.
 
+use std::io::{self, BufRead};
 use std::time::Instant;
 
 use tiscc_estimator::compiler::Compiler;
@@ -82,6 +88,14 @@ impl ServeError {
     fn bad_request(message: String) -> ServeError {
         ServeError { kind: "bad_request", message }
     }
+
+    /// A line of `len` bytes, past the cap.
+    fn oversized(len: usize) -> ServeError {
+        ServeError {
+            kind: "oversized_line",
+            message: format!("request line is {len} bytes (limit {MAX_REQUEST_BYTES})"),
+        }
+    }
 }
 
 /// The keys `estimate` accepts besides `"cmd"`/`"op"`.
@@ -92,12 +106,69 @@ const ESTIMATE_KEYS: &[&str] =
 const FRONTIER_KEYS: &[&str] =
     &["program", "layouts", "dmin", "dmax", "profiles", "p_phys", "p_th", "prefactor"];
 
+/// Reads the next request line of `input` into `line`, without its
+/// newline, and returns the line's full length in bytes, or `None` at the
+/// end of the input. At most [`MAX_REQUEST_BYTES`]` + 1` bytes of a line
+/// are kept in `line`: the rest is skipped through the reader's buffer, a
+/// chunk at a time, and only counted.
+pub fn read_request(input: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<Option<usize>> {
+    line.clear();
+    let mut len = 0;
+    let mut read_any = false;
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(read_any.then_some(len));
+        }
+        read_any = true;
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let end = newline.unwrap_or(chunk.len());
+        let room = (MAX_REQUEST_BYTES + 1).saturating_sub(line.len());
+        line.extend_from_slice(&chunk[..end.min(room)]);
+        len += end;
+        input.consume(end + usize::from(newline.is_some()));
+        if newline.is_some() {
+            return Ok(Some(len));
+        }
+    }
+}
+
+/// Answers one line read by [`read_request`], whose full length is
+/// `len`: `oversized_line` past [`MAX_REQUEST_BYTES`], `malformed_json`
+/// if it is not UTF-8, and otherwise the reply of [`handle_line`] to the
+/// trimmed text. A blank line gets no reply.
+pub fn handle_request(line: &[u8], len: usize, state: &ServeState) -> Option<String> {
+    if len > MAX_REQUEST_BYTES {
+        return Some(respond(state, || Err(ServeError::oversized(len))));
+    }
+    match std::str::from_utf8(line).map(str::trim) {
+        Ok("") => None,
+        Ok(text) => Some(handle_line(text, state)),
+        Err(e) => Some(respond(state, || {
+            Err(ServeError {
+                kind: "malformed_json",
+                message: format!("request line is not UTF-8 ({e})"),
+            })
+        })),
+    }
+}
+
 /// Handles one request line, returning exactly one JSON response line
 /// (without a trailing newline). Never panics on malformed input.
 pub fn handle_line(line: &str, state: &ServeState) -> String {
+    respond(state, || handle(line, state))
+}
+
+/// Runs one request and renders its reply line, recording the request,
+/// its latency and any error in the session telemetry.
+fn respond(state: &ServeState, request: impl FnOnce() -> Result<String, ServeError>) -> String {
     let started = Instant::now();
     state.tel.add("serve.requests", 1);
-    let result = handle(line, state);
+    let result = request();
     let elapsed_us = started.elapsed().as_secs_f64() * 1e6;
     state.tel.add("serve.request_us_total", elapsed_us as u64);
     state.tel.gauge("serve.last_request_us", elapsed_us);
@@ -117,10 +188,7 @@ pub fn handle_line(line: &str, state: &ServeState) -> String {
 
 fn handle(line: &str, state: &ServeState) -> Result<String, ServeError> {
     if line.len() > MAX_REQUEST_BYTES {
-        return Err(ServeError {
-            kind: "oversized_line",
-            message: format!("request line is {} bytes (limit {MAX_REQUEST_BYTES})", line.len()),
-        });
+        return Err(ServeError::oversized(line.len()));
     }
     let fields =
         parse_flat_json(line).map_err(|message| ServeError { kind: "malformed_json", message })?;
@@ -537,6 +605,38 @@ mod tests {
         assert!(paths.contains(&"estimate/compile".to_string()), "{paths:?}");
         assert!(paths.contains(&"estimate/parse".to_string()), "{paths:?}");
         let _ = std::fs::remove_file(Path::new(&path));
+    }
+
+    #[test]
+    fn request_lines_buffer_at_most_the_cap() {
+        let long = "x".repeat(3 * MAX_REQUEST_BYTES);
+        let input = format!("{long}\n\n{{\"cmd\":\"ping\"}}\r\nlast");
+        let mut reader = io::BufReader::with_capacity(4096, input.as_bytes());
+        let mut line = Vec::new();
+        let mut lines = Vec::new();
+        while let Some(len) = read_request(&mut reader, &mut line).unwrap() {
+            assert!(line.len() <= MAX_REQUEST_BYTES + 1);
+            lines.push((len, line.clone()));
+        }
+        assert_eq!(lines.len(), 4, "the blank line and the unterminated last line count");
+        assert_eq!(lines[0].0, long.len());
+        assert_eq!(lines[0].1.len(), MAX_REQUEST_BYTES + 1);
+        assert_eq!(lines[1], (0, Vec::new()));
+        assert_eq!(lines[2].1, b"{\"cmd\":\"ping\"}\r");
+        assert_eq!(lines[3], (4, b"last".to_vec()));
+
+        let state = ServeState::new(None);
+        let reply = handle_request(&lines[0].1, lines[0].0, &state).unwrap();
+        assert!(field(&reply, "kind").starts_with("\"oversized_line\""), "{reply}");
+        assert!(reply.contains(&format!("{} bytes", long.len())), "{reply}");
+        assert_eq!(handle_request(&lines[1].1, lines[1].0, &state), None);
+        let pong = handle_request(&lines[2].1, lines[2].0, &state).unwrap();
+        assert!(field(&pong, "reply").starts_with("\"pong\""), "{pong}");
+        let bad = handle_request(b"\xff{}", 3, &state).unwrap();
+        assert!(field(&bad, "kind").starts_with("\"malformed_json\""), "{bad}");
+        assert_eq!(state.tel.counter("serve.requests"), 3, "blank lines are not requests");
+        assert_eq!(state.tel.counter("serve.errors.oversized_line"), 1);
+        assert_eq!(state.tel.counter("serve.errors.malformed_json"), 1);
     }
 
     #[test]

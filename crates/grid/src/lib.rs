@@ -12,7 +12,8 @@
 //! * [`Layout`] — the repeating-unit geometry, adjacency, physical size and
 //!   the dense site index every per-site table is addressed by,
 //! * [`GridManager`] — ion occupancy tracking with collision checks,
-//! * [`path`] — shuttle/junction-hop routing between zones ([`Router`]).
+//! * [`path`] — shuttle/junction-hop routing between zones ([`Router`])
+//!   and the tile-grid corridor search ([`TileSearch`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -24,5 +25,5 @@ pub mod site;
 
 pub use grid::{GridError, GridManager, QubitId};
 pub use layout::{Layout, ZONE_WIDTH_M};
-pub use path::{route, route_avoiding, shortest_tile_path, MoveStep, Router};
+pub use path::{route, route_avoiding, MoveStep, Router, TileSearch};
 pub use site::{QSite, SiteKind};

@@ -18,10 +18,11 @@
 //! *corridors* over a coarse grid of surface-code tiles. The search behind
 //! that — an unweighted multi-source BFS over an abstract `rows × cols`
 //! grid with a caller-supplied passability predicate — lives here as
-//! [`shortest_tile_path`], so both layers share one routing substrate.
+//! [`TileSearch`] (reusable scratch, epoch-stamped like [`Router`]), so
+//! both layers share one routing substrate.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashSet};
 
 use crate::layout::{Inline, Layout};
 use crate::site::{QSite, SiteKind};
@@ -251,73 +252,138 @@ impl Router {
     }
 }
 
-/// Shortest path over an abstract `rows × cols` tile grid by multi-source
-/// breadth-first search.
+/// A multi-source breadth-first search over a `rows × cols` tile grid
+/// whose scratch is reused across calls.
 ///
-/// The path starts at one of `sources`, ends at the first tile satisfying
-/// `is_goal`, steps only between orthogonally adjacent tiles, and visits
-/// only tiles for which `passable` returns `true` (sources that are not
-/// passable are ignored; a goal tile must itself be passable to be
-/// reached). Returns the visited tiles in order, sources included — or
-/// `None` when no goal is reachable.
-///
-/// The search is deterministic: sources seed the queue in the order given
-/// and neighbours expand up, left, right, down, so equal-length paths
-/// resolve the same way on every run (golden tests rely on this).
-///
-/// ```
-/// use tiscc_grid::path::shortest_tile_path;
-///
-/// // A 2 × 4 grid with tile (0, 1) blocked: the path detours via row 1.
-/// let path = shortest_tile_path(
-///     2,
-///     4,
-///     &[(0, 0)],
-///     &|t| t == (0, 3),
-///     &|t| t != (0, 1),
-/// )
-/// .unwrap();
-/// assert_eq!(path.first(), Some(&(0, 0)));
-/// assert_eq!(path.last(), Some(&(0, 3)));
-/// assert!(!path.contains(&(0, 1)));
-/// ```
-pub fn shortest_tile_path(
-    rows: usize,
-    cols: usize,
-    sources: &[(usize, usize)],
-    is_goal: &dyn Fn((usize, usize)) -> bool,
-    passable: &dyn Fn((usize, usize)) -> bool,
-) -> Option<Vec<(usize, usize)>> {
-    let in_bounds = |(r, c): (usize, usize)| r < rows && c < cols;
-    let mut prev: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
-    let mut seen: HashSet<(usize, usize)> = HashSet::new();
-    let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
-    for &s in sources {
-        if in_bounds(s) && passable(s) && seen.insert(s) {
-            queue.push_back(s);
-        }
+/// Tiles are addressed by their slot `row · cols + col`. The seen stamps
+/// and predecessor slots live in dense arrays over those slots; like
+/// [`Router`], each call bumps an epoch instead of clearing them, so a
+/// search touches only the tiles it reaches. The arrays grow to the
+/// largest grid searched; the queue is reused as well. The program
+/// scheduler keeps one search for all the corridor probes of a schedule.
+#[derive(Clone, Debug, Default)]
+pub struct TileSearch {
+    // Per tile slot: the epoch that last reached it. A slot whose stamp
+    // differs from `epoch` is unseen in the current call.
+    seen: Vec<u32>,
+    // Per tile slot: the slot it was reached from (`NO_PREV` for sources).
+    prev: Vec<u32>,
+    queue: Vec<(usize, usize)>,
+    epoch: u32,
+}
+
+/// Predecessor of a source tile: the end of a path walked backwards.
+const NO_PREV: u32 = u32::MAX;
+
+impl TileSearch {
+    /// A search with empty scratch; it sizes itself on the first call.
+    pub fn new() -> Self {
+        TileSearch::default()
     }
-    while let Some(tile) = queue.pop_front() {
-        if is_goal(tile) {
-            let mut path = vec![tile];
-            let mut cur = tile;
-            while let Some(&p) = prev.get(&cur) {
-                path.push(p);
-                cur = p;
+
+    /// Shortest path over the `rows × cols` tile grid.
+    ///
+    /// The path starts at one of `sources`, ends at the first tile
+    /// satisfying `is_goal`, steps only between orthogonally adjacent
+    /// tiles, and visits only tiles for which `passable` returns `true`
+    /// (sources that are not passable are ignored; a goal tile must itself
+    /// be passable to be reached). Returns the visited tiles in order,
+    /// sources included — or `None` when no goal is reachable.
+    ///
+    /// The search is deterministic: sources seed the queue in the order
+    /// given and neighbours expand up, left, right, down, so equal-length
+    /// paths resolve the same way on every run (golden tests rely on
+    /// this). The result is a pure function of the arguments, never of
+    /// earlier calls.
+    ///
+    /// ```
+    /// use tiscc_grid::TileSearch;
+    ///
+    /// // A 2 × 4 grid with tile (0, 1) blocked: the path detours via row 1.
+    /// let path = TileSearch::new()
+    ///     .shortest_path(2, 4, &[(0, 0)], |t| t == (0, 3), |t| t != (0, 1))
+    ///     .unwrap();
+    /// assert_eq!(path.first(), Some(&(0, 0)));
+    /// assert_eq!(path.last(), Some(&(0, 3)));
+    /// assert!(!path.contains(&(0, 1)));
+    /// ```
+    ///
+    /// # Panics
+    /// Panics if the grid has more than `u32::MAX` tiles.
+    pub fn shortest_path(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        sources: &[(usize, usize)],
+        is_goal: impl Fn((usize, usize)) -> bool,
+        passable: impl Fn((usize, usize)) -> bool,
+    ) -> Option<Vec<(usize, usize)>> {
+        self.begin(rows * cols);
+        let slot = |(r, c): (usize, usize)| (r * cols + c) as u32;
+        let in_bounds = |(r, c): (usize, usize)| r < rows && c < cols;
+        for &s in sources {
+            if in_bounds(s) && passable(s) && self.reach(slot(s), NO_PREV) {
+                self.queue.push(s);
             }
-            path.reverse();
-            return Some(path);
         }
-        let (r, c) = tile;
-        let neighbors = [(r.wrapping_sub(1), c), (r, c.wrapping_sub(1)), (r, c + 1), (r + 1, c)];
-        for next in neighbors {
-            if in_bounds(next) && passable(next) && seen.insert(next) {
-                prev.insert(next, tile);
-                queue.push_back(next);
+        let mut head = 0;
+        while let Some(&tile) = self.queue.get(head) {
+            head += 1;
+            if is_goal(tile) {
+                return Some(self.path_to(slot(tile), cols));
+            }
+            let (r, c) = tile;
+            let neighbors =
+                [(r.wrapping_sub(1), c), (r, c.wrapping_sub(1)), (r, c + 1), (r + 1, c)];
+            for next in neighbors {
+                if in_bounds(next) && passable(next) && self.reach(slot(next), slot(tile)) {
+                    self.queue.push(next);
+                }
             }
         }
+        None
     }
-    None
+
+    /// Starts a call: grows the scratch to `slots` entries and moves to a
+    /// fresh epoch, so every entry of an earlier call reads as unseen.
+    fn begin(&mut self, slots: usize) {
+        assert!(slots <= u32::MAX as usize, "a {slots}-tile grid exceeds the u32 tile slots");
+        if self.seen.len() < slots {
+            self.seen.resize(slots, 0);
+            self.prev.resize(slots, NO_PREV);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // After 2^32 calls the stamps could alias: clear them once.
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+        self.queue.clear();
+    }
+
+    /// Marks `slot` seen, reached from `prev`; false if it already was.
+    fn reach(&mut self, slot: u32, prev: u32) -> bool {
+        let i = slot as usize;
+        if self.seen[i] == self.epoch {
+            return false;
+        }
+        self.seen[i] = self.epoch;
+        self.prev[i] = prev;
+        true
+    }
+
+    /// The tiles from a source to `goal`, walking predecessors back.
+    fn path_to(&self, goal: u32, cols: usize) -> Vec<(usize, usize)> {
+        let mut path = Vec::new();
+        let mut cur = goal;
+        while cur != NO_PREV {
+            let i = cur as usize;
+            path.push((i / cols, i % cols));
+            cur = self.prev[i];
+        }
+        path.reverse();
+        path
+    }
 }
 
 #[cfg(test)]
@@ -392,16 +458,26 @@ mod tests {
         assert_eq!(route(&l, QSite::new(0, 1), QSite::new(0, 1)).unwrap().len(), 0);
     }
 
+    fn path(
+        rows: usize,
+        cols: usize,
+        sources: &[(usize, usize)],
+        is_goal: impl Fn((usize, usize)) -> bool,
+        passable: impl Fn((usize, usize)) -> bool,
+    ) -> Option<Vec<(usize, usize)>> {
+        TileSearch::new().shortest_path(rows, cols, sources, is_goal, passable)
+    }
+
     #[test]
     fn tile_path_finds_shortest_and_respects_blocks() {
         // Unobstructed: straight line along row 0.
-        let p = shortest_tile_path(3, 5, &[(0, 0)], &|t| t == (0, 4), &|_| true).unwrap();
+        let p = path(3, 5, &[(0, 0)], |t| t == (0, 4), |_| true).unwrap();
         assert_eq!(p.len(), 5);
         // A full column wall forces a detour or fails.
         let wall = |t: (usize, usize)| t.1 != 2;
-        assert!(shortest_tile_path(3, 5, &[(0, 0)], &|t| t == (0, 4), &wall).is_none());
+        assert!(path(3, 5, &[(0, 0)], |t| t == (0, 4), wall).is_none());
         let gap = |t: (usize, usize)| t != (0, 2) && t != (1, 2);
-        let p = shortest_tile_path(3, 5, &[(0, 0)], &|t| t == (0, 4), &gap).unwrap();
+        let p = path(3, 5, &[(0, 0)], |t| t == (0, 4), gap).unwrap();
         assert!(p.contains(&(2, 2)), "must pass through the gap: {p:?}");
         for w in p.windows(2) {
             let dr = w[0].0.abs_diff(w[1].0);
@@ -413,12 +489,36 @@ mod tests {
     #[test]
     fn tile_path_handles_multiple_sources_and_impassable_sources() {
         // The nearer source wins.
-        let p = shortest_tile_path(1, 6, &[(0, 0), (0, 4)], &|t| t == (0, 5), &|_| true).unwrap();
+        let p = path(1, 6, &[(0, 0), (0, 4)], |t| t == (0, 5), |_| true).unwrap();
         assert_eq!(p, vec![(0, 4), (0, 5)]);
         // Impassable sources are ignored entirely.
-        assert!(shortest_tile_path(1, 6, &[(0, 0)], &|t| t == (0, 5), &|t| t != (0, 0)).is_none());
+        assert!(path(1, 6, &[(0, 0)], |t| t == (0, 5), |t| t != (0, 0)).is_none());
         // A source that is itself a goal yields a single-tile path.
-        let p = shortest_tile_path(2, 2, &[(1, 1)], &|t| t == (1, 1), &|_| true).unwrap();
+        let p = path(2, 2, &[(1, 1)], |t| t == (1, 1), |_| true).unwrap();
         assert_eq!(p, vec![(1, 1)]);
+    }
+
+    /// One search reused across grids of different sizes and walls gives
+    /// the same paths as a fresh search per call.
+    #[test]
+    fn reused_tile_search_matches_fresh_searches() {
+        let mut reused = TileSearch::new();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for round in 0..200 {
+            let (rows, cols) = (1 + (next() % 9) as usize, 1 + (next() % 9) as usize);
+            let salt = (next() % 7) as usize;
+            let wall = |(r, c): (usize, usize)| !(r * 3 + c * 5 + salt).is_multiple_of(4);
+            let goal = ((next() as usize) % rows, (next() as usize) % cols);
+            let sources = [((next() as usize) % rows, 0), (0, (next() as usize) % cols)];
+            let fresh = path(rows, cols, &sources, |t| t == goal, wall);
+            let again = reused.shortest_path(rows, cols, &sources, |t| t == goal, wall);
+            assert_eq!(fresh, again, "round {round}: {rows}x{cols} to {goal:?}");
+        }
     }
 }

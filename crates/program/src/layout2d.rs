@@ -305,8 +305,14 @@ impl Placement {
 
     /// True if `tile` hosts a logical patch.
     pub fn is_occupied(&self, tile: Tile) -> bool {
-        let (r, c) = tile;
-        r < self.tile_rows && c < self.tile_cols && self.occupied[r * self.tile_cols + c]
+        self.in_bounds(tile) && self.occupied[self.tile_slot(tile)]
+    }
+
+    /// The dense index `row · tile_cols + col` of a tile: the slot every
+    /// per-tile table of the scheduler and the corridor search is
+    /// addressed by.
+    pub fn tile_slot(&self, tile: Tile) -> usize {
+        tile.0 * self.tile_cols + tile.1
     }
 
     /// True if `tile` lies on the grid.
@@ -330,24 +336,6 @@ impl Placement {
             }
             _ => false,
         }
-    }
-
-    /// The set of tiles an instruction occupies while it executes under
-    /// the **single-lane** strategy: the operand data tiles, plus — for
-    /// joint measurements that are not a direct horizontal `Measure ZZ`
-    /// between adjacent columns — the routing-lane tiles spanning the
-    /// operand columns. 2D strategies return only the operand data tiles;
-    /// their corridors are computed dynamically by the scheduler (see
-    /// [`crate::route`]).
-    pub fn footprint(&self, pi: &ProgramInstruction) -> Vec<Tile> {
-        let mut tiles: Vec<Tile> = pi.qubits.iter().map(|&q| self.data_tile(q)).collect();
-        if self.strategy == LayoutStrategy::SingleLane
-            && pi.qubits.len() == 2
-            && !self.is_direct_merge(pi)
-        {
-            tiles.extend(self.lane_span(pi));
-        }
-        tiles
     }
 
     /// The shared-lane tiles a routed single-lane merge occupies: the lane
@@ -385,9 +373,9 @@ impl Placement {
             .max()
             .unwrap_or(1)
             .clamp(2, 8);
-        let mut by_tile = vec![None; self.tile_rows * self.tile_cols];
-        for (i, &(r, c)) in self.tiles.iter().enumerate() {
-            by_tile[r * self.tile_cols + c] = Some(QubitRef(i));
+        let mut by_tile = vec![None; self.total_tiles()];
+        for (i, &tile) in self.tiles.iter().enumerate() {
+            by_tile[self.tile_slot(tile)] = Some(QubitRef(i));
         }
         let mut out = format!(
             "floorplan: {} layout on {}x{} tiles ({} patch(es), {} ancilla tile(s))\n",
@@ -400,7 +388,7 @@ impl Placement {
         for r in 0..self.tile_rows {
             out.push_str("  ");
             for c in 0..self.tile_cols {
-                let cell = match by_tile[r * self.tile_cols + c] {
+                let cell = match by_tile[self.tile_slot((r, c))] {
                     Some(q) => {
                         let name: String = program.qubit_name(q).chars().take(width).collect();
                         format!("{name:<width$}")
@@ -440,7 +428,7 @@ mod tests {
     }
 
     #[test]
-    fn footprints_distinguish_direct_and_routed_merges() {
+    fn lane_spans_distinguish_direct_and_routed_merges() {
         let p = examples::teleportation();
         let place = Placement::allocate(&p);
         let instrs = p.instructions();
@@ -448,14 +436,14 @@ mod tests {
         let zz = &instrs[3];
         assert_eq!(zz.instruction, Instruction::MeasureZZ);
         assert!(place.is_direct_merge(zz));
-        assert_eq!(place.footprint(zz), vec![(0, 1), (0, 2)]);
+        assert_eq!(place.lane_span(zz), vec![]);
         // merge_xx src anc: XX needs a vertical boundary → routed through
         // the lane under columns 0..=1.
         let xx = &instrs[4];
         assert_eq!(xx.instruction, Instruction::MeasureXX);
-        assert_eq!(place.footprint(xx), vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
-        // Single-qubit footprints are just the data tile.
-        assert_eq!(place.footprint(&instrs[0]), vec![(0, 0)]);
+        assert_eq!(place.lane_span(xx), vec![(1, 0), (1, 1)]);
+        // Single-qubit instructions use no lane.
+        assert_eq!(place.lane_span(&instrs[0]), vec![]);
     }
 
     #[test]
@@ -506,7 +494,7 @@ mod tests {
         let merge = &p.instructions()[8];
         assert_eq!(merge.instruction, Instruction::MeasureZZ);
         assert!(!place.is_direct_merge(merge));
-        assert_eq!(place.footprint(merge).len(), 2);
+        assert_eq!(place.lane_span(merge), vec![]);
     }
 
     #[test]

@@ -9,13 +9,14 @@
 //! time step, and the corridor is released.
 //!
 //! Corridors are found with the deterministic multi-source BFS of
-//! [`tiscc_grid::shortest_tile_path`] over the tile grid: passable tiles
-//! are those not hosting a logical patch and not *reserved* by another
-//! merge in the same logical time step. The scheduler keeps those
-//! per-timestep reservations in a [`Reservations`] table — two merges
-//! whose corridors are disjoint execute in the same step, while a merge
-//! that cannot find a free corridor at its ready step *stalls* to a later
-//! one (counted as [`crate::schedule::Schedule::routing_stalls`]).
+//! [`tiscc_grid::TileSearch`] over the tile grid: passable tiles are those
+//! not hosting a logical patch and not *reserved* by another merge in the
+//! same logical time step. The scheduler keeps those per-timestep
+//! reservations in a [`Reservations`] table of tile-slot lists, which also
+//! owns the one search every probe reuses — two merges whose corridors are
+//! disjoint execute in the same step, while a merge that cannot find a
+//! free corridor at its ready step *stalls* to a later one (counted as
+//! [`crate::schedule::Schedule::routing_stalls`]).
 //!
 //! A merge whose operands cannot be connected even on an otherwise empty
 //! grid (every candidate corridor blocked by placed patches or the grid
@@ -25,11 +26,10 @@
 //! [`LayoutStrategy::RowMajor`]: crate::layout2d::LayoutStrategy::RowMajor
 //! [`LayoutStrategy::Checkerboard`]: crate::layout2d::LayoutStrategy::Checkerboard
 
-use std::collections::HashSet;
 use std::fmt;
 
 use tiscc_core::instruction::Instruction;
-use tiscc_grid::shortest_tile_path;
+use tiscc_grid::TileSearch;
 
 use crate::ir::{LogicalProgram, QubitRef};
 use crate::layout2d::{Placement, Tile};
@@ -79,87 +79,140 @@ impl fmt::Display for RoutingError {
 
 impl std::error::Error for RoutingError {}
 
-/// Per-timestep corridor reservations: which tiles are already claimed by
-/// merges scheduled into each logical time step.
+/// Per-timestep corridor reservations on one placement, and the corridor
+/// search that probes them.
 ///
-/// The table grows on demand; steps never probed are implicitly free.
+/// Each step keeps one list of the tile slots ([`Placement::tile_slot`])
+/// its merges' corridors claimed, so the table's memory is proportional to
+/// the reserved tiles, not to steps × grid. The table grows on demand;
+/// steps never reserved are free.
+///
+/// [`Reservations::corridor`] probes one step. It stamps that step's list
+/// into an epoch mask over the tile slots, then runs one reused
+/// [`TileSearch`] through the tiles that neither host a patch nor carry
+/// the stamp. Lists only grow, so a probe of the step stamped last stamps
+/// only the slots reserved since; a probe of any other step moves to a
+/// fresh epoch, which releases the old stamps without clearing them.
 ///
 /// ```
 /// use tiscc_program::route::Reservations;
+/// use tiscc_program::{LayoutSpec, LogicalProgram, Placement};
 ///
-/// let mut res = Reservations::new();
-/// res.reserve(2, [(1, 0), (1, 1)]);
-/// assert!(!res.is_free(2, (1, 1)));
-/// assert!(res.is_free(1, (1, 1)), "reservations are per-step");
-/// assert!(res.is_free(3, (1, 1)));
+/// let mut program = LogicalProgram::new("pair");
+/// let a = program.add_qubit("a").unwrap();
+/// let b = program.add_qubit("b").unwrap();
+/// // Row layout on 2 × 3 tiles: a and b on row 0, the lane row beneath.
+/// let place =
+///     Placement::allocate_with(&program, &LayoutSpec::row_major().with_grid(2, 3)).unwrap();
+/// let mut res = Reservations::new(&place);
+/// assert_eq!(res.corridor(a, b, 2), Some(vec![(1, 0), (1, 1)]));
+/// res.reserve(2, &[(1, 1)]);
+/// assert_eq!(res.reserved_at(2), 1);
+/// assert_eq!(res.corridor(a, b, 2), None, "the lane under b is taken at step 2");
+/// assert!(res.corridor(a, b, 1).is_some(), "reservations are per-step");
 /// ```
-#[derive(Clone, Debug, Default)]
-pub struct Reservations {
-    steps: Vec<HashSet<Tile>>,
+#[derive(Clone, Debug)]
+pub struct Reservations<'p> {
+    placement: &'p Placement,
+    steps: Vec<Vec<usize>>,
+    search: TileSearch,
+    // Per tile slot: the epoch that last stamped it as reserved.
+    mask: Vec<u32>,
+    epoch: u32,
+    // The step the current epoch stamps, and how many of its slots.
+    stamped: Option<(usize, usize)>,
 }
 
-impl Reservations {
-    /// An empty reservation table.
-    pub fn new() -> Self {
-        Reservations::default()
-    }
-
-    /// True if `tile` is unreserved at `step`.
-    pub fn is_free(&self, step: usize, tile: Tile) -> bool {
-        self.steps.get(step).is_none_or(|s| !s.contains(&tile))
-    }
-
-    /// Reserves `tiles` at `step`.
-    pub fn reserve(&mut self, step: usize, tiles: impl IntoIterator<Item = Tile>) {
-        if self.steps.len() <= step {
-            self.steps.resize_with(step + 1, HashSet::new);
+impl<'p> Reservations<'p> {
+    /// An empty reservation table for `placement`.
+    pub fn new(placement: &'p Placement) -> Self {
+        Reservations {
+            placement,
+            steps: Vec::new(),
+            search: TileSearch::new(),
+            mask: vec![0; placement.total_tiles()],
+            epoch: 0,
+            stamped: None,
         }
-        self.steps[step].extend(tiles);
+    }
+
+    /// Reserves the `tiles` of a corridor at `step`.
+    pub fn reserve(&mut self, step: usize, tiles: &[Tile]) {
+        if self.steps.len() <= step {
+            self.steps.resize_with(step + 1, Vec::new);
+        }
+        self.steps[step].extend(tiles.iter().map(|&t| self.placement.tile_slot(t)));
     }
 
     /// Number of tiles reserved at `step`.
     pub fn reserved_at(&self, step: usize) -> usize {
-        self.steps.get(step).map_or(0, |s| s.len())
+        self.steps.get(step).map_or(0, Vec::len)
+    }
+
+    /// Finds the shortest ancilla corridor connecting the patches of `a`
+    /// and `b` at `step`, avoiding the placed patches and the tiles
+    /// reserved at that step. Returns the corridor tiles in order from the
+    /// tile touching `a` to the tile touching `b`, or `None` when no
+    /// corridor is free at `step`.
+    pub fn corridor(&mut self, a: QubitRef, b: QubitRef, step: usize) -> Option<Vec<Tile>> {
+        let placement = self.placement;
+        let (sources, source_count) = free_neighbors(placement, placement.data_tile(a));
+        let (goals, goal_count) = free_neighbors(placement, placement.data_tile(b));
+        let (sources, goals) = (&sources[..source_count], &goals[..goal_count]);
+        self.stamp(step);
+        let (mask, epoch) = (&self.mask, self.epoch);
+        let blocked = |t: Tile| mask[placement.tile_slot(t)] == epoch;
+        // With every goal reserved the search could only fail.
+        if sources.is_empty() || goals.iter().all(|&t| blocked(t)) {
+            return None;
+        }
+        self.search.shortest_path(
+            placement.tile_rows(),
+            placement.tile_cols(),
+            sources,
+            |t| goals.contains(&t),
+            |t| !placement.is_occupied(t) && !blocked(t),
+        )
+    }
+
+    /// Makes the mask hold exactly the slots reserved at `step`.
+    fn stamp(&mut self, step: usize) {
+        let reserved = self.steps.get(step).map_or(&[][..], Vec::as_slice);
+        let fresh = match self.stamped {
+            Some((stamped, count)) if stamped == step => &reserved[count..],
+            _ => {
+                self.epoch = self.epoch.wrapping_add(1);
+                if self.epoch == 0 {
+                    // After 2^32 epochs the stamps could alias: clear them once.
+                    self.mask.fill(0);
+                    self.epoch = 1;
+                }
+                reserved
+            }
+        };
+        for &slot in fresh {
+            self.mask[slot] = self.epoch;
+        }
+        self.stamped = Some((step, reserved.len()));
     }
 }
 
 /// The free (in-bounds, unoccupied) orthogonal neighbour tiles of `tile`,
-/// in the same up-left-right-down order [`shortest_tile_path`] expands in
+/// in the same up-left-right-down order [`TileSearch`] expands in
 /// (wrapped-subtraction values fall outside the grid and are dropped by
-/// the bounds check).
-fn free_neighbors(placement: &Placement, tile: Tile) -> Vec<Tile> {
+/// the bounds check). There are at most four, so they live in an array;
+/// the count says how many of its entries are set.
+fn free_neighbors(placement: &Placement, tile: Tile) -> ([Tile; 4], usize) {
     let (r, c) = tile;
-    [(r.wrapping_sub(1), c), (r, c.wrapping_sub(1)), (r, c + 1), (r + 1, c)]
-        .into_iter()
-        .filter(|&t| placement.in_bounds(t) && !placement.is_occupied(t))
-        .collect()
-}
-
-/// Finds the shortest ancilla corridor connecting the patches of `a` and
-/// `b` on `placement`, avoiding tiles for which `blocked` returns `true`
-/// (on top of the always-avoided placed patches). Returns the corridor
-/// tiles in order from the tile touching `a` to the tile touching `b`, or
-/// `None` when no corridor is currently free.
-pub fn corridor_avoiding(
-    placement: &Placement,
-    a: QubitRef,
-    b: QubitRef,
-    blocked: &dyn Fn(Tile) -> bool,
-) -> Option<Vec<Tile>> {
-    let a_tile = placement.data_tile(a);
-    let b_tile = placement.data_tile(b);
-    let sources = free_neighbors(placement, a_tile);
-    let goals: HashSet<Tile> = free_neighbors(placement, b_tile).into_iter().collect();
-    if sources.is_empty() || goals.is_empty() {
-        return None;
+    let mut free = [tile; 4];
+    let mut count = 0;
+    for t in [(r.wrapping_sub(1), c), (r, c.wrapping_sub(1)), (r, c + 1), (r + 1, c)] {
+        if placement.in_bounds(t) && !placement.is_occupied(t) {
+            free[count] = t;
+            count += 1;
+        }
     }
-    shortest_tile_path(
-        placement.tile_rows(),
-        placement.tile_cols(),
-        &sources,
-        &|t| goals.contains(&t),
-        &|t| !placement.is_occupied(t) && !blocked(t),
-    )
+    (free, count)
 }
 
 /// Finds the shortest ancilla corridor connecting the patches of `a` and
@@ -186,7 +239,7 @@ pub fn find_corridor(
     a: QubitRef,
     b: QubitRef,
 ) -> Result<Vec<Tile>, RoutingError> {
-    corridor_avoiding(placement, a, b, &|_| false).ok_or_else(|| RoutingError {
+    Reservations::new(placement).corridor(a, b, 0).ok_or_else(|| RoutingError {
         instruction: None,
         a: program.qubit_name(a).to_string(),
         a_tile: placement.data_tile(a),
@@ -234,12 +287,18 @@ mod tests {
         assert_eq!(free, vec![(1, 0), (1, 1), (1, 2)]);
         // Reserving q1's only access tile makes the merge unroutable *now*
         // (a stall), though it stays statically routable.
-        let mut res = Reservations::new();
-        res.reserve(0, [(1, 1)]);
-        assert!(
-            corridor_avoiding(&place, QubitRef(0), QubitRef(2), &|t| !res.is_free(0, t)).is_none()
-        );
+        let mut res = Reservations::new(&place);
+        res.reserve(0, &[(1, 1)]);
+        assert!(res.corridor(QubitRef(0), QubitRef(2), 0).is_none());
         assert!(find_corridor(&place, &p, QubitRef(0), QubitRef(2)).is_ok());
+        // The next probe sees only its own step's reservations: step 1 is
+        // free, and step 0 is blocked again afterwards.
+        assert_eq!(res.corridor(QubitRef(0), QubitRef(2), 1), Some(free.clone()));
+        assert!(res.corridor(QubitRef(0), QubitRef(2), 0).is_none());
+        // A reservation added to the stamped step counts at once.
+        res.reserve(1, &[(1, 2)]);
+        assert!(res.corridor(QubitRef(0), QubitRef(2), 1).is_none());
+        assert_eq!(res.reserved_at(1), 1);
     }
 
     #[test]

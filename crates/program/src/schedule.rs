@@ -11,17 +11,19 @@
 //!
 //! What "resources" means depends on the placement strategy:
 //!
-//! * **Single-lane** floorplans use the static
-//!   [`Placement::footprint`] — operand data tiles plus, for routed
-//!   merges, the shared-lane tiles spanning the operand columns. This is
-//!   the original scheduler, preserved bit-for-bit.
+//! * **Single-lane** floorplans use a static footprint — operand data
+//!   tiles plus, for routed merges, the shared-lane tiles spanning the
+//!   operand columns ([`Placement::lane_span`]). This is the original
+//!   scheduler, preserved bit-for-bit; its state is one array of next-free
+//!   steps per tile row, indexed by column.
 //! * **2D** floorplans ([`RowMajor`]/[`Checkerboard`]) route each merge
 //!   through an ancilla corridor found by [`crate::route`]: at the merge's
 //!   ready step the scheduler searches for a corridor avoiding tiles
 //!   already reserved in that step ([`Reservations`]); if none is free the
 //!   merge *stalls* to the next step (counted in
 //!   [`Schedule::routing_stalls`]), and if no corridor exists even on an
-//!   idle grid the program is unroutable ([`RoutingError`]).
+//!   idle grid the program is unroutable ([`RoutingError`]). One search
+//!   with dense, epoch-stamped scratch serves every probe of a schedule.
 //!
 //! A step's duration in *logical time steps* is the maximum over its
 //! members (paper Table 1 accounting): a step holding only zero-step
@@ -32,13 +34,11 @@
 //! [`RowMajor`]: crate::layout2d::LayoutStrategy::RowMajor
 //! [`Checkerboard`]: crate::layout2d::LayoutStrategy::Checkerboard
 
-use std::collections::HashMap;
-
 use tiscc_telemetry::Span;
 
-use crate::ir::LogicalProgram;
+use crate::ir::{LogicalProgram, ProgramInstruction};
 use crate::layout2d::{LayoutStrategy, Placement, Tile};
-use crate::route::{corridor_avoiding, Reservations, RoutingError};
+use crate::route::{Reservations, RoutingError};
 
 /// One parallel step of a schedule.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -156,38 +156,35 @@ fn parallel_merges(program: &LogicalProgram, steps: &[ScheduleStep]) -> usize {
         .sum()
 }
 
-/// The original footprint scheduler, preserved bit-for-bit for the
-/// single-lane floorplan: an instruction starts at the earliest step at
-/// which every tile of its static footprint is free.
+/// The original single-lane scheduler, preserved bit-for-bit: an
+/// instruction starts at the earliest step at which its operands' data
+/// tiles and, for a routed merge, the lane tiles under every column it
+/// spans are free.
+///
+/// The state is two arrays of next-free steps indexed by column, one for
+/// the data row and one for the lane row: a merge's start is a maximum
+/// over its lane span, which it then fills with `start + 1`.
 fn schedule_single_lane(program: &LogicalProgram, placement: &Placement) -> Schedule {
-    let mut next_free: HashMap<Tile, usize> = HashMap::new();
+    let mut data_free = vec![0usize; placement.tile_cols()];
+    let mut lane_free = vec![0usize; placement.tile_cols()];
     let mut steps: Vec<ScheduleStep> = Vec::new();
     let mut corridors: Vec<Option<Vec<Tile>>> = Vec::with_capacity(program.len());
     let mut routing_stalls = 0usize;
     for (idx, pi) in program.instructions().iter().enumerate() {
-        let footprint = placement.footprint(pi);
-        let start =
-            footprint.iter().map(|t| next_free.get(t).copied().unwrap_or(0)).max().unwrap_or(0);
+        let ready = pi.qubits.iter().map(|&q| data_free[placement.column(q)]).max().unwrap_or(0);
+        let lane = placement.lane_span(pi);
+        // The lane span is one run of columns on row 1.
+        let columns = lane.first().map_or(0..0, |&(_, lo)| lo..lo + lane.len());
+        let start = lane_free[columns.clone()].iter().copied().fold(ready, usize::max);
         // The congestion metric: how much later the lane let the merge run
         // than its operands alone would have.
-        let ready = pi
-            .qubits
-            .iter()
-            .map(|&q| next_free.get(&placement.data_tile(q)).copied().unwrap_or(0))
-            .max()
-            .unwrap_or(0);
         routing_stalls += start - ready;
-        let lane = placement.lane_span(pi);
         corridors.push(if lane.is_empty() { None } else { Some(lane) });
-        if start == steps.len() {
-            steps.push(ScheduleStep { instructions: Vec::new(), logical_time_steps: 0 });
+        push_to_step(&mut steps, start, idx, pi);
+        for &q in &pi.qubits {
+            data_free[placement.column(q)] = start + 1;
         }
-        let step = &mut steps[start];
-        step.instructions.push(idx);
-        step.logical_time_steps = step.logical_time_steps.max(pi.instruction.logical_time_steps());
-        for t in footprint {
-            next_free.insert(t, start + 1);
-        }
+        lane_free[columns].fill(start + 1);
     }
     Schedule { steps, logical_time_steps: 0, routing_stalls, parallel_merges: 0, corridors }
 }
@@ -195,25 +192,24 @@ fn schedule_single_lane(program: &LogicalProgram, placement: &Placement) -> Sche
 /// The congestion-aware scheduler for 2D floorplans: merges claim a BFS
 /// corridor of ancilla tiles for the duration of their step, reserved in
 /// a per-step [`Reservations`] table so disjoint corridors share a step
-/// and conflicting ones serialise.
+/// and conflicting ones serialise. The table's one search serves every
+/// probe, and each qubit's next-free step sits in an array.
 fn schedule_routed(
     program: &LogicalProgram,
     placement: &Placement,
 ) -> Result<Schedule, RoutingError> {
-    let mut next_free: HashMap<Tile, usize> = HashMap::new();
-    let mut reserved = Reservations::new();
+    let mut qubit_free = vec![0usize; placement.data_tiles()];
+    let mut reserved = Reservations::new(placement);
     let mut steps: Vec<ScheduleStep> = Vec::new();
     let mut corridors: Vec<Option<Vec<Tile>>> = Vec::with_capacity(program.len());
     let mut routing_stalls = 0usize;
     for (idx, pi) in program.instructions().iter().enumerate() {
-        let data: Vec<Tile> = pi.qubits.iter().map(|&q| placement.data_tile(q)).collect();
-        let ready = data.iter().map(|t| next_free.get(t).copied().unwrap_or(0)).max().unwrap_or(0);
+        let ready = pi.qubits.iter().map(|q| qubit_free[q.0]).max().unwrap_or(0);
         let (start, corridor) = if pi.qubits.len() == 2 {
             let (a, b) = (pi.qubits[0], pi.qubits[1]);
             let mut s = ready;
             loop {
-                let path = corridor_avoiding(placement, a, b, &|t| !reserved.is_free(s, t));
-                match path {
+                match reserved.corridor(a, b, s) {
                     Some(path) => break (s, Some(path)),
                     // A step with no reservations is an idle grid: failing
                     // there means no corridor exists under this floorplan.
@@ -236,25 +232,31 @@ fn schedule_routed(
         } else {
             (ready, None)
         };
-        if start == steps.len() {
-            steps.push(ScheduleStep { instructions: Vec::new(), logical_time_steps: 0 });
-        }
-        let step = &mut steps[start];
-        step.instructions.push(idx);
-        step.logical_time_steps = step.logical_time_steps.max(pi.instruction.logical_time_steps());
+        push_to_step(&mut steps, start, idx, pi);
         // Only corridor tiles need reserving: operand data tiles host
         // patches, which corridor passability already excludes, and the
-        // `reserved_at == 0` unroutability check above relies on steps
-        // without merges staying empty.
+        // unroutability check above relies on steps without merges
+        // staying empty.
         if let Some(corridor) = &corridor {
-            reserved.reserve(start, corridor.iter().copied());
+            reserved.reserve(start, corridor);
         }
-        for t in data {
-            next_free.insert(t, start + 1);
+        for &q in &pi.qubits {
+            qubit_free[q.0] = start + 1;
         }
         corridors.push(corridor);
     }
     Ok(Schedule { steps, logical_time_steps: 0, routing_stalls, parallel_merges: 0, corridors })
+}
+
+/// Adds instruction `idx` to step `start`, opening it if it is the next
+/// step; its cost is the maximum over its members.
+fn push_to_step(steps: &mut Vec<ScheduleStep>, start: usize, idx: usize, pi: &ProgramInstruction) {
+    if start == steps.len() {
+        steps.push(ScheduleStep { instructions: Vec::new(), logical_time_steps: 0 });
+    }
+    let step = &mut steps[start];
+    step.instructions.push(idx);
+    step.logical_time_steps = step.logical_time_steps.max(pi.instruction.logical_time_steps());
 }
 
 #[cfg(test)]

@@ -4,7 +4,10 @@
 //! Serve feeds it untrusted lines, so it is bounded: nesting deeper than
 //! [`MAX_DEPTH`] is an error (the recursion cannot exhaust the stack), a
 //! string decodes in time linear in its length, and a repeated object key
-//! is an error rather than a silent override.
+//! is an error rather than a silent override, found in time linear in the
+//! object's key count.
+
+use std::collections::HashSet;
 
 use crate::{SpanRecord, TraceReport};
 
@@ -197,6 +200,9 @@ impl Parser<'_> {
     fn object(&mut self, depth: usize) -> Result<Value, String> {
         self.pos += 1;
         let mut fields: Vec<(String, Value)> = Vec::new();
+        // Keys seen so far: one hash probe per key keeps the repeated-key
+        // check linear in the object's size.
+        let mut keys: HashSet<String> = HashSet::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -205,7 +211,7 @@ impl Parser<'_> {
         loop {
             self.skip_ws();
             let key = self.string()?;
-            if fields.iter().any(|(k, _)| *k == key) {
+            if !keys.insert(key.clone()) {
                 return Err(format!("duplicate key {key:?}"));
             }
             self.skip_ws();
@@ -379,5 +385,23 @@ mod tests {
         assert_eq!(parse("{\"a\":1,\"a\":2}"), Err("duplicate key \"a\"".to_string()));
         assert!(parse("[{\"b\":[],\"b\":null}]").is_err());
         assert!(parse("{\"a\":{\"a\":1}}").is_ok(), "one key per object");
+        // The first repeat in document order is the one reported.
+        assert_eq!(
+            parse("{\"a\":1,\"b\":2,\"b\":3,\"a\":4}"),
+            Err("duplicate key \"b\"".to_string())
+        );
+    }
+
+    #[test]
+    fn many_keys_parse_in_linear_time() {
+        let keys: Vec<String> = (0..7_300).map(|i| format!("\"k{i:05}\":0")).collect();
+        let line = format!("{{{}}}", keys.join(","));
+        let started = std::time::Instant::now();
+        let parsed = parse(&line);
+        let elapsed = started.elapsed();
+        assert!(matches!(parsed, Ok(Value::Obj(fields)) if fields.len() == 7_300));
+        assert!(elapsed.as_millis() < 100, "took {elapsed:?}");
+        let repeated = format!("{{{},\"k07299\":1}}", keys.join(","));
+        assert_eq!(parse(&repeated), Err("duplicate key \"k07299\"".to_string()));
     }
 }
