@@ -8,8 +8,10 @@
 //! profile × distance × SIMD width over every instruction's compiled
 //! circuit. So are the program schedules: one digest per generated program
 //! × floorplan over every step, stall and corridor (or the routing error).
-//! A mismatch prints the regenerated digest file, so updating it is a
-//! deliberate copy of that text.
+//! So are the `.tql` reader's results: one digest per input text over the
+//! parsed program, and one over the exact texts of a table of parse
+//! errors. A mismatch prints the regenerated digest file, so updating it
+//! is a deliberate copy of that text.
 
 use tiscc::core::instruction::Instruction;
 use tiscc::estimator::compiler::{CompileRequest, Compiler};
@@ -19,7 +21,7 @@ use tiscc::estimator::verify::{process_map_of, Fiducial, SingleTile};
 use tiscc::frontier::{frontier_to_csv, matrix_to_csv, report_to_json, run_frontier, FrontierSpec};
 use tiscc::hw::{HardwareSpec, TimedOp};
 use tiscc::orqcs::ProcessMap;
-use tiscc::program::{schedule, LayoutSpec, LogicalProgram, Placement};
+use tiscc::program::{schedule, LayoutSpec, LogicalProgram, Placement, QubitRef};
 use tiscc::workloads::{generate, Family, GenSpec};
 
 const DIGESTS: &str = include_str!("golden/default_outputs.txt");
@@ -145,6 +147,125 @@ fn schedule_digests() -> Vec<(String, u64)> {
     digests
 }
 
+/// Folds a parsed program into one digest: the qubit names in order, then
+/// every instruction's kind (its id), operands and source line.
+fn program_digest(program: &LogicalProgram) -> u64 {
+    let mut h = fnv_step(FNV_OFFSET, program.qubit_count() as u64);
+    for q in 0..program.qubit_count() {
+        let name = program.qubit_name(QubitRef(q));
+        h = fnv(fnv_step(h, name.len() as u64), name.as_bytes());
+    }
+    h = fnv_step(h, program.len() as u64);
+    for pi in program.instructions() {
+        let id = pi.instruction.id();
+        h = fnv(fnv_step(h, id.len() as u64), id.as_bytes());
+        h = pi
+            .qubits
+            .iter()
+            .fold(fnv_step(h, pi.qubits.len() as u64), |h, q| fnv_step(h, q.0 as u64));
+        h = fnv_step(h, pi.line.map_or(0, |n| n as u64));
+    }
+    h
+}
+
+/// Hand-written `.tql` texts that exercise the reader's lexical rules:
+/// line terminators, comments, mnemonic spellings, Unicode separators and
+/// non-ASCII qubit names.
+const PARSE_CASES: [(&str, &str); 6] = [
+    (
+        "line-endings/mixed",
+        "# mixed\r\nqubit a b\rprep_x a\nprep_z b\r\n\r\nmerge_zz a b\r\rmeas_x a\r",
+    ),
+    (
+        "comments",
+        "# head\nqubit a b # two\nprep_x a#glued\n   # indented\nprep_z b #\n\
+         merge_zz a b ## double\n#\nmeas_z b # end",
+    ),
+    (
+        "spellings",
+        "qubit a b c\nPREPARE-Z a\nPrepare_X b\nMeasure_ZZ a b\nMERGE_ZZ a b\nmeasure-xx b a\n\
+         Merge_XX a b\nH a\nHADAMARD b\nPauli-Y a\ny b\nX a\nz b\nIDLE a\nMeas_Z a\n\
+         MEASURE-X b\ninject_T c\nMeas_x c\nInject-Y a\nprep_X b\nPREP_Z c\n",
+    ),
+    (
+        "separators",
+        "qubit\ta\u{a0}b\u{3000}c\n\u{3000}prep_z\ta\u{a0}\nprep_x\u{a0}\u{a0}b\t\n\tprep_z c\u{3000}\n\
+         merge_zz\u{3000}a\tb\n\u{a0}\u{3000}\t\nmerge_xx\u{3000}\u{3000}b c # \u{3000}\n",
+    ),
+    (
+        "unicode-names",
+        "qubit α βeta 量子 q\u{303}\nprep_z α\nprep_x βeta\nprep_z 量子\nmerge_zz α βeta\n\
+         inject_t q\u{303}\nmerge_xx 量子 α\nmerge_zz q\u{303} βeta\nmeas_z q\u{303}\n",
+    ),
+    ("empty", "\n\r\n  # nothing but comments\n\t\n"),
+];
+
+/// Bad `.tql` texts, one per parse-error path: unknown mnemonics, unknown
+/// qubits (also among three operands), arity, repeated operands, repeated
+/// and empty declarations, and liveness.
+const PARSE_ERRORS: [&str; 20] = [
+    "qubit a\nfrobnicate a\n",
+    "qubit a\nPREP-Z a\n",
+    "qubit a\nfrob\u{7}nicate_with_a_very_long_name_indeed a\n",
+    "qubit a\nprep_z b\n",
+    "qubit a\nprep_z\u{3000}b\n",
+    "qubit a b\nprep_z a\nprep_z b\nmerge_zz a b zz\n",
+    "qubit a b\nmerge_zz nope a b\n",
+    "qubit a b c\nmerge_zz a b c\n",
+    "qubit a b c d\nh a b c d\n",
+    "qubit a b\nprep_z a b\n",
+    "qubit a\nprep_z a nope\n",
+    "qubit a\nmerge_xx a\n",
+    "qubit a\nidle\n",
+    "qubit a\nprep_z a\nmerge_zz a a\n",
+    "qubit a b\nqubit c a\n",
+    "qubit a a\n",
+    "qubit # none\n",
+    "qubit a\nh a\n",
+    "qubit a\nprep_z a\nmeas_z a\nx a\n",
+    "qubit a\r\nprep_z a\r\ninject_t a\r\n",
+];
+
+/// One digest per `.tql` input: the three `estimate-frontend` programs as
+/// `tiscc gen` renders them, the bundled adder with CRLF and lone-CR line
+/// endings, and [`PARSE_CASES`]; plus one digest over the error texts of
+/// [`PARSE_ERRORS`].
+fn parse_digests() -> Vec<(String, u64)> {
+    let mut texts: Vec<(String, String)> = [
+        GenSpec::new(Family::RandomCliffordT).with_n(100_000).with_seed(1),
+        GenSpec::new(Family::RandomCliffordT).with_n(10_000).with_seed(1),
+        GenSpec::new(Family::RippleCarryAdder).with_n(9309),
+    ]
+    .iter()
+    .map(|gen| (gen.program_name(), generate(gen).unwrap().to_tql()))
+    .collect();
+    let adder = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/programs/adder.tql"
+    ))
+    .unwrap();
+    texts.push(("line-endings/crlf".into(), adder.replace('\n', "\r\n")));
+    texts.push(("line-endings/cr".into(), adder.replace('\n', "\r")));
+    texts.extend(PARSE_CASES.iter().map(|&(name, text)| (name.to_string(), text.to_string())));
+    let mut digests: Vec<(String, u64)> = texts
+        .iter()
+        .map(|(name, text)| {
+            let program = LogicalProgram::parse(name.as_str(), text)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            (format!("parse/{name}"), program_digest(&program))
+        })
+        .collect();
+    let errors: String = PARSE_ERRORS
+        .iter()
+        .map(|text| match LogicalProgram::parse("bad", text) {
+            Ok(_) => panic!("{text:?} parsed"),
+            Err(e) => format!("{e}\n"),
+        })
+        .collect();
+    digests.push(("parse/errors".to_string(), fnv64(&errors)));
+    digests
+}
+
 /// `tiscc tables` at its defaults (`--d 3 --dt 2`, profile h1).
 fn tables_stdout() -> String {
     let spec = HardwareSpec::default();
@@ -221,6 +342,7 @@ fn outputs() -> Vec<(String, u64)> {
         texts.into_iter().map(|(name, text)| (name.to_string(), fnv64(&text))).collect();
     digests.extend(opstream_digests());
     digests.extend(schedule_digests());
+    digests.extend(parse_digests());
     digests
 }
 
