@@ -59,6 +59,20 @@ fn bench(c: &mut Criterion) {
     group.bench_function("parse_tql/adder64", |b| {
         b.iter(|| LogicalProgram::parse("adder", &text).expect("parses"))
     });
+    // The `.tql` texts the `estimate-frontend` benchmark re-parses per
+    // request: random Clifford+T at 100 000 instructions (seed 1) and the
+    // 9 309-bit adder (102 398 instructions, 27 927 declared qubits).
+    for (spec, param) in [
+        (GenSpec::new(Family::RandomCliffordT).with_n(100_000).with_seed(1), 100_000),
+        (GenSpec::new(Family::RippleCarryAdder).with_n(9309), 9309),
+    ] {
+        let text = generate(&spec).expect("valid spec").to_tql();
+        group.bench_with_input(
+            BenchmarkId::new(format!("parse_tql/{}", spec.family), param),
+            &text,
+            |b, text| b.iter(|| LogicalProgram::parse("w", text).expect("parses")),
+        );
+    }
     // Generated workloads at N ≈ {64, 1k, 10k, 100k} instructions: the
     // scaling curves PERFORMANCE.md records. The adder widths are chosen
     // so 11w − 1 lands near each target; random-clifford-t hits it

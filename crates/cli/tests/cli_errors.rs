@@ -9,6 +9,19 @@ fn tiscc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tiscc")).args(args).output().expect("spawn tiscc")
 }
 
+/// `tiscc args` under a 1 GB address-space limit (`ulimit -v`), so a run
+/// that allocates for a huge input fails on its own instead of exhausting
+/// the machine.
+fn limited(args: &[&str]) -> Command {
+    let mut command = Command::new("sh");
+    command
+        .arg("-c")
+        .arg("ulimit -v 1000000 && exec \"$0\" \"$@\"")
+        .arg(env!("CARGO_BIN_EXE_tiscc"))
+        .args(args);
+    command
+}
+
 fn assert_usage_error(args: &[&str], needle: &str) {
     let out = tiscc(args);
     assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
@@ -119,6 +132,31 @@ fn bad_layout_arguments_exit_2() {
     assert_usage_error(&["estimate", program, "--layout", "row", "--grid", "1x2"], "unroutable");
 }
 
+/// An explicit grid over the tile cap exits 2 naming `--grid` before
+/// anything is allocated for it, even under a 1 GB address-space limit
+/// (placement used to collect every data slot of the grid first and
+/// abort).
+#[test]
+fn oversized_grids_exit_2_before_allocating() {
+    let program =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/programs/bell.tql");
+    let program = program.to_str().unwrap();
+    for grid in ["100000x100000", "20000x20000", "4294967296x4294967296"] {
+        for args in [
+            vec!["estimate", program, "--layout", "row", "--grid", grid, "--budget", "1e-4"],
+            vec!["frontier", program, "--layouts", "checkerboard", "--grids", grid],
+        ] {
+            let out = limited(&args).output().expect("spawn tiscc");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            let message =
+                format!("a {grid} grid exceeds the 16777216-tile limit; use a smaller --grid");
+            assert!(stderr.contains(&message), "{args:?}: {stderr}");
+            assert_eq!(stderr.trim_end().lines().count(), 1, "{args:?}: {stderr}");
+        }
+    }
+}
+
 /// `--show-layout` prints the floorplan before the estimate report, and
 /// the 2D layouts report their congestion columns.
 #[test]
@@ -213,8 +251,15 @@ fn help_and_profiles_succeed() {
 /// Feeds `input` to `tiscc serve --stdin-json` and returns its reply
 /// lines, asserting a clean exit.
 fn serve_replies(input: &[u8]) -> Vec<String> {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_tiscc"))
-        .args(["serve", "--stdin-json"])
+    let mut command = Command::new(env!("CARGO_BIN_EXE_tiscc"));
+    command.args(["serve", "--stdin-json"]);
+    replies_of(command, input)
+}
+
+/// Feeds `input` to the server `command` starts and returns its reply
+/// lines, asserting a clean exit.
+fn replies_of(mut command: Command, input: &[u8]) -> Vec<String> {
+    let mut child = command
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -243,6 +288,28 @@ fn serve_survives_a_deeply_nested_line() {
     assert_eq!(replies.len(), 2, "{replies:?}");
     assert!(replies[0].contains("\"kind\":\"malformed_json\""), "{}", replies[0]);
     assert!(replies[1].contains("\"reply\":\"pong\""), "{}", replies[1]);
+}
+
+/// An estimate on a grid over the tile cap is a `bad_request` answered
+/// before anything is allocated for the grid, so under a 1 GB
+/// address-space limit the server still answers the next line (it used
+/// to abort).
+#[test]
+fn serve_survives_an_oversized_grid() {
+    let input = concat!(
+        r#"{"cmd":"estimate","program":"examples/programs/bell.tql","#,
+        r#""layout":"row@100000x100000","budget":1e-4}"#,
+        "\n",
+        r#"{"cmd":"ping"}"#,
+        "\n"
+    );
+    let mut command = limited(&["serve", "--stdin-json"]);
+    command.current_dir(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."));
+    let replies = replies_of(command, input.as_bytes());
+    assert_eq!(replies.len(), 2, "{replies:?}");
+    assert!(replies[0].contains(r#""kind":"bad_request""#), "{}", replies[0]);
+    assert!(replies[0].contains("use a smaller --grid"), "{}", replies[0]);
+    assert!(replies[1].contains(r#""reply":"pong""#), "{}", replies[1]);
 }
 
 /// A line that is not UTF-8 gets a `malformed_json` reply instead of

@@ -118,16 +118,40 @@ impl Instruction {
     /// lists every valid id, so it can be surfaced verbatim at a CLI
     /// boundary.
     pub fn from_id(text: &str) -> Result<Instruction, UnknownInstruction> {
-        let normalized: String = text
-            .trim()
-            .chars()
-            .map(|c| if c == ' ' || c == '-' { '_' } else { c.to_ascii_lowercase() })
-            .collect();
-        Instruction::all()
-            .iter()
-            .copied()
-            .find(|i| i.id() == normalized)
+        Instruction::matching(text, &[])
             .ok_or_else(|| UnknownInstruction { input: text.to_string() })
+    }
+
+    /// The one instruction-name matcher, behind [`Instruction::from_id`]
+    /// and the `.tql` mnemonics. `text` matches an entry of `aliases`
+    /// when the two are equal up to ASCII case; failing that, its trimmed
+    /// form matches an [`Instruction::id`] up to ASCII case, with `-` and
+    /// space read as `_` (so paper names such as `Measure XX` match too).
+    /// Allocates nothing.
+    ///
+    /// ```
+    /// use tiscc_core::instruction::Instruction;
+    ///
+    /// let aliases = [("h", Instruction::Hadamard)];
+    /// assert_eq!(Instruction::matching("H", &aliases), Some(Instruction::Hadamard));
+    /// assert_eq!(Instruction::matching("PREPARE-Z", &aliases), Some(Instruction::PrepareZ));
+    /// assert_eq!(Instruction::matching("h", &[]), None);
+    /// ```
+    pub fn matching(text: &str, aliases: &[(&str, Instruction)]) -> Option<Instruction> {
+        if let Some(&(_, instruction)) =
+            aliases.iter().find(|(alias, _)| alias.eq_ignore_ascii_case(text))
+        {
+            return Some(instruction);
+        }
+        let text = text.trim().as_bytes();
+        let id_byte = |b: u8| match b {
+            b' ' | b'-' => b'_',
+            b => b.to_ascii_lowercase(),
+        };
+        Instruction::all().iter().copied().find(|i| {
+            let id = i.id().as_bytes();
+            id.len() == text.len() && id.iter().zip(text).all(|(&a, &b)| a == id_byte(b))
+        })
     }
 
     /// Every instruction, in the order of Table 1.
@@ -295,6 +319,17 @@ mod tests {
         assert_eq!(Instruction::from_id("PREPARE-Z"), Ok(Instruction::PrepareZ));
         assert_eq!(Instruction::from_id("  idle "), Ok(Instruction::Idle));
         assert_eq!("inject_t".parse(), Ok(Instruction::InjectT));
+    }
+
+    #[test]
+    fn from_id_matches_bytes_not_unicode_lookalikes() {
+        // Only ASCII folds: a non-ASCII letter never matches an id byte,
+        // and an id must match whole.
+        assert!(Instruction::from_id("\u{130}dle").is_err());
+        assert!(Instruction::from_id("idl\u{e9}").is_err());
+        assert!(Instruction::from_id("idle_").is_err());
+        assert!(Instruction::from_id("").is_err());
+        assert_eq!(Instruction::from_id("\u{3000}Pauli Y\t"), Ok(Instruction::PauliY));
     }
 
     #[test]

@@ -442,6 +442,26 @@ mod tests {
         }
     }
 
+    /// An explicit grid over the tile cap is a `bad_request` naming
+    /// `--grid`, answered before anything is allocated for the grid, and
+    /// the state keeps serving.
+    #[test]
+    fn oversized_grids_are_bad_requests() {
+        let path = json_string(write_program("serve_oversized_grid").to_str().unwrap());
+        let state = ServeState::new(None);
+        for (cmd, fields) in [
+            ("estimate", r#""layout":"row@4097x4096","budget":1e-4"#),
+            ("estimate", r#""layout":"lane@2x4611686018427387904""#),
+            ("frontier", r#""layouts":"lane@2x4611686018427387904""#),
+        ] {
+            let request = format!(r#"{{"cmd":"{cmd}","program":{path},{fields}}}"#);
+            let reply = handle_line(&request, &state);
+            assert!(reply.contains(r#""kind":"bad_request""#), "{request} -> {reply}");
+            assert!(reply.contains("limit; use a smaller --grid"), "{request} -> {reply}");
+        }
+        assert!(handle_line(r#"{"cmd":"ping"}"#, &state).contains(r#""pong""#));
+    }
+
     #[test]
     fn estimate_and_frontier_requests_answer_inline() {
         let path = write_program("serve_merge");

@@ -13,7 +13,7 @@
 //!   the dense site index every per-site table is addressed by,
 //! * [`GridManager`] — ion occupancy tracking with collision checks,
 //! * [`path`] — shuttle/junction-hop routing between zones ([`Router`])
-//!   and the tile-grid corridor search ([`TileSearch`]).
+//!   and the tile-grid corridor search ([`TileSearch`] over a [`TileFrame`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -25,5 +25,5 @@ pub mod site;
 
 pub use grid::{GridError, GridManager, QubitId};
 pub use layout::{Layout, ZONE_WIDTH_M};
-pub use path::{route, route_avoiding, MoveStep, Router, TileSearch};
+pub use path::{route, route_avoiding, MoveStep, Router, TileFrame, TileSearch};
 pub use site::{QSite, SiteKind};

@@ -16,10 +16,11 @@
 //!
 //! Above the zone level, the program estimator routes lattice-surgery merge
 //! *corridors* over a coarse grid of surface-code tiles. The search behind
-//! that — an unweighted multi-source BFS over an abstract `rows × cols`
-//! grid with a caller-supplied passability predicate — lives here as
-//! [`TileSearch`] (reusable scratch, epoch-stamped like [`Router`]), so
-//! both layers share one routing substrate.
+//! that — an unweighted multi-source BFS over the `u32` slots of a framed
+//! `rows × cols` grid ([`TileFrame`]) with a caller-supplied passability
+//! predicate — lives here as [`TileSearch`] (reusable scratch,
+//! epoch-stamped like [`Router`]), so both layers share one routing
+//! substrate.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
@@ -252,23 +253,91 @@ impl Router {
     }
 }
 
-/// A multi-source breadth-first search over a `rows × cols` tile grid
+/// The `u32` slots a [`TileSearch`] addresses a `rows × cols` tile grid
+/// by.
+///
+/// Tile `(r, c)` is slot `(r + 1) · (cols + 1) + c`: the grid sits in a
+/// frame of one slot row above it, one below it and one slot column to its
+/// right, which is also the column left of the next row. Every tile's four
+/// neighbours are then the slots `s − stride`, `s − 1`, `s + 1` and
+/// `s + stride` (`stride = cols + 1`), with no bounds check; a tile on the
+/// grid's edge has frame slots as its outside neighbours.
+///
+/// ```
+/// use tiscc_grid::TileFrame;
+///
+/// let frame = TileFrame::new(2, 3);
+/// assert_eq!(frame.slots(), 4 * 4);
+/// assert_eq!(frame.slot((1, 2)), 10);
+/// assert_eq!(frame.tile(10), (1, 2));
+/// assert!(frame.is_frame(frame.slot((0, 0)) - 1));
+/// assert!(!frame.is_frame(frame.slot((0, 0))));
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct TileFrame {
+    rows: usize,
+    cols: usize,
+}
+
+impl TileFrame {
+    /// The frame of a `rows × cols` tile grid.
+    ///
+    /// # Panics
+    /// Panics if the framed grid has more than `u32::MAX` slots.
+    pub fn new(rows: usize, cols: usize) -> TileFrame {
+        let slots = rows.checked_add(2).and_then(|r| r.checked_mul(cols.checked_add(1)?));
+        assert!(
+            slots.is_some_and(|n| n <= u32::MAX as usize),
+            "a {rows}x{cols} tile grid exceeds the u32 tile slots"
+        );
+        TileFrame { rows, cols }
+    }
+
+    /// Number of slots, frame included: `(rows + 2) · (cols + 1)`.
+    pub fn slots(&self) -> usize {
+        (self.rows + 2) * (self.cols + 1)
+    }
+
+    /// The slot distance between vertically adjacent tiles.
+    pub fn stride(&self) -> u32 {
+        self.cols as u32 + 1
+    }
+
+    /// The slot of an in-grid tile.
+    pub fn slot(&self, (r, c): (usize, usize)) -> u32 {
+        debug_assert!(r < self.rows && c < self.cols, "tile ({r}, {c}) is off the grid");
+        ((r + 1) * (self.cols + 1) + c) as u32
+    }
+
+    /// The tile at an in-grid slot.
+    pub fn tile(&self, slot: u32) -> (usize, usize) {
+        let stride = self.stride();
+        ((slot / stride) as usize - 1, (slot % stride) as usize)
+    }
+
+    /// True if `slot` belongs to the frame, not to the grid.
+    pub fn is_frame(&self, slot: u32) -> bool {
+        let row = (slot / self.stride()) as usize;
+        row == 0 || row > self.rows || (slot % self.stride()) as usize == self.cols
+    }
+}
+
+/// A multi-source breadth-first search over the slots of a [`TileFrame`]
 /// whose scratch is reused across calls.
 ///
-/// Tiles are addressed by their slot `row · cols + col`. The seen stamps
-/// and predecessor slots live in dense arrays over those slots; like
-/// [`Router`], each call bumps an epoch instead of clearing them, so a
-/// search touches only the tiles it reaches. The arrays grow to the
-/// largest grid searched; the queue is reused as well. The program
+/// The seen stamps and predecessor slots live in dense arrays over the
+/// slots; like [`Router`], each call bumps an epoch instead of clearing
+/// them, so a search touches only the tiles it reaches. The arrays grow to
+/// the largest frame searched; the queue is reused as well. The program
 /// scheduler keeps one search for all the corridor probes of a schedule.
 #[derive(Clone, Debug, Default)]
 pub struct TileSearch {
-    // Per tile slot: the epoch that last reached it. A slot whose stamp
-    // differs from `epoch` is unseen in the current call.
+    // Per slot: the epoch that last reached it. A slot whose stamp differs
+    // from `epoch` is unseen in the current call.
     seen: Vec<u32>,
-    // Per tile slot: the slot it was reached from (`NO_PREV` for sources).
+    // Per slot: the slot it was reached from (`NO_PREV` for sources).
     prev: Vec<u32>,
-    queue: Vec<(usize, usize)>,
+    queue: Vec<u32>,
     epoch: u32,
 }
 
@@ -281,14 +350,17 @@ impl TileSearch {
         TileSearch::default()
     }
 
-    /// Shortest path over the `rows × cols` tile grid.
+    /// Shortest path over the tiles of `frame`.
     ///
-    /// The path starts at one of `sources`, ends at the first tile
-    /// satisfying `is_goal`, steps only between orthogonally adjacent
-    /// tiles, and visits only tiles for which `passable` returns `true`
-    /// (sources that are not passable are ignored; a goal tile must itself
-    /// be passable to be reached). Returns the visited tiles in order,
-    /// sources included — or `None` when no goal is reachable.
+    /// The path starts at one of the `sources` slots, ends at the first
+    /// slot satisfying `is_goal`, steps only between orthogonally adjacent
+    /// tiles, and visits only slots for which `passable` returns `true`
+    /// (sources that are not passable are ignored; a goal must itself be
+    /// passable to be reached). `passable` must be `false` on every frame
+    /// slot ([`TileFrame::is_frame`]): that is what keeps the search on
+    /// the grid without a bounds check per neighbour. Returns the visited
+    /// tiles in order, sources included — or `None` when no goal is
+    /// reachable.
     ///
     /// The search is deterministic: sources seed the queue in the order
     /// given and neighbours expand up, left, right, down, so equal-length
@@ -297,11 +369,13 @@ impl TileSearch {
     /// earlier calls.
     ///
     /// ```
-    /// use tiscc_grid::TileSearch;
+    /// use tiscc_grid::{TileFrame, TileSearch};
     ///
     /// // A 2 × 4 grid with tile (0, 1) blocked: the path detours via row 1.
+    /// let frame = TileFrame::new(2, 4);
+    /// let (start, goal, wall) = (frame.slot((0, 0)), frame.slot((0, 3)), frame.slot((0, 1)));
     /// let path = TileSearch::new()
-    ///     .shortest_path(2, 4, &[(0, 0)], |t| t == (0, 3), |t| t != (0, 1))
+    ///     .shortest_path(frame, &[start], |s| s == goal, |s| !frame.is_frame(s) && s != wall)
     ///     .unwrap();
     /// assert_eq!(path.first(), Some(&(0, 0)));
     /// assert_eq!(path.last(), Some(&(0, 3)));
@@ -309,34 +383,29 @@ impl TileSearch {
     /// ```
     ///
     /// # Panics
-    /// Panics if the grid has more than `u32::MAX` tiles.
+    /// Panics if `passable` admits a frame slot the search then steps off.
     pub fn shortest_path(
         &mut self,
-        rows: usize,
-        cols: usize,
-        sources: &[(usize, usize)],
-        is_goal: impl Fn((usize, usize)) -> bool,
-        passable: impl Fn((usize, usize)) -> bool,
+        frame: TileFrame,
+        sources: &[u32],
+        is_goal: impl Fn(u32) -> bool,
+        passable: impl Fn(u32) -> bool,
     ) -> Option<Vec<(usize, usize)>> {
-        self.begin(rows * cols);
-        let slot = |(r, c): (usize, usize)| (r * cols + c) as u32;
-        let in_bounds = |(r, c): (usize, usize)| r < rows && c < cols;
+        self.begin(frame.slots());
         for &s in sources {
-            if in_bounds(s) && passable(s) && self.reach(slot(s), NO_PREV) {
+            if passable(s) && self.reach(s, NO_PREV) {
                 self.queue.push(s);
             }
         }
+        let stride = frame.stride();
         let mut head = 0;
-        while let Some(&tile) = self.queue.get(head) {
+        while let Some(&slot) = self.queue.get(head) {
             head += 1;
-            if is_goal(tile) {
-                return Some(self.path_to(slot(tile), cols));
+            if is_goal(slot) {
+                return Some(self.path_to(slot, frame));
             }
-            let (r, c) = tile;
-            let neighbors =
-                [(r.wrapping_sub(1), c), (r, c.wrapping_sub(1)), (r, c + 1), (r + 1, c)];
-            for next in neighbors {
-                if in_bounds(next) && passable(next) && self.reach(slot(next), slot(tile)) {
+            for next in [slot - stride, slot - 1, slot + 1, slot + stride] {
+                if passable(next) && self.reach(next, slot) {
                     self.queue.push(next);
                 }
             }
@@ -347,7 +416,6 @@ impl TileSearch {
     /// Starts a call: grows the scratch to `slots` entries and moves to a
     /// fresh epoch, so every entry of an earlier call reads as unseen.
     fn begin(&mut self, slots: usize) {
-        assert!(slots <= u32::MAX as usize, "a {slots}-tile grid exceeds the u32 tile slots");
         if self.seen.len() < slots {
             self.seen.resize(slots, 0);
             self.prev.resize(slots, NO_PREV);
@@ -373,13 +441,12 @@ impl TileSearch {
     }
 
     /// The tiles from a source to `goal`, walking predecessors back.
-    fn path_to(&self, goal: u32, cols: usize) -> Vec<(usize, usize)> {
+    fn path_to(&self, goal: u32, frame: TileFrame) -> Vec<(usize, usize)> {
         let mut path = Vec::new();
         let mut cur = goal;
         while cur != NO_PREV {
-            let i = cur as usize;
-            path.push((i / cols, i % cols));
-            cur = self.prev[i];
+            path.push(frame.tile(cur));
+            cur = self.prev[cur as usize];
         }
         path.reverse();
         path
@@ -458,6 +525,26 @@ mod tests {
         assert_eq!(route(&l, QSite::new(0, 1), QSite::new(0, 1)).unwrap().len(), 0);
     }
 
+    /// A search on `search` over the `rows × cols` grid, with sources,
+    /// goals and passability given by tile: the frame is never passable.
+    fn search_tiles(
+        search: &mut TileSearch,
+        rows: usize,
+        cols: usize,
+        sources: &[(usize, usize)],
+        is_goal: impl Fn((usize, usize)) -> bool,
+        passable: impl Fn((usize, usize)) -> bool,
+    ) -> Option<Vec<(usize, usize)>> {
+        let frame = TileFrame::new(rows, cols);
+        let sources: Vec<u32> = sources.iter().map(|&t| frame.slot(t)).collect();
+        search.shortest_path(
+            frame,
+            &sources,
+            |s| is_goal(frame.tile(s)),
+            |s| !frame.is_frame(s) && passable(frame.tile(s)),
+        )
+    }
+
     fn path(
         rows: usize,
         cols: usize,
@@ -465,7 +552,34 @@ mod tests {
         is_goal: impl Fn((usize, usize)) -> bool,
         passable: impl Fn((usize, usize)) -> bool,
     ) -> Option<Vec<(usize, usize)>> {
-        TileSearch::new().shortest_path(rows, cols, sources, is_goal, passable)
+        search_tiles(&mut TileSearch::new(), rows, cols, sources, is_goal, passable)
+    }
+
+    /// Slots and tiles map one to one; the frame surrounds the grid.
+    #[test]
+    fn frame_slots_round_trip_and_border_the_grid() {
+        for (rows, cols) in [(1, 1), (1, 5), (4, 1), (3, 7)] {
+            let frame = TileFrame::new(rows, cols);
+            let mut in_grid = 0;
+            for slot in 0..frame.slots() as u32 {
+                if frame.is_frame(slot) {
+                    continue;
+                }
+                in_grid += 1;
+                let tile = frame.tile(slot);
+                assert_eq!(frame.slot(tile), slot, "{rows}x{cols}");
+                let stride = frame.stride();
+                for (next, is_edge) in [
+                    (slot - stride, tile.0 == 0),
+                    (slot - 1, tile.1 == 0),
+                    (slot + 1, tile.1 + 1 == cols),
+                    (slot + stride, tile.0 + 1 == rows),
+                ] {
+                    assert_eq!(frame.is_frame(next), is_edge, "{rows}x{cols} {tile:?}");
+                }
+            }
+            assert_eq!(in_grid, rows * cols);
+        }
     }
 
     #[test]
@@ -517,7 +631,7 @@ mod tests {
             let goal = ((next() as usize) % rows, (next() as usize) % cols);
             let sources = [((next() as usize) % rows, 0), (0, (next() as usize) % cols)];
             let fresh = path(rows, cols, &sources, |t| t == goal, wall);
-            let again = reused.shortest_path(rows, cols, &sources, |t| t == goal, wall);
+            let again = search_tiles(&mut reused, rows, cols, &sources, |t| t == goal, wall);
             assert_eq!(fresh, again, "round {round}: {rows}x{cols} to {goal:?}");
         }
     }

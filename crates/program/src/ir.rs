@@ -12,8 +12,9 @@
 //! `Measure XX`/`Measure ZZ` surgeries leave both operands alive (the
 //! merge-split sequence restores the individual patches).
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
+use std::ops::Deref;
 
 use tiscc_core::instruction::Instruction;
 
@@ -22,6 +23,47 @@ use tiscc_core::instruction::Instruction;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QubitRef(pub usize);
 
+/// The one or two operand qubits of an instruction, held inline: it
+/// derefs to the slice of the qubits in use, so an instruction costs no
+/// heap allocation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct QubitPair {
+    // The operands in order; a slot past `len` always holds `QubitRef(0)`,
+    // so the derived equality is the slices' equality.
+    refs: [QubitRef; 2],
+    len: u8,
+}
+
+impl QubitPair {
+    /// The operands `qubits`, in order.
+    ///
+    /// # Panics
+    /// Panics if `qubits` holds more than two qubits.
+    pub fn new(qubits: &[QubitRef]) -> QubitPair {
+        assert!(qubits.len() <= 2, "an instruction takes at most two qubits");
+        let mut refs = [QubitRef(0); 2];
+        refs[..qubits.len()].copy_from_slice(qubits);
+        QubitPair { refs, len: qubits.len() as u8 }
+    }
+}
+
+impl Deref for QubitPair {
+    type Target = [QubitRef];
+
+    fn deref(&self) -> &[QubitRef] {
+        &self.refs[..self.len as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a QubitPair {
+    type Item = &'a QubitRef;
+    type IntoIter = std::slice::Iter<'a, QubitRef>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// One instruction of a logical program: a Table 1 lattice-surgery
 /// instruction applied to one or two named logical qubits.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -29,7 +71,7 @@ pub struct ProgramInstruction {
     /// The lattice-surgery instruction.
     pub instruction: Instruction,
     /// The operand qubits, in order ([`Instruction::tiles`] entries).
-    pub qubits: Vec<QubitRef>,
+    pub qubits: QubitPair,
     /// 1-based source line for programs parsed from `.tql` text (`None`
     /// for programs built through the API).
     pub line: Option<usize>,
@@ -74,14 +116,17 @@ impl LogicalProgram {
     }
 
     /// Declares a new logical qubit. Names must be unique within a program.
+    /// The name is hashed once.
     pub fn add_qubit(&mut self, name: impl Into<String>) -> Result<QubitRef, ProgramError> {
-        let name = name.into();
-        if self.qubit_index.contains_key(&name) {
-            return Err(ProgramError::DuplicateQubit(name));
+        match self.qubit_index.entry(name.into()) {
+            Entry::Occupied(entry) => Err(ProgramError::DuplicateQubit(entry.key().clone())),
+            Entry::Vacant(entry) => {
+                let q = self.qubits.len();
+                self.qubits.push(entry.key().clone());
+                entry.insert(q);
+                Ok(QubitRef(q))
+            }
         }
-        self.qubits.push(name.clone());
-        self.qubit_index.insert(name, self.qubits.len() - 1);
-        Ok(QubitRef(self.qubits.len() - 1))
     }
 
     /// Resolves a declared qubit by name.
@@ -151,7 +196,11 @@ impl LogicalProgram {
                 qubit: self.qubit_name(qubits[0]).to_string(),
             });
         }
-        self.instructions.push(ProgramInstruction { instruction, qubits: qubits.to_vec(), line });
+        self.instructions.push(ProgramInstruction {
+            instruction,
+            qubits: QubitPair::new(qubits),
+            line,
+        });
         Ok(())
     }
 
@@ -273,20 +322,30 @@ impl LogicalProgram {
         Ok(())
     }
 
-    /// The maximum number of simultaneously live qubits over the program.
+    /// The maximum number of simultaneously live qubits over the program,
+    /// in one pass with a running count of the live qubits.
     pub fn max_live_qubits(&self) -> usize {
         let mut live = vec![false; self.qubits.len()];
-        let mut peak = 0usize;
+        let (mut count, mut peak) = (0usize, 0usize);
         for pi in &self.instructions {
+            let q = pi.qubits[0].0;
             match pi.instruction {
                 Instruction::PrepareZ
                 | Instruction::PrepareX
                 | Instruction::InjectY
-                | Instruction::InjectT => live[pi.qubits[0].0] = true,
-                Instruction::MeasureZ | Instruction::MeasureX => live[pi.qubits[0].0] = false,
+                | Instruction::InjectT
+                    if !live[q] =>
+                {
+                    live[q] = true;
+                    count += 1;
+                    peak = peak.max(count);
+                }
+                Instruction::MeasureZ | Instruction::MeasureX if live[q] => {
+                    live[q] = false;
+                    count -= 1;
+                }
                 _ => {}
             }
-            peak = peak.max(live.iter().filter(|&&l| l).count());
         }
         peak
     }

@@ -41,14 +41,25 @@
 //! `(tile_rows·d) × (tile_cols·d)`-unit grid.
 
 use std::fmt;
+use std::ops::Range;
 
 use tiscc_core::instruction::Instruction;
-use tiscc_grid::Layout;
+use tiscc_grid::{Layout, TileFrame};
 
 use crate::ir::{LogicalProgram, ProgramInstruction, QubitRef};
 
 /// The tile coordinate `(row, col)` of one logical patch or ancilla tile.
 pub type Tile = (usize, usize);
+
+/// The most tiles an explicit `--grid` may have: 2^24. The 2D scheduler
+/// keeps about 13 bytes per tile (a reservation mark, the search's seen
+/// stamp and predecessor, the occupancy flag), so this caps its per-tile
+/// tables near 220 MB. Auto-sized grids grow with the program's declared
+/// qubits and are not capped.
+pub const MAX_GRID_TILES: usize = 1 << 24;
+
+/// The tile row of the single-lane floorplan's shared routing lane.
+pub const LANE_ROW: usize = 1;
 
 /// How logical patches are arranged on the tile grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -147,6 +158,13 @@ pub enum PlacementError {
     UnknownStrategy(String),
     /// A grid dimension was zero.
     EmptyGrid,
+    /// An explicit grid has more than [`MAX_GRID_TILES`] tiles.
+    GridTooLarge {
+        /// Requested grid rows.
+        rows: usize,
+        /// Requested grid columns.
+        cols: usize,
+    },
     /// The grid has fewer data slots than the program has qubits.
     GridTooSmall {
         /// Declared logical qubits of the program.
@@ -169,6 +187,10 @@ impl fmt::Display for PlacementError {
                 write!(f, "unknown layout '{name}' (expected lane, row or checkerboard)")
             }
             PlacementError::EmptyGrid => write!(f, "tile grid dimensions must be non-zero"),
+            PlacementError::GridTooLarge { rows, cols } => write!(
+                f,
+                "a {rows}x{cols} grid exceeds the {MAX_GRID_TILES}-tile limit; use a smaller --grid"
+            ),
             PlacementError::GridTooSmall { qubits, capacity, rows, cols, strategy } => write!(
                 f,
                 "a {rows}x{cols} grid holds {capacity} data patch(es) under the {} layout, \
@@ -188,7 +210,10 @@ pub struct Placement {
     tile_rows: usize,
     tile_cols: usize,
     strategy: LayoutStrategy,
-    occupied: Vec<bool>,
+    frame: TileFrame,
+    // Per tile slot ([`Placement::tile_slot`]): true where a patch sits or
+    // the slot belongs to the frame around the grid.
+    blocked: Vec<bool>,
 }
 
 impl Placement {
@@ -204,8 +229,9 @@ impl Placement {
     ///
     /// Data slots are assigned in declaration order; the slot enumeration
     /// order is part of each strategy's contract (see the module docs).
-    /// Fails when an explicit grid is too small for the program or has a
-    /// zero dimension.
+    /// Fails when an explicit grid is too small for the program, has a
+    /// zero dimension or has more than [`MAX_GRID_TILES`] tiles; all three
+    /// are checked before anything is allocated for the grid.
     pub fn allocate_with(
         program: &LogicalProgram,
         spec: &LayoutSpec,
@@ -216,6 +242,9 @@ impl Placement {
                 if r == 0 || c == 0 {
                     return Err(PlacementError::EmptyGrid);
                 }
+                if r.checked_mul(c).is_none_or(|tiles| tiles > MAX_GRID_TILES) {
+                    return Err(PlacementError::GridTooLarge { rows: r, cols: c });
+                }
                 (r, c)
             }
             None => match spec.strategy {
@@ -225,39 +254,50 @@ impl Placement {
                 LayoutStrategy::Checkerboard => (2, (2 * n).max(1)),
             },
         };
-        let slots: Vec<Tile> = match spec.strategy {
+        // Data slots the grid offers, in closed form.
+        let capacity = match spec.strategy {
             // The single-lane 1D contract: data on row 0 only, and the grid
             // must actually include the lane row beneath it.
-            LayoutStrategy::SingleLane => {
-                if rows < 2 {
-                    Vec::new()
-                } else {
-                    (0..cols).map(|c| (0, c)).collect()
-                }
-            }
-            LayoutStrategy::RowMajor => {
-                (0..rows).step_by(2).flat_map(|r| (0..cols).map(move |c| (r, c))).collect()
-            }
-            LayoutStrategy::Checkerboard => (0..rows)
-                .flat_map(|r| (0..cols).map(move |c| (r, c)))
-                .filter(|(r, c)| (r + c) % 2 == 0)
-                .collect(),
+            LayoutStrategy::SingleLane if rows < 2 => 0,
+            LayoutStrategy::SingleLane => cols,
+            LayoutStrategy::RowMajor => rows.div_ceil(2) * cols,
+            LayoutStrategy::Checkerboard => (rows * cols).div_ceil(2),
         };
-        if slots.len() < n {
+        if capacity < n {
             return Err(PlacementError::GridTooSmall {
                 qubits: n,
-                capacity: slots.len(),
+                capacity,
                 rows,
                 cols,
                 strategy: spec.strategy,
             });
         }
-        let tiles: Vec<Tile> = slots.into_iter().take(n).collect();
-        let mut occupied = vec![false; rows * cols];
-        for &(r, c) in &tiles {
-            occupied[r * cols + c] = true;
+        // Only the first n data slots are enumerated.
+        let row_tiles = move |r: usize| (0..cols).map(move |c| (r, c));
+        let tiles: Vec<Tile> = match spec.strategy {
+            LayoutStrategy::SingleLane => row_tiles(0).take(n).collect(),
+            LayoutStrategy::RowMajor => (0..rows).step_by(2).flat_map(row_tiles).take(n).collect(),
+            LayoutStrategy::Checkerboard => {
+                (0..rows).flat_map(row_tiles).filter(|&(r, c)| (r + c) % 2 == 0).take(n).collect()
+            }
+        };
+        let frame = TileFrame::new(rows, cols);
+        let mut blocked = vec![true; frame.slots()];
+        for r in 0..rows {
+            let start = frame.slot((r, 0)) as usize;
+            blocked[start..start + cols].fill(false);
         }
-        Ok(Placement { tiles, tile_rows: rows, tile_cols: cols, strategy: spec.strategy, occupied })
+        for &tile in &tiles {
+            blocked[frame.slot(tile) as usize] = true;
+        }
+        Ok(Placement {
+            tiles,
+            tile_rows: rows,
+            tile_cols: cols,
+            strategy: spec.strategy,
+            frame,
+            blocked,
+        })
     }
 
     /// The placement strategy this floorplan was allocated under.
@@ -305,14 +345,25 @@ impl Placement {
 
     /// True if `tile` hosts a logical patch.
     pub fn is_occupied(&self, tile: Tile) -> bool {
-        self.in_bounds(tile) && self.occupied[self.tile_slot(tile)]
+        self.in_bounds(tile) && self.blocked[self.tile_slot(tile) as usize]
     }
 
-    /// The dense index `row · tile_cols + col` of a tile: the slot every
+    /// The framed grid the placement's tiles are addressed in.
+    pub fn frame(&self) -> TileFrame {
+        self.frame
+    }
+
+    /// The slot of an in-grid tile in [`Placement::frame`]: what every
     /// per-tile table of the scheduler and the corridor search is
     /// addressed by.
-    pub fn tile_slot(&self, tile: Tile) -> usize {
-        tile.0 * self.tile_cols + tile.1
+    pub fn tile_slot(&self, tile: Tile) -> u32 {
+        self.frame.slot(tile)
+    }
+
+    /// Per slot of [`Placement::frame`]: true where a patch sits or the
+    /// slot belongs to the frame, so no corridor may enter it.
+    pub fn blocked_slots(&self) -> &[bool] {
+        &self.blocked
     }
 
     /// True if `tile` lies on the grid.
@@ -329,28 +380,26 @@ impl Placement {
         if self.strategy != LayoutStrategy::SingleLane {
             return false;
         }
-        match pi.qubits.as_slice() {
+        match *pi.qubits {
             [a, b] => {
                 pi.instruction == Instruction::MeasureZZ
-                    && self.column(*a).abs_diff(self.column(*b)) == 1
+                    && self.column(a).abs_diff(self.column(b)) == 1
             }
             _ => false,
         }
     }
 
-    /// The shared-lane tiles a routed single-lane merge occupies: the lane
-    /// row under every column spanned by the operands. Empty for direct
-    /// merges and for 2D strategies.
-    pub fn lane_span(&self, pi: &ProgramInstruction) -> Vec<Tile> {
-        if self.strategy != LayoutStrategy::SingleLane || pi.qubits.len() != 2 {
-            return Vec::new();
+    /// The shared-lane columns a routed single-lane merge occupies: every
+    /// column spanned by the operands, on the lane row [`LANE_ROW`]. Empty
+    /// for single-qubit instructions, direct merges and 2D strategies.
+    pub fn lane_span(&self, pi: &ProgramInstruction) -> Range<usize> {
+        match *pi.qubits {
+            [a, b] if self.strategy == LayoutStrategy::SingleLane && !self.is_direct_merge(pi) => {
+                let (ca, cb) = (self.column(a), self.column(b));
+                ca.min(cb)..ca.max(cb) + 1
+            }
+            _ => 0..0,
         }
-        if self.is_direct_merge(pi) {
-            return Vec::new();
-        }
-        let (ca, cb) = (self.column(pi.qubits[0]), self.column(pi.qubits[1]));
-        let (lo, hi) = (ca.min(cb), ca.max(cb));
-        (lo..=hi).map(|c| (1, c)).collect()
     }
 
     /// The trapped-ion grid hosting this placement at code distance `d`:
@@ -373,9 +422,9 @@ impl Placement {
             .max()
             .unwrap_or(1)
             .clamp(2, 8);
-        let mut by_tile = vec![None; self.total_tiles()];
+        let mut by_tile = vec![None; self.frame.slots()];
         for (i, &tile) in self.tiles.iter().enumerate() {
-            by_tile[self.tile_slot(tile)] = Some(QubitRef(i));
+            by_tile[self.tile_slot(tile) as usize] = Some(QubitRef(i));
         }
         let mut out = format!(
             "floorplan: {} layout on {}x{} tiles ({} patch(es), {} ancilla tile(s))\n",
@@ -388,7 +437,7 @@ impl Placement {
         for r in 0..self.tile_rows {
             out.push_str("  ");
             for c in 0..self.tile_cols {
-                let cell = match by_tile[self.tile_slot((r, c))] {
+                let cell = match by_tile[self.tile_slot((r, c)) as usize] {
                     Some(q) => {
                         let name: String = program.qubit_name(q).chars().take(width).collect();
                         format!("{name:<width$}")
@@ -436,14 +485,14 @@ mod tests {
         let zz = &instrs[3];
         assert_eq!(zz.instruction, Instruction::MeasureZZ);
         assert!(place.is_direct_merge(zz));
-        assert_eq!(place.lane_span(zz), vec![]);
+        assert!(place.lane_span(zz).is_empty());
         // merge_xx src anc: XX needs a vertical boundary → routed through
         // the lane under columns 0..=1.
         let xx = &instrs[4];
         assert_eq!(xx.instruction, Instruction::MeasureXX);
-        assert_eq!(place.lane_span(xx), vec![(1, 0), (1, 1)]);
+        assert_eq!(place.lane_span(xx), 0..2);
         // Single-qubit instructions use no lane.
-        assert_eq!(place.lane_span(&instrs[0]), vec![]);
+        assert!(place.lane_span(&instrs[0]).is_empty());
     }
 
     #[test]
@@ -494,7 +543,7 @@ mod tests {
         let merge = &p.instructions()[8];
         assert_eq!(merge.instruction, Instruction::MeasureZZ);
         assert!(!place.is_direct_merge(merge));
-        assert_eq!(place.lane_span(merge), vec![]);
+        assert!(place.lane_span(merge).is_empty());
     }
 
     #[test]
@@ -518,6 +567,73 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("--grid"), "{err}");
+    }
+
+    /// An explicit grid over the tile cap is rejected before anything is
+    /// allocated for it, however its size was meant to overflow.
+    #[test]
+    fn oversized_grids_are_rejected_before_allocating() {
+        let p = examples::bell_pair();
+        for (rows, cols) in
+            [(4097, 4096), (100_000, 100_000), (1 << 32, 1 << 32), (2, usize::MAX), (usize::MAX, 3)]
+        {
+            for spec in
+                [LayoutSpec::single_lane(), LayoutSpec::row_major(), LayoutSpec::checkerboard()]
+            {
+                let err = Placement::allocate_with(&p, &spec.with_grid(rows, cols)).unwrap_err();
+                assert_eq!(err, PlacementError::GridTooLarge { rows, cols });
+                let message = err.to_string();
+                assert!(message.contains("--grid"), "{message}");
+                assert!(message.contains(&format!("{rows}x{cols}")), "{message}");
+            }
+        }
+        // The cap itself is allowed.
+        let spec = LayoutSpec::checkerboard().with_grid(1 << 12, 1 << 12);
+        assert_eq!(Placement::allocate_with(&p, &spec).unwrap().total_tiles(), MAX_GRID_TILES);
+    }
+
+    /// The closed-form capacity agrees with counting each strategy's data
+    /// slots, so a grid that fits exactly is accepted and one short of it
+    /// is not.
+    #[test]
+    fn capacity_is_exact_for_every_strategy() {
+        for rows in 1..6 {
+            for cols in 1..6 {
+                let count = |strategy: LayoutStrategy| -> usize {
+                    (0..rows)
+                        .flat_map(|r| (0..cols).map(move |c| (r, c)))
+                        .filter(|&(r, c)| match strategy {
+                            LayoutStrategy::SingleLane => rows >= 2 && r == 0,
+                            LayoutStrategy::RowMajor => r % 2 == 0,
+                            LayoutStrategy::Checkerboard => (r + c) % 2 == 0,
+                        })
+                        .count()
+                };
+                for spec in
+                    [LayoutSpec::single_lane(), LayoutSpec::row_major(), LayoutSpec::checkerboard()]
+                {
+                    let spec = spec.with_grid(rows, cols);
+                    let capacity = count(spec.strategy);
+                    let mut p = LogicalProgram::new("fill");
+                    for i in 0..=capacity {
+                        if i == capacity {
+                            assert!(Placement::allocate_with(&p, &spec).is_ok(), "{spec:?}");
+                        }
+                        p.add_qubit(format!("q{i}")).unwrap();
+                    }
+                    assert_eq!(
+                        Placement::allocate_with(&p, &spec),
+                        Err(PlacementError::GridTooSmall {
+                            qubits: capacity + 1,
+                            capacity,
+                            rows,
+                            cols,
+                            strategy: spec.strategy
+                        }),
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub mod route;
 pub mod schedule;
 
 pub use budget::{BudgetError, ErrorModel};
-pub use ir::{LogicalProgram, ProgramError, ProgramInstruction, QubitRef};
-pub use layout2d::{LayoutSpec, LayoutStrategy, Placement, PlacementError, Tile};
+pub use ir::{LogicalProgram, ProgramError, ProgramInstruction, QubitPair, QubitRef};
+pub use layout2d::{LayoutSpec, LayoutStrategy, Placement, PlacementError, Tile, MAX_GRID_TILES};
 pub use parse::ParseError;
 pub use route::{find_corridor, Reservations, RoutingError};
-pub use schedule::{schedule, schedule_with, Schedule, ScheduleStep};
+pub use schedule::{schedule, schedule_with, Corridor, Schedule, ScheduleStep};

@@ -25,7 +25,7 @@ use std::fmt;
 use tiscc_core::instruction::Instruction;
 use tiscc_telemetry::Span;
 
-use crate::ir::{short, LogicalProgram, QubitRef};
+use crate::ir::{short, LogicalProgram, ProgramError, QubitRef};
 
 /// An error raised while parsing `.tql` text, annotated with its 1-based
 /// source line.
@@ -45,24 +45,24 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The program-level aliases, matched ASCII case-insensitively.
+const ALIASES: [(&str, Instruction); 10] = [
+    ("prep_z", Instruction::PrepareZ),
+    ("prep_x", Instruction::PrepareX),
+    ("meas_z", Instruction::MeasureZ),
+    ("meas_x", Instruction::MeasureX),
+    ("merge_zz", Instruction::MeasureZZ),
+    ("merge_xx", Instruction::MeasureXX),
+    ("x", Instruction::PauliX),
+    ("y", Instruction::PauliY),
+    ("z", Instruction::PauliZ),
+    ("h", Instruction::Hadamard),
+];
+
 /// Resolves a `.tql` instruction mnemonic: a program-level alias or any id
-/// accepted by [`Instruction::from_id`].
+/// accepted by [`Instruction::from_id`]. Allocates nothing.
 pub fn instruction_from_mnemonic(word: &str) -> Option<Instruction> {
-    let lowered = word.to_ascii_lowercase();
-    let aliased = match lowered.as_str() {
-        "prep_z" => Some(Instruction::PrepareZ),
-        "prep_x" => Some(Instruction::PrepareX),
-        "meas_z" => Some(Instruction::MeasureZ),
-        "meas_x" => Some(Instruction::MeasureX),
-        "merge_zz" => Some(Instruction::MeasureZZ),
-        "merge_xx" => Some(Instruction::MeasureXX),
-        "x" => Some(Instruction::PauliX),
-        "y" => Some(Instruction::PauliY),
-        "z" => Some(Instruction::PauliZ),
-        "h" => Some(Instruction::Hadamard),
-        _ => None,
-    };
-    aliased.or_else(|| Instruction::from_id(&lowered).ok())
+    Instruction::matching(word, &ALIASES)
 }
 
 /// The mnemonic the `.tql` renderer uses for an instruction (the inverse
@@ -85,7 +85,8 @@ pub fn mnemonic(instruction: Instruction) -> &'static str {
 /// the two source lines around it — turning, e.g., `qubit a\rprep_z a`
 /// into one bogus declaration line and shifting every later error's line
 /// number. Like `str::lines`, a trailing terminator does not produce a
-/// final empty line.
+/// final empty line. Terminators are found by byte search: both are ASCII,
+/// so no UTF-8 sequence contains their bytes.
 fn source_lines(text: &str) -> SourceLines<'_> {
     SourceLines { rest: text }
 }
@@ -101,11 +102,12 @@ impl<'a> Iterator for SourceLines<'a> {
         if self.rest.is_empty() {
             return None;
         }
-        match self.rest.find(['\n', '\r']) {
+        let bytes = self.rest.as_bytes();
+        match bytes.iter().position(|&b| b == b'\n' || b == b'\r') {
             None => Some(std::mem::take(&mut self.rest)),
             Some(i) => {
                 let line = &self.rest[..i];
-                let sep = if self.rest[i..].starts_with("\r\n") { 2 } else { 1 };
+                let sep = if bytes[i..].starts_with(b"\r\n") { 2 } else { 1 };
                 self.rest = &self.rest[i + sep..];
                 Some(line)
             }
@@ -116,55 +118,67 @@ impl<'a> Iterator for SourceLines<'a> {
 impl LogicalProgram {
     /// Parses `.tql` text into a validated program named `name`. Lines may
     /// end in `\n`, `\r\n` or `\r`; the final line needs no terminator.
+    ///
+    /// Tokens are Unicode-whitespace separated, as `str::split_whitespace`
+    /// splits them. An instruction line costs no heap allocation: its
+    /// mnemonic is matched in place and its operands resolve into an
+    /// inline pair. A line with more operands than that still resolves
+    /// every token, so an unknown qubit is reported before the arity.
     pub fn parse(name: impl Into<String>, text: &str) -> Result<LogicalProgram, ParseError> {
         let mut program = LogicalProgram::new(name);
         for (idx, raw) in source_lines(text).enumerate() {
             let lineno = idx + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
+            let error = |message: String| ParseError { line: lineno, message };
+            let code = match raw.as_bytes().iter().position(|&b| b == b'#') {
+                Some(i) => &raw[..i],
+                None => raw,
+            };
+            let mut tokens = code.split_whitespace();
+            let Some(head) = tokens.next() else {
                 continue;
-            }
-            let mut tokens = line.split_whitespace();
-            let head = tokens.next().expect("non-empty line has a first token");
+            };
             if head.eq_ignore_ascii_case("qubit") {
                 let mut declared = 0usize;
                 for qubit in tokens {
-                    program
-                        .add_qubit(qubit)
-                        .map_err(|e| ParseError { line: lineno, message: e.to_string() })?;
+                    program.add_qubit(qubit).map_err(|e| error(e.to_string()))?;
                     declared += 1;
                 }
                 if declared == 0 {
-                    return Err(ParseError {
-                        line: lineno,
-                        message: "qubit declaration names no qubits".to_string(),
-                    });
+                    return Err(error("qubit declaration names no qubits".to_string()));
                 }
                 continue;
             }
-            let instruction = instruction_from_mnemonic(head).ok_or_else(|| ParseError {
-                line: lineno,
-                message: format!(
+            let instruction = instruction_from_mnemonic(head).ok_or_else(|| {
+                error(format!(
                     "unknown instruction '{}'; valid mnemonics include qubit, prep_z, \
                      prep_x, inject_y, inject_t, meas_z, meas_x, x, y, z, h, idle, \
                      merge_xx, merge_zz",
                     short(head)
-                ),
+                ))
             })?;
-            let operands: Result<Vec<QubitRef>, ParseError> = tokens
-                .map(|tok| {
-                    program.qubit(tok).ok_or_else(|| ParseError {
-                        line: lineno,
-                        message: format!(
-                            "unknown qubit '{tok}' (declare it with 'qubit {tok}')",
-                            tok = short(tok)
-                        ),
-                    })
-                })
-                .collect();
+            let mut operands = [QubitRef(0); 2];
+            let mut got = 0usize;
+            for token in tokens {
+                let q = program.qubit(token).ok_or_else(|| {
+                    error(format!(
+                        "unknown qubit '{tok}' (declare it with 'qubit {tok}')",
+                        tok = short(token)
+                    ))
+                })?;
+                if let Some(slot) = operands.get_mut(got) {
+                    *slot = q;
+                }
+                got += 1;
+            }
+            if got > operands.len() {
+                let expected = instruction.tiles();
+                return Err(error(
+                    ProgramError::ArityMismatch { instruction, expected, got }.to_string(),
+                ));
+            }
             program
-                .push_at(instruction, &operands?, Some(lineno))
-                .map_err(|e| ParseError { line: lineno, message: e.to_string() })?;
+                .push_at(instruction, &operands[..got], Some(lineno))
+                .map_err(|e| error(e.to_string()))?;
         }
         program
             .validate()

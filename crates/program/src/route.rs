@@ -88,11 +88,14 @@ impl std::error::Error for RoutingError {}
 /// steps never reserved are free.
 ///
 /// [`Reservations::corridor`] probes one step. It stamps that step's list
-/// into an epoch mask over the tile slots, then runs one reused
-/// [`TileSearch`] through the tiles that neither host a patch nor carry
-/// the stamp. Lists only grow, so a probe of the step stamped last stamps
-/// only the slots reserved since; a probe of any other step moves to a
-/// fresh epoch, which releases the old stamps without clearing them.
+/// into an epoch mask over the slots of [`Placement::frame`], then runs
+/// one reused [`TileSearch`] through the unstamped slots. The placement's
+/// patches and the frame are folded into the same mask: their slots hold
+/// `u32::MAX`, above every epoch, so a slot is passable exactly when its
+/// mark is below the current epoch — one load per neighbour. Lists only
+/// grow, so a probe of the step stamped last stamps only the slots
+/// reserved since; a probe of any other step moves to a fresh epoch, which
+/// releases the old stamps without clearing them.
 ///
 /// ```
 /// use tiscc_program::route::Reservations;
@@ -114,23 +117,29 @@ impl std::error::Error for RoutingError {}
 #[derive(Clone, Debug)]
 pub struct Reservations<'p> {
     placement: &'p Placement,
-    steps: Vec<Vec<usize>>,
+    steps: Vec<Vec<u32>>,
     search: TileSearch,
-    // Per tile slot: the epoch that last stamped it as reserved.
+    // Per slot: `BLOCKED` where a patch or the frame sits, otherwise the
+    // epoch that last stamped it as reserved (0 if none).
     mask: Vec<u32>,
+    // Always below `BLOCKED`.
     epoch: u32,
     // The step the current epoch stamps, and how many of its slots.
     stamped: Option<(usize, usize)>,
 }
 
+/// The mask mark of a slot no corridor may enter: above every epoch.
+const BLOCKED: u32 = u32::MAX;
+
 impl<'p> Reservations<'p> {
     /// An empty reservation table for `placement`.
     pub fn new(placement: &'p Placement) -> Self {
+        let mask = placement.blocked_slots().iter().map(|&b| if b { BLOCKED } else { 0 }).collect();
         Reservations {
             placement,
             steps: Vec::new(),
             search: TileSearch::new(),
-            mask: vec![0; placement.total_tiles()],
+            mask,
             epoch: 0,
             stamped: None,
         }
@@ -156,63 +165,68 @@ impl<'p> Reservations<'p> {
     /// corridor is free at `step`.
     pub fn corridor(&mut self, a: QubitRef, b: QubitRef, step: usize) -> Option<Vec<Tile>> {
         let placement = self.placement;
-        let (sources, source_count) = free_neighbors(placement, placement.data_tile(a));
-        let (goals, goal_count) = free_neighbors(placement, placement.data_tile(b));
+        let (sources, source_count) = self.free_neighbors(placement.data_tile(a));
+        let (goals, goal_count) = self.free_neighbors(placement.data_tile(b));
         let (sources, goals) = (&sources[..source_count], &goals[..goal_count]);
         self.stamp(step);
         let (mask, epoch) = (&self.mask, self.epoch);
-        let blocked = |t: Tile| mask[placement.tile_slot(t)] == epoch;
+        let passable = |slot: u32| mask[slot as usize] < epoch;
         // With every goal reserved the search could only fail.
-        if sources.is_empty() || goals.iter().all(|&t| blocked(t)) {
+        if sources.is_empty() || !goals.iter().any(|&slot| passable(slot)) {
             return None;
         }
         self.search.shortest_path(
-            placement.tile_rows(),
-            placement.tile_cols(),
+            placement.frame(),
             sources,
-            |t| goals.contains(&t),
-            |t| !placement.is_occupied(t) && !blocked(t),
+            |slot| goals.contains(&slot),
+            passable,
         )
     }
 
-    /// Makes the mask hold exactly the slots reserved at `step`.
+    /// Makes the mask hold exactly the slots reserved at `step`, on top of
+    /// the blocked ones.
     fn stamp(&mut self, step: usize) {
         let reserved = self.steps.get(step).map_or(&[][..], Vec::as_slice);
         let fresh = match self.stamped {
             Some((stamped, count)) if stamped == step => &reserved[count..],
             _ => {
-                self.epoch = self.epoch.wrapping_add(1);
-                if self.epoch == 0 {
-                    // After 2^32 epochs the stamps could alias: clear them once.
-                    self.mask.fill(0);
+                self.epoch += 1;
+                if self.epoch == BLOCKED {
+                    // The epochs ran out: release every stamp once, keeping
+                    // the blocked slots blocked.
+                    for mark in self.mask.iter_mut().filter(|mark| **mark != BLOCKED) {
+                        *mark = 0;
+                    }
                     self.epoch = 1;
                 }
                 reserved
             }
         };
         for &slot in fresh {
-            self.mask[slot] = self.epoch;
+            let mark = &mut self.mask[slot as usize];
+            // Never lowers a blocked slot.
+            *mark = (*mark).max(self.epoch);
         }
         self.stamped = Some((step, reserved.len()));
     }
-}
 
-/// The free (in-bounds, unoccupied) orthogonal neighbour tiles of `tile`,
-/// in the same up-left-right-down order [`TileSearch`] expands in
-/// (wrapped-subtraction values fall outside the grid and are dropped by
-/// the bounds check). There are at most four, so they live in an array;
-/// the count says how many of its entries are set.
-fn free_neighbors(placement: &Placement, tile: Tile) -> ([Tile; 4], usize) {
-    let (r, c) = tile;
-    let mut free = [tile; 4];
-    let mut count = 0;
-    for t in [(r.wrapping_sub(1), c), (r, c.wrapping_sub(1)), (r, c + 1), (r + 1, c)] {
-        if placement.in_bounds(t) && !placement.is_occupied(t) {
-            free[count] = t;
-            count += 1;
+    /// The slots of the orthogonal neighbours of `tile` that are on the
+    /// grid and host no patch, in the up-left-right-down order
+    /// [`TileSearch`] expands in. There are at most four, so they live in
+    /// an array; the count says how many of its entries are set.
+    fn free_neighbors(&self, tile: Tile) -> ([u32; 4], usize) {
+        let slot = self.placement.tile_slot(tile);
+        let stride = self.placement.frame().stride();
+        let mut free = [slot; 4];
+        let mut count = 0;
+        for next in [slot - stride, slot - 1, slot + 1, slot + stride] {
+            if self.mask[next as usize] != BLOCKED {
+                free[count] = next;
+                count += 1;
+            }
         }
+        (free, count)
     }
-    (free, count)
 }
 
 /// Finds the shortest ancilla corridor connecting the patches of `a` and
@@ -299,6 +313,31 @@ mod tests {
         res.reserve(1, &[(1, 2)]);
         assert!(res.corridor(QubitRef(0), QubitRef(2), 1).is_none());
         assert_eq!(res.reserved_at(1), 1);
+    }
+
+    /// The epochs wrap without unblocking a patch or the frame, and every
+    /// probe across the wrap sees exactly its own step's reservations.
+    #[test]
+    fn epoch_wrap_keeps_blocked_slots_blocked() {
+        let p = chain(4);
+        let place = Placement::allocate_with(&p, &LayoutSpec::row_major().with_grid(2, 4)).unwrap();
+        let (a, b) = (QubitRef(0), QubitRef(2));
+        let lane = vec![(1, 0), (1, 1), (1, 2)];
+        let mut res = Reservations::new(&place);
+        res.reserve(0, &[(1, 1)]);
+        // Reserving q1's patch tile must not make it passable.
+        res.reserve(1, &[(0, 1)]);
+        res.epoch = BLOCKED - 3;
+        for round in 0..4 {
+            // Each probe of the other step moves to a fresh epoch. With the
+            // patches passable, step 0 would route over row 0.
+            assert_eq!(res.corridor(a, b, 0), None, "round {round}");
+            assert_eq!(res.corridor(a, b, 1), Some(lane.clone()), "round {round}");
+        }
+        assert!(res.epoch < 8, "the epochs wrapped: {}", res.epoch);
+        for (slot, &blocked) in place.blocked_slots().iter().enumerate() {
+            assert_eq!(res.mask[slot] == BLOCKED, blocked, "slot {slot}");
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   tiles plus, for routed merges, the shared-lane tiles spanning the
 //!   operand columns ([`Placement::lane_span`]). This is the original
 //!   scheduler, preserved bit-for-bit; its state is one array of next-free
-//!   steps per tile row, indexed by column.
+//!   steps per tile row, indexed by column, and it records each routed
+//!   merge's corridor as its column range ([`Corridor::Lane`]).
 //! * **2D** floorplans ([`RowMajor`]/[`Checkerboard`]) route each merge
 //!   through an ancilla corridor found by [`crate::route`]: at the merge's
 //!   ready step the scheduler searches for a corridor avoiding tiles
@@ -23,7 +24,8 @@
 //!   merge *stalls* to the next step (counted in
 //!   [`Schedule::routing_stalls`]), and if no corridor exists even on an
 //!   idle grid the program is unroutable ([`RoutingError`]). One search
-//!   with dense, epoch-stamped scratch serves every probe of a schedule.
+//!   with dense, epoch-stamped scratch serves every probe of a schedule,
+//!   and each merge keeps its corridor's tiles ([`Corridor::Path`]).
 //!
 //! A step's duration in *logical time steps* is the maximum over its
 //! members (paper Table 1 accounting): a step holding only zero-step
@@ -34,11 +36,53 @@
 //! [`RowMajor`]: crate::layout2d::LayoutStrategy::RowMajor
 //! [`Checkerboard`]: crate::layout2d::LayoutStrategy::Checkerboard
 
+use std::ops::Range;
+
 use tiscc_telemetry::Span;
 
 use crate::ir::{LogicalProgram, ProgramInstruction};
-use crate::layout2d::{LayoutStrategy, Placement, Tile};
+use crate::layout2d::{LayoutStrategy, Placement, Tile, LANE_ROW};
 use crate::route::{Reservations, RoutingError};
+
+/// The ancilla tiles one routed joint measurement occupied during its
+/// step.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Corridor {
+    /// A single-lane merge: the lane row [`LANE_ROW`] under the columns
+    /// `cols` ([`Placement::lane_span`]).
+    Lane {
+        /// The lane columns, left to right.
+        cols: Range<usize>,
+    },
+    /// A 2D merge: the BFS corridor's tiles, from the tile touching the
+    /// first operand to the tile touching the second.
+    Path(Vec<Tile>),
+}
+
+impl Corridor {
+    /// Number of tiles in the corridor.
+    pub fn len(&self) -> usize {
+        match self {
+            Corridor::Lane { cols } => cols.len(),
+            Corridor::Path(tiles) => tiles.len(),
+        }
+    }
+
+    /// Whether the corridor has no tiles (never the case for a corridor a
+    /// schedule records).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The corridor's tiles in order, without allocating.
+    pub fn tiles(&self) -> impl Iterator<Item = Tile> + '_ {
+        let (cols, path) = match self {
+            Corridor::Lane { cols } => (cols.clone(), &[][..]),
+            Corridor::Path(tiles) => (0..0, tiles.as_slice()),
+        };
+        cols.map(|c| (LANE_ROW, c)).chain(path.iter().copied())
+    }
+}
 
 /// One parallel step of a schedule.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -66,7 +110,7 @@ pub struct Schedule {
     /// Per-instruction routing: the ancilla corridor (or single-lane
     /// segment) each joint measurement occupied during its step; `None`
     /// for single-qubit instructions and direct boundary merges.
-    pub corridors: Vec<Option<Vec<Tile>>>,
+    pub corridors: Vec<Option<Corridor>>,
 }
 
 impl Schedule {
@@ -130,8 +174,7 @@ pub fn schedule_with(
     span.add("schedule.routing_stalls", sched.routing_stalls as u64);
     span.add("schedule.parallel_merges", sched.parallel_merges as u64);
     span.add("schedule.routed_merges", sched.routed_merges() as u64);
-    let corridor_tiles: usize =
-        sched.corridors.iter().flatten().map(|corridor| corridor.len()).sum();
+    let corridor_tiles: usize = sched.corridors.iter().flatten().map(Corridor::len).sum();
     span.add("schedule.corridor_tiles", corridor_tiles as u64);
     Ok(sched)
 }
@@ -163,28 +206,27 @@ fn parallel_merges(program: &LogicalProgram, steps: &[ScheduleStep]) -> usize {
 ///
 /// The state is two arrays of next-free steps indexed by column, one for
 /// the data row and one for the lane row: a merge's start is a maximum
-/// over its lane span, which it then fills with `start + 1`.
+/// over its lane span, which it then fills with `start + 1`. A routed
+/// merge's corridor is recorded as its column range.
 fn schedule_single_lane(program: &LogicalProgram, placement: &Placement) -> Schedule {
     let mut data_free = vec![0usize; placement.tile_cols()];
     let mut lane_free = vec![0usize; placement.tile_cols()];
     let mut steps: Vec<ScheduleStep> = Vec::new();
-    let mut corridors: Vec<Option<Vec<Tile>>> = Vec::with_capacity(program.len());
+    let mut corridors: Vec<Option<Corridor>> = Vec::with_capacity(program.len());
     let mut routing_stalls = 0usize;
     for (idx, pi) in program.instructions().iter().enumerate() {
         let ready = pi.qubits.iter().map(|&q| data_free[placement.column(q)]).max().unwrap_or(0);
-        let lane = placement.lane_span(pi);
-        // The lane span is one run of columns on row 1.
-        let columns = lane.first().map_or(0..0, |&(_, lo)| lo..lo + lane.len());
-        let start = lane_free[columns.clone()].iter().copied().fold(ready, usize::max);
+        let cols = placement.lane_span(pi);
+        let start = lane_free[cols.clone()].iter().copied().fold(ready, usize::max);
         // The congestion metric: how much later the lane let the merge run
         // than its operands alone would have.
         routing_stalls += start - ready;
-        corridors.push(if lane.is_empty() { None } else { Some(lane) });
         push_to_step(&mut steps, start, idx, pi);
         for &q in &pi.qubits {
             data_free[placement.column(q)] = start + 1;
         }
-        lane_free[columns].fill(start + 1);
+        lane_free[cols.clone()].fill(start + 1);
+        corridors.push((!cols.is_empty()).then_some(Corridor::Lane { cols }));
     }
     Schedule { steps, logical_time_steps: 0, routing_stalls, parallel_merges: 0, corridors }
 }
@@ -201,7 +243,7 @@ fn schedule_routed(
     let mut qubit_free = vec![0usize; placement.data_tiles()];
     let mut reserved = Reservations::new(placement);
     let mut steps: Vec<ScheduleStep> = Vec::new();
-    let mut corridors: Vec<Option<Vec<Tile>>> = Vec::with_capacity(program.len());
+    let mut corridors: Vec<Option<Corridor>> = Vec::with_capacity(program.len());
     let mut routing_stalls = 0usize;
     for (idx, pi) in program.instructions().iter().enumerate() {
         let ready = pi.qubits.iter().map(|q| qubit_free[q.0]).max().unwrap_or(0);
@@ -243,7 +285,7 @@ fn schedule_routed(
         for &q in &pi.qubits {
             qubit_free[q.0] = start + 1;
         }
-        corridors.push(corridor);
+        corridors.push(corridor.map(Corridor::Path));
     }
     Ok(Schedule { steps, logical_time_steps: 0, routing_stalls, parallel_merges: 0, corridors })
 }
@@ -328,7 +370,10 @@ mod tests {
         // step 1), not by the lane — so no routing stall is charged.
         assert_eq!(sched.routing_stalls, 0);
         assert_eq!(sched.routed_merges(), 3);
-        assert_eq!(sched.corridors[4], Some(vec![(1, 0), (1, 1)]));
+        let corridor = sched.corridors[4].as_ref().expect("a routed merge");
+        assert_eq!(*corridor, Corridor::Lane { cols: 0..2 });
+        assert_eq!(corridor.len(), 2);
+        assert_eq!(corridor.tiles().collect::<Vec<_>>(), vec![(1, 0), (1, 1)]);
     }
 
     /// A merge whose operands are ready but whose lane segment is claimed

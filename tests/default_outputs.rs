@@ -108,11 +108,11 @@ fn schedule_digest(program: &LogicalProgram, spec: &LayoutSpec) -> u64 {
     h = fnv_step(fnv_step(h, sched.routing_stalls as u64), sched.parallel_merges as u64);
     for corridor in &sched.corridors {
         h = match corridor {
-            Some(tiles) => {
-                tiles.iter().fold(fnv_step(fnv_step(h, 1), tiles.len() as u64), |h, &(r, c)| {
+            Some(corridor) => corridor
+                .tiles()
+                .fold(fnv_step(fnv_step(h, 1), corridor.len() as u64), |h, (r, c)| {
                     fnv_step(fnv_step(h, r as u64), c as u64)
-                })
-            }
+                }),
             None => fnv_step(h, 0),
         };
     }
