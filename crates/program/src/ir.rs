@@ -39,7 +39,7 @@ impl QubitPair {
     ///
     /// # Panics
     /// Panics if `qubits` holds more than two qubits.
-    pub fn new(qubits: &[QubitRef]) -> QubitPair {
+    pub(crate) fn new(qubits: &[QubitRef]) -> QubitPair {
         assert!(qubits.len() <= 2, "an instruction takes at most two qubits");
         let mut refs = [QubitRef(0); 2];
         refs[..qubits.len()].copy_from_slice(qubits);

@@ -349,20 +349,20 @@ impl Placement {
     }
 
     /// The framed grid the placement's tiles are addressed in.
-    pub fn frame(&self) -> TileFrame {
+    pub(crate) fn frame(&self) -> TileFrame {
         self.frame
     }
 
     /// The slot of an in-grid tile in [`Placement::frame`]: what every
     /// per-tile table of the scheduler and the corridor search is
     /// addressed by.
-    pub fn tile_slot(&self, tile: Tile) -> u32 {
+    pub(crate) fn tile_slot(&self, tile: Tile) -> u32 {
         self.frame.slot(tile)
     }
 
     /// Per slot of [`Placement::frame`]: true where a patch sits or the
     /// slot belongs to the frame, so no corridor may enter it.
-    pub fn blocked_slots(&self) -> &[bool] {
+    pub(crate) fn blocked_slots(&self) -> &[bool] {
         &self.blocked
     }
 

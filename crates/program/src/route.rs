@@ -82,15 +82,16 @@ impl std::error::Error for RoutingError {}
 /// Per-timestep corridor reservations on one placement, and the corridor
 /// search that probes them.
 ///
-/// Each step keeps one list of the tile slots ([`Placement::tile_slot`])
-/// its merges' corridors claimed, so the table's memory is proportional to
-/// the reserved tiles, not to steps × grid. The table grows on demand;
-/// steps never reserved are free.
+/// Each step keeps one list of the tile slots its merges' corridors
+/// claimed (the `u32` slots of the placement's framed grid,
+/// [`TileFrame`](tiscc_grid::TileFrame)), so the table's memory is
+/// proportional to the reserved tiles, not to steps × grid. The table
+/// grows on demand; steps never reserved are free.
 ///
 /// [`Reservations::corridor`] probes one step. It stamps that step's list
-/// into an epoch mask over the slots of [`Placement::frame`], then runs
-/// one reused [`TileSearch`] through the unstamped slots. The placement's
-/// patches and the frame are folded into the same mask: their slots hold
+/// into an epoch mask over the slots of that frame, then runs one reused
+/// [`TileSearch`] through the unstamped slots. The placement's patches
+/// and the frame are folded into the same mask: their slots hold
 /// `u32::MAX`, above every epoch, so a slot is passable exactly when its
 /// mark is below the current epoch — one load per neighbour. Lists only
 /// grow, so a probe of the step stamped last stamps only the slots
