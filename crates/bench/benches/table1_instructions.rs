@@ -4,16 +4,15 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tiscc_core::instruction::Instruction;
-use tiscc_estimator::tables::compile_instruction_row;
-use tiscc_hw::HardwareSpec;
+use tiscc_estimator::compiler::{CompileRequest, Compiler};
 
 fn bench(c: &mut Criterion) {
-    let spec = HardwareSpec::default();
+    let compiler = Compiler::new();
     let mut group = c.benchmark_group("table1_instructions");
     group.sample_size(10);
     for &instr in Instruction::all() {
         group.bench_function(instr.name(), |b| {
-            b.iter(|| compile_instruction_row(&spec, instr, 3, 3, 2).unwrap())
+            b.iter(|| compiler.compile(&CompileRequest::new(instr, 3, 3, 2)).unwrap().row())
         });
     }
     group.finish();

@@ -41,7 +41,7 @@ use tiscc_frontier::{
 };
 use tiscc_hw::HardwareSpec;
 use tiscc_program::{BudgetError, Placement};
-use tiscc_telemetry::{JsonSink, Sink, Telemetry, TraceFormat};
+use tiscc_telemetry::{Telemetry, TraceFormat};
 use tiscc_workloads::{generate, Family, GenSpec, WorkloadError};
 
 const USAGE: &str = "usage: tiscc <subcommand> [args]
@@ -230,13 +230,11 @@ fn telemetry_for(enabled: bool) -> Telemetry {
     }
 }
 
-/// Renders the recorded trace through the selected sink onto **stderr**
+/// Renders the recorded trace in the selected format onto **stderr**
 /// (stdout carries only results, traced or not).
 fn emit_trace(tel: &Telemetry, fmt: Option<TraceFormat>) {
     if let (Some(fmt), Some(report)) = (fmt, tel.snapshot()) {
-        if let Some(text) = fmt.sink().render(&report) {
-            eprint!("{text}");
-        }
+        eprint!("{}", fmt.render(&report));
     }
 }
 
@@ -526,7 +524,7 @@ fn cmd_frontier(args: &Args) -> Result<(), CliError> {
         }
     }
     if let Some(stats_path) = &stats_json {
-        let trace = tel.snapshot().and_then(|r| JsonSink.render(&r));
+        let trace = tel.snapshot().map(|r| TraceFormat::Json.render(&r));
         std::fs::write(stats_path, stats_to_json(&report, elapsed_s, trace.as_deref()))
             .map_err(|e| CliError::runtime(format!("cannot write {stats_path}: {e}")))?;
         if !quiet {
@@ -650,7 +648,7 @@ fn cmd_sweep(args: &Args) -> Result<(), CliError> {
     // the memoization (a real client issuing overlapping sweeps, e.g. the
     // Table 1/2/3 generators, shares primitives exactly this way). Both
     // passes share the one "sweep" root span, so phase totals aggregate
-    // the cold and warm expand/compile/assemble children.
+    // the cold and warm expand/compile children.
     let warm = run_sweep_with(&spec, &cache, &root)
         .map_err(|e| CliError::runtime(format!("warm sweep failed: {e}")))?;
     if !quiet {

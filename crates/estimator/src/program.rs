@@ -17,9 +17,10 @@
 //!    meets the requested budget;
 //! 3. every distinct instruction kind of the program — routed merges
 //!    included — is compiled at the selected distance under every
-//!    requested hardware profile, fanned out over rayon and memoized in
-//!    the compiler's [`CompileCache`](crate::sweep::CompileCache), so
-//!    repeated estimates (and overlapping programs) share compilations;
+//!    requested hardware profile through
+//!    [`CompileCache::resolve`](crate::sweep::CompileCache::resolve) on the
+//!    compiler's cache, so repeated estimates (and overlapping programs)
+//!    share compilations;
 //! 4. per-profile space–time totals are assembled: [`LogicalCounts::price`]
 //!    costs each parallel step at the longest of its member instructions
 //!    and totals the compile stats per instance, the machine footprint
@@ -29,8 +30,6 @@
 //! The `tiscc estimate <program.tql>` subcommand (with `--layout`,
 //! `--grid` and `--show-layout`) and the `program_estimate` example are
 //! thin wrappers around this module.
-
-use rayon::prelude::*;
 
 use tiscc_core::instruction::Instruction;
 use tiscc_core::CoreError;
@@ -394,9 +393,9 @@ pub fn estimate_program(
 
 /// [`estimate_program`] with telemetry: each pipeline phase (`validate`,
 /// `place`, `schedule`, `select_distance`, `compile`, `assemble`) opens a
-/// child span under `parent`, and the compile phase records the
-/// `compile.cache_hits` / `compile.cache_misses` deltas of `compiler`
-/// across the fan-out.
+/// child span under `parent`, and the compile phase records its own
+/// `compile.cache_hits` / `compile.cache_misses` (rows served from the
+/// cache and rows compiled by this estimate).
 /// Passing a span from [`Telemetry::off`] makes this identical to
 /// [`estimate_program`].
 pub fn estimate_program_with(
@@ -427,8 +426,6 @@ pub fn estimate_program_with(
     // Each distinct kind is compiled once per profile at the selected
     // distance (the compiler cache makes repeated estimates free).
     let compile_span = parent.child("compile");
-    let hits_before = compiler.cache().hits();
-    let misses_before = compiler.cache().misses();
     let requests: Vec<CompileRequest> = spec
         .profiles
         .iter()
@@ -439,16 +436,9 @@ pub fn estimate_program_with(
                 .map(move |&kind| CompileRequest::new(kind, d, d, d).with_spec(profile.clone()))
         })
         .collect();
-    let compiled: Vec<ResourceRow> = requests
-        .into_par_iter()
-        .map(|request| compiler.compile_row(&request))
-        .collect::<Result<_, CoreError>>()?;
-    compile_span
-        .add("compile.cache_hits", compiler.cache().hits().saturating_sub(hits_before) as u64);
-    compile_span.add(
-        "compile.cache_misses",
-        compiler.cache().misses().saturating_sub(misses_before) as u64,
-    );
+    let compiled = compiler.cache().resolve(&requests)?;
+    compile_span.add("compile.cache_hits", compiled.hits as u64);
+    compile_span.add("compile.cache_misses", compiled.computed as u64);
     compile_span.finish();
 
     // The machine footprint depends only on the placement and the selected
@@ -463,7 +453,7 @@ pub fn estimate_program_with(
         .iter()
         .enumerate()
         .map(|(pi, profile)| {
-            let (duration_s, stats) = counts.price(&compiled[pi * k..(pi + 1) * k]);
+            let (duration_s, stats) = counts.price(&compiled.rows[pi * k..(pi + 1) * k]);
             ProfileEstimate {
                 profile: profile.name.clone(),
                 distance: d,

@@ -2,8 +2,7 @@
 //! a first-class subsystem).
 //!
 //! A [`SweepSpec`] describes a grid of `(instruction × dx × dz × dt)`
-//! configurations. [`run_sweep`] fans the grid out over rayon worker
-//! threads, memoizes every compiled configuration in a sharded concurrent
+//! configurations. [`run_sweep`] resolves the grid through a
 //! [`CompileCache`] (Tables 1–3 and repeated sweeps share primitives, so
 //! identical configurations compile exactly once per cache lifetime), and
 //! returns a [`SweepResult`] that renders as an aligned text table, CSV, or
@@ -11,21 +10,21 @@
 //!
 //! The cache is keyed on the full configuration [`SweepKey`] — including a
 //! fingerprint of the hardware profile, so the same workload compiled under
-//! different [`HardwareSpec`]s never shares cache entries; requests are
-//! deduplicated *before* the parallel fan-out, so even a cold sweep never
-//! compiles the same configuration twice, and a warm sweep over an already
-//! seen spec performs zero compilations while still reproducing every row in
-//! request order. Hardware profiles are a first-class sweep axis:
+//! different [`HardwareSpec`]s never shares cache entries.
+//! [`CompileCache::resolve`] is the one path from compile requests to rows,
+//! behind every sweep, estimate, frontier and table: it deduplicates a
+//! batch *before* its parallel fan-out, so even a cold sweep never compiles
+//! the same configuration twice, and a warm sweep over an already seen spec
+//! performs zero compilations while still reproducing every row in request
+//! order. Hardware profiles are a first-class sweep axis:
 //! [`SweepSpec::with_profiles`] turns "same workload, N hardware profiles"
 //! into a one-line change.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use rayon::prelude::*;
@@ -35,7 +34,8 @@ use tiscc_core::CoreError;
 use tiscc_hw::{HardwareSpec, SpecFingerprint};
 use tiscc_telemetry::{json_f64, json_string, Span, Telemetry};
 
-use crate::tables::{compile_instruction_row, csv_header, render_csv, ResourceRow};
+use crate::compiler::{compile_uncached, CompileRequest};
+use crate::tables::{csv_header, render_csv, ResourceRow};
 
 /// How the temporal code distance `dt` (rounds of error correction per
 /// logical time-step) is chosen for each spatial configuration.
@@ -122,27 +122,25 @@ impl SweepSpec {
         self
     }
 
-    /// Expands the grid into resolved keys, in deterministic request order
-    /// (profile-major, then distance, then instruction, then dt policy), so
-    /// a multi-profile sweep renders as one contiguous table per profile.
-    pub fn keys(&self) -> Vec<SweepKey> {
-        let mut keys = Vec::with_capacity(self.len());
+    /// Expands the grid into compile requests, in deterministic request
+    /// order (profile-major, then distance, then instruction, then dt
+    /// policy), so a multi-profile sweep renders as one contiguous table
+    /// per profile.
+    pub fn requests(&self) -> Vec<CompileRequest> {
+        let mut requests = Vec::with_capacity(self.len());
         for profile in &self.profiles {
-            let spec = profile.fingerprint();
             for &(dx, dz) in &self.distances {
                 for &instruction in &self.instructions {
                     for &dt in &self.dts {
-                        keys.push(SweepKey { instruction, dx, dz, dt: dt.resolve(dx, dz), spec });
+                        requests.push(
+                            CompileRequest::new(instruction, dx, dz, dt.resolve(dx, dz))
+                                .with_spec(profile.clone()),
+                        );
                     }
                 }
             }
         }
-        keys
-    }
-
-    /// The profile each [`SweepSpec::keys`] fingerprint resolves to.
-    pub fn profiles_by_fingerprint(&self) -> HashMap<SpecFingerprint, &HardwareSpec> {
-        self.profiles.iter().map(|p| (p.fingerprint(), p)).collect()
+        requests
     }
 
     /// Number of grid points (including duplicates after dt resolution).
@@ -156,66 +154,121 @@ impl SweepSpec {
     }
 }
 
-const SHARD_COUNT: usize = 16;
-
-/// A sharded, thread-safe memoization cache of compiled configurations.
+/// A thread-safe memoization cache of compiled configurations.
 ///
 /// Keys are full [`SweepKey`]s; values are the finished [`ResourceRow`]s
-/// (the compiled circuit's space-time accounting). Sharding by key hash
-/// keeps lock contention negligible while rayon workers insert results
-/// concurrently. Hit/miss counters are cumulative over the cache lifetime.
+/// (the compiled circuit's space-time accounting). [`CompileCache::resolve`]
+/// is the one path from compile requests to rows: library code touches the
+/// map only from the calling thread, so one lock suffices. Hit/miss
+/// counters are cumulative over the cache lifetime.
+#[derive(Default)]
 pub struct CompileCache {
-    shards: Vec<Mutex<HashMap<SweepKey, ResourceRow>>>,
+    rows: Mutex<HashMap<SweepKey, ResourceRow>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
 
-impl Default for CompileCache {
-    fn default() -> Self {
-        CompileCache::new()
-    }
+/// The rows of one [`CompileCache::resolve`] call and what that call cost.
+#[derive(Debug)]
+pub struct Resolved {
+    /// One row per request, in request order.
+    pub rows: Vec<ResourceRow>,
+    /// Requests served from the cache, repeats within the batch included.
+    pub hits: usize,
+    /// Requests compiled by this call: one per distinct key the cache
+    /// missed.
+    pub computed: usize,
 }
 
 impl CompileCache {
     /// An empty cache.
     pub fn new() -> Self {
-        CompileCache {
-            shards: (0..SHARD_COUNT).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-        }
+        CompileCache::default()
     }
 
-    fn shard(&self, key: &SweepKey) -> &Mutex<HashMap<SweepKey, ResourceRow>> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARD_COUNT]
+    fn lock(&self) -> MutexGuard<'_, HashMap<SweepKey, ResourceRow>> {
+        self.rows.lock().expect("compile cache poisoned")
     }
 
     /// Looks up a configuration without counting a hit or miss.
     pub fn peek(&self, key: &SweepKey) -> Option<ResourceRow> {
-        self.shard(key).lock().expect("cache shard poisoned").get(key).cloned()
+        self.lock().get(key).cloned()
     }
 
     /// Looks up a configuration, counting a hit or a miss.
     pub fn get(&self, key: &SweepKey) -> Option<ResourceRow> {
         let found = self.peek(key);
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
+        let counter = if found.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
     /// Stores a compiled configuration.
     pub fn insert(&self, key: SweepKey, row: ResourceRow) {
-        self.shard(&key).lock().expect("cache shard poisoned").insert(key, row);
+        self.lock().insert(key, row);
+    }
+
+    /// Turns compile requests into rows, in request order. The first
+    /// occurrence of each key is looked up once ([`CompileCache::get`]);
+    /// later repeats in the batch count as hits without a lookup. Misses
+    /// compile in parallel and are inserted on the calling thread. Every
+    /// row that compiled stays cached even when another request fails; the
+    /// call then returns the first error in request order.
+    pub fn resolve(&self, requests: &[CompileRequest]) -> Result<Resolved, CoreError> {
+        let keys: Vec<SweepKey> = requests.iter().map(CompileRequest::key).collect();
+        // Each key's first occurrence: the one request that looks it up.
+        let mut first: HashMap<SweepKey, usize> = HashMap::with_capacity(keys.len());
+        let mut rows: Vec<Option<ResourceRow>> = Vec::with_capacity(keys.len());
+        let mut missing = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            if *first.entry(*key).or_insert(i) < i {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                rows.push(None);
+                continue;
+            }
+            let row = self.get(key);
+            if row.is_none() {
+                missing.push(i);
+            }
+            rows.push(row);
+        }
+
+        let compiled: Vec<(usize, Result<ResourceRow, CoreError>)> = missing
+            .into_par_iter()
+            .map(|i| (i, compile_uncached(&requests[i]).map(|artifact| artifact.row())))
+            .collect();
+        let computed = compiled.len();
+        let mut error = None;
+        for (i, result) in compiled {
+            match result {
+                Ok(row) => {
+                    self.insert(keys[i], row.clone());
+                    rows[i] = Some(row);
+                }
+                Err(e) => {
+                    error.get_or_insert(e);
+                }
+            }
+        }
+        if let Some(e) = error {
+            return Err(e);
+        }
+
+        for (i, key) in keys.iter().enumerate() {
+            if first[key] < i {
+                rows[i] = rows[first[key]].clone();
+            }
+        }
+        Ok(Resolved {
+            rows: rows.into_iter().map(|row| row.expect("every request resolved")).collect(),
+            hits: keys.len() - computed,
+            computed,
+        })
     }
 
     /// Number of cached configurations.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").len()).sum()
+        self.lock().len()
     }
 
     /// Whether the cache holds no configurations.
@@ -319,9 +372,9 @@ impl SweepResult {
     }
 }
 
-/// Runs `spec` against `cache`: deduplicates the grid, compiles every
-/// configuration not already cached in parallel, and assembles the rows in
-/// request order.
+/// Runs `spec` against `cache`: resolves every grid point through
+/// [`CompileCache::resolve`], which compiles each configuration not already
+/// cached once, in parallel, and returns the rows in request order.
 ///
 /// Compilation errors abort the sweep and are returned as-is; already
 /// compiled configurations stay cached, so a retried sweep resumes from
@@ -330,10 +383,9 @@ pub fn run_sweep(spec: &SweepSpec, cache: &CompileCache) -> Result<SweepResult, 
     run_sweep_with(spec, cache, &Telemetry::off().root("sweep"))
 }
 
-/// [`run_sweep`] with telemetry: the grid expansion/dedup, the compile
-/// fan-out and the row assembly each open a child span (`expand`,
-/// `compile`, `assemble`) under `parent`, and the sweep's cache traffic
-/// is recorded as the `sweep.rows` / `sweep.cache_hits` /
+/// [`run_sweep`] with telemetry: the grid expansion and the resolution each
+/// open a child span (`expand`, `compile`) under `parent`, and the sweep's
+/// cache traffic is recorded as the `sweep.rows` / `sweep.cache_hits` /
 /// `sweep.cache_misses` counters. Passing a span from [`Telemetry::off`]
 /// makes this identical to [`run_sweep`].
 pub fn run_sweep_with(
@@ -342,62 +394,26 @@ pub fn run_sweep_with(
     parent: &Span,
 ) -> Result<SweepResult, CoreError> {
     let started = Instant::now();
-    let expand_span = parent.child("expand");
-    let keys = spec.keys();
-    let profiles = spec.profiles_by_fingerprint();
-
-    // Deduplicate while preserving first-seen order; every later occurrence
-    // of a key is by construction a cache hit.
-    let mut seen: HashMap<SweepKey, ()> = HashMap::with_capacity(keys.len());
-    let mut to_resolve: Vec<SweepKey> = Vec::new();
-    for &key in &keys {
-        if seen.insert(key, ()).is_none() {
-            to_resolve.push(key);
-        } else {
-            cache.hits.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    let duplicate_hits = keys.len() - to_resolve.len();
-
-    // Partition the unique keys into cached and to-compile, counting
-    // hits/misses on the shared cache.
-    let missing: Vec<SweepKey> =
-        to_resolve.iter().copied().filter(|key| cache.get(key).is_none()).collect();
-    let unique_hits = to_resolve.len() - missing.len();
-    expand_span.finish();
-
-    // Parallel fan-out over the missing configurations only.
-    let compile_span = parent.child("compile");
-    let compiled: Vec<(SweepKey, ResourceRow)> = missing
-        .into_par_iter()
-        .map(|key| {
-            let profile = profiles
-                .get(&key.spec)
-                .expect("every resolved key's fingerprint maps to a spec profile");
-            compile_instruction_row(profile, key.instruction, key.dx, key.dz, key.dt)
-                .map(|row| (key, row))
-        })
-        .collect::<Result<_, CoreError>>()?;
-    let compiled_count = compiled.len();
-    for (key, row) in compiled {
-        cache.insert(key, row);
-    }
-    compile_span.finish();
-
-    let assemble_span = parent.child("assemble");
-    let rows: Vec<ResourceRow> =
-        keys.iter().map(|key| cache.peek(key).expect("sweep key compiled or cached")).collect();
-    assemble_span.finish();
+    let (requests, keys) = {
+        let _expand = parent.child("expand");
+        let requests = spec.requests();
+        let keys: Vec<SweepKey> = requests.iter().map(CompileRequest::key).collect();
+        (requests, keys)
+    };
+    let resolved = {
+        let _compile = parent.child("compile");
+        cache.resolve(&requests)?
+    };
 
     parent.add("sweep.rows", keys.len() as u64);
-    parent.add("sweep.cache_hits", (duplicate_hits + unique_hits) as u64);
-    parent.add("sweep.cache_misses", compiled_count as u64);
+    parent.add("sweep.cache_hits", resolved.hits as u64);
+    parent.add("sweep.cache_misses", resolved.computed as u64);
 
     Ok(SweepResult {
         keys,
-        rows,
-        cache_hits: duplicate_hits + unique_hits,
-        cache_misses: compiled_count,
+        rows: resolved.rows,
+        cache_hits: resolved.hits,
+        cache_misses: resolved.computed,
         elapsed_s: started.elapsed().as_secs_f64(),
         threads: rayon::current_num_threads(),
     })
@@ -503,10 +519,10 @@ mod tests {
     fn paper_spec_covers_all_instructions_and_distances() {
         let spec = SweepSpec::paper(5);
         assert_eq!(spec.len(), 13 * 4);
-        let keys = spec.keys();
-        assert_eq!(keys.len(), spec.len());
-        for key in &keys {
-            assert_eq!(key.dt, key.dx, "paper sweep uses dt = d");
+        let requests = spec.requests();
+        assert_eq!(requests.len(), spec.len());
+        for request in &requests {
+            assert_eq!(request.dt, request.dx, "paper sweep uses dt = d");
         }
     }
 
@@ -535,6 +551,47 @@ mod tests {
         assert_eq!(result.rows.len(), 6);
         assert_eq!(result.cache_misses, 3);
         assert_eq!(result.cache_hits, 3);
+    }
+
+    #[test]
+    fn resolve_looks_up_each_key_once_and_keeps_request_order() {
+        let cache = CompileCache::new();
+        let idle = CompileRequest::new(Instruction::Idle, 2, 2, 1);
+        let prep = CompileRequest::new(Instruction::PrepareZ, 2, 2, 1);
+        let batch = [idle.clone(), prep.clone(), idle.clone(), idle, prep];
+        let cold = cache.resolve(&batch).unwrap();
+        assert_eq!((cold.computed, cold.hits), (2, 3));
+        // One lookup (a miss) per distinct key and one compile each; the
+        // repeats count as hits without a lookup.
+        assert_eq!((cache.misses(), cache.hits(), cache.len()), (2, 3, 2));
+        let names: Vec<&str> = cold.rows.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["Idle", "Prepare Z", "Idle", "Idle", "Prepare Z"]);
+        assert_eq!(cold.rows[0], cold.rows[3]);
+
+        // An all-hit batch compiles nothing and returns the same rows.
+        let warm = cache.resolve(&batch).unwrap();
+        assert_eq!((warm.computed, warm.hits), (0, 5));
+        assert_eq!(warm.rows, cold.rows);
+        assert_eq!((cache.misses(), cache.hits(), cache.len()), (2, 8, 2));
+    }
+
+    #[test]
+    fn a_failed_batch_keeps_the_rows_it_compiled() {
+        let cache = CompileCache::new();
+        let instructions = vec![Instruction::Idle, Instruction::PrepareZ];
+        let err = run_sweep(&SweepSpec::square(instructions.clone(), &[2, 1]), &cache).unwrap_err();
+        assert!(err.to_string().contains("dx=1"), "{err}");
+        assert_eq!(cache.len(), 2, "the d = 2 rows stay cached");
+        let retry = run_sweep(&SweepSpec::square(instructions, &[2]), &cache).unwrap();
+        assert_eq!((retry.cache_misses, retry.cache_hits), (0, 2));
+
+        // Of several failures, the first in request order is returned.
+        let zero = CompileRequest::new(Instruction::Idle, 0, 0, 1);
+        let one = CompileRequest::new(Instruction::Idle, 1, 1, 1);
+        for (batch, first) in [([zero.clone(), one.clone()], "dx=0"), ([one, zero], "dx=1")] {
+            let err = cache.resolve(&batch).unwrap_err();
+            assert!(err.to_string().contains(first), "{err}");
+        }
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //! logical time-step accounting (Tables 1–3), the native gate set (Table 5)
 //! and the Sec. 3.4 resource-estimation sweep.
 
-use rayon::prelude::*;
-
 use tiscc_core::derived::DerivedInstruction;
 use tiscc_core::instruction::Instruction;
 use tiscc_core::CoreError;
 use tiscc_hw::{HardwareSpec, NativeOp, RecordError, RecordFields, ResourceReport};
 
 use crate::compiler::{instruction_rounds, CompileRequest, CompileStats};
+use crate::sweep::CompileCache;
 use crate::verify::{Fiducial, SingleTile, TwoTiles};
 
 /// One row of a resource table: an operation compiled at a given code
@@ -138,24 +137,6 @@ pub fn table5(spec: &HardwareSpec) -> String {
     out
 }
 
-/// Compiles one Table 1 instruction at the given distances under a
-/// hardware profile and reports its resources, through the stateless
-/// pipeline behind the [`Compiler`](crate::compiler::Compiler) front door.
-pub fn compile_instruction_row(
-    spec: &HardwareSpec,
-    instruction: Instruction,
-    dx: usize,
-    dz: usize,
-    dt: usize,
-) -> Result<ResourceRow, CoreError> {
-    // The stateless pipeline: batch callers (sweep, table generators) bring
-    // their own memoization, so no per-row Compiler cache is built here.
-    crate::compiler::compile_uncached(
-        &CompileRequest::new(instruction, dx, dz, dt).with_spec(spec.clone()),
-    )
-    .map(|artifact| artifact.row())
-}
-
 /// The row of the operation whose native gates start at `start_op` in
 /// `hw`: only its own gates are accounted, not its input preparation.
 fn row_since(
@@ -186,13 +167,13 @@ pub fn table1_rows(
     distances: &[usize],
     dt: usize,
 ) -> Result<Vec<ResourceRow>, CoreError> {
-    let mut jobs = Vec::new();
+    let mut requests = Vec::new();
     for &d in distances {
         for &i in Instruction::all() {
-            jobs.push((i, d));
+            requests.push(CompileRequest::new(i, d, d, dt).with_spec(spec.clone()));
         }
     }
-    jobs.into_par_iter().map(|(i, d)| compile_instruction_row(spec, i, d, d, dt)).collect()
+    Ok(CompileCache::new().resolve(&requests)?.rows)
 }
 
 /// A Table 2 primitive exercised through the patch API.

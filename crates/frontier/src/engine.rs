@@ -8,12 +8,11 @@
 //! The expensive axis of the matrix is compilation, and compilation is
 //! **layout-independent**: a program's distinct instruction kinds at a
 //! given `(d, profile)` cost the same on every floorplan. The engine
-//! therefore compiles `kinds × distances × profiles` rows exactly once
-//! (disk first, then rayon over whatever is missing) and reuses them
-//! across all layouts; per-layout work is the [`LogicalCounts`] of the
-//! floorplan, priced once per (distance, profile) cell.
-
-use rayon::prelude::*;
+//! therefore resolves `kinds × distances × profiles` rows exactly once
+//! (disk first, then the compiler's cache for whatever is missing) and
+//! reuses them across all layouts; per-layout work is the
+//! [`LogicalCounts`] of the floorplan, priced once per (distance, profile)
+//! cell.
 
 use tiscc_core::instruction::Instruction;
 use tiscc_estimator::compiler::{CompileRequest, Compiler};
@@ -64,8 +63,9 @@ pub struct FrontierStats {
     pub jobs: usize,
     /// Jobs served by intact persistent-cache entries.
     pub disk_hits: usize,
-    /// Jobs computed fresh this run (and persisted, when a cache is
-    /// attached).
+    /// Jobs compiled by this run: disk misses that the compiler's memo
+    /// missed too. Every disk miss, compiled or served by the memo, is
+    /// persisted when a cache is attached.
     pub computed: usize,
     /// Corrupt persistent entries found when the cache was opened.
     pub corrupt_entries: usize,
@@ -233,54 +233,50 @@ pub fn run_frontier_with(
     })
 }
 
-/// Resolves every compile job of the matrix — disk cache first, then a
-/// rayon fan-out over whatever is missing — and returns one row per job,
-/// profile-major, then distance, then kind.
+/// Resolves every compile job of the matrix: one disk lookup per job, then
+/// the disk misses through the compiler's cache
+/// ([`CompileCache::resolve`](tiscc_estimator::CompileCache::resolve)),
+/// each persisted back to disk. Returns one row per job, profile-major,
+/// then distance, then kind.
 fn resolve_rows(
     kinds: &[Instruction],
     norm: &NormalizedSpec,
     compiler: &Compiler,
     disk: Option<&DiskCache>,
 ) -> Result<(Vec<ResourceRow>, FrontierStats), FrontierError> {
-    let requests: Vec<CompileRequest> = norm
-        .profiles
-        .iter()
-        .flat_map(|profile| {
-            norm.distances.iter().flat_map(move |&d| {
-                kinds
-                    .iter()
-                    .map(move |&kind| CompileRequest::new(kind, d, d, d).with_spec(profile.clone()))
-            })
+    let requests = norm.profiles.iter().flat_map(|profile| {
+        norm.distances.iter().flat_map(move |&d| {
+            kinds
+                .iter()
+                .map(move |&kind| CompileRequest::new(kind, d, d, d).with_spec(profile.clone()))
         })
-        .collect();
+    });
 
-    let mut stats = FrontierStats {
-        jobs: requests.len(),
-        corrupt_entries: disk.map_or(0, |c| c.corrupt_entries()),
-        ..FrontierStats::default()
-    };
-
-    let mut rows: Vec<Option<ResourceRow>> =
-        requests.iter().map(|request| disk.and_then(|cache| cache.get(&request.key()))).collect();
-    let missing: Vec<usize> = (0..rows.len()).filter(|&job| rows[job].is_none()).collect();
-    stats.disk_hits = stats.jobs - missing.len();
-    stats.computed = missing.len();
-
-    let computed: Result<Vec<_>, _> = missing
-        .into_par_iter()
-        .map(|job| {
-            compiler
-                .compile_row(&requests[job])
-                .map(|row| (job, row))
-                .map_err(|e| FrontierError::Compile(e.to_string()))
-        })
-        .collect();
-    for (job, row) in computed? {
+    let (mut rows, mut missing, mut misses) = (Vec::new(), Vec::new(), Vec::new());
+    for request in requests {
+        let row = disk.and_then(|cache| cache.get(&request.key()));
+        if row.is_none() {
+            missing.push(rows.len());
+            misses.push(request);
+        }
+        rows.push(row);
+    }
+    let resolved =
+        compiler.cache().resolve(&misses).map_err(|e| FrontierError::Compile(e.to_string()))?;
+    for ((&job, request), row) in missing.iter().zip(&misses).zip(resolved.rows) {
         if let Some(cache) = disk {
-            cache.insert(&requests[job].key(), &row)?;
+            cache.insert(&request.key(), &row)?;
         }
         rows[job] = Some(row);
     }
+
+    let stats = FrontierStats {
+        jobs: rows.len(),
+        disk_hits: rows.len() - misses.len(),
+        computed: resolved.computed,
+        corrupt_entries: disk.map_or(0, |c| c.corrupt_entries()),
+        ..FrontierStats::default()
+    };
     Ok((rows.into_iter().map(|row| row.expect("every job resolved")).collect(), stats))
 }
 
@@ -375,6 +371,19 @@ mod tests {
         let r1 = run_frontier(&program, &one, &compiler, None).unwrap();
         let r2 = run_frontier(&program, &two, &compiler, None).unwrap();
         assert_eq!(r1.stats.jobs, r2.stats.jobs, "adding layouts must not add compile jobs");
+    }
+
+    #[test]
+    fn a_warm_compiler_without_a_disk_computes_nothing() {
+        let program = examples::bell_pair();
+        let compiler = Compiler::new();
+        let cold = run_frontier(&program, &small_spec(), &compiler, None).unwrap();
+        assert_eq!(cold.stats.computed, cold.stats.jobs);
+        let misses = compiler.cache().misses();
+        let warm = run_frontier(&program, &small_spec(), &compiler, None).unwrap();
+        assert_eq!((warm.stats.computed, warm.stats.disk_hits), (0, 0));
+        assert_eq!(compiler.cache().misses(), misses, "every job came from the memo");
+        assert_eq!(warm.points, cold.points);
     }
 
     #[test]

@@ -486,10 +486,16 @@ mod tests {
         assert!(reply.contains("\"frontier\":[{"), "non-empty frontier: {reply}");
 
         // The second identical request reuses the warm compiler memo: no
-        // new compile-cache entries.
+        // new compile-cache entries, and nothing computed.
+        let computed = format!("\"computed\":{},", metric(&reply, "computed"));
+        assert_ne!(computed, "\"computed\":0,", "the estimate left a distance to compile");
         let entries = state.compiler.cache().len();
         let reply2 = handle_line(&request, &state);
-        assert_eq!(reply2, reply, "a warm reply is identical");
+        assert_eq!(
+            reply2,
+            reply.replace(&computed, "\"computed\":0,"),
+            "a warm reply differs only in what it computed"
+        );
         assert_eq!(state.compiler.cache().len(), entries, "served from the warm memo");
         let _ = std::fs::remove_file(Path::new(&path));
     }

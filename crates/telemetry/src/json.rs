@@ -232,7 +232,7 @@ impl Parser<'_> {
 }
 
 /// Parses a `tiscc.trace.v1` JSON document (as emitted by
-/// [`JsonSink`](crate::JsonSink)) back into a [`TraceReport`].
+/// [`TraceFormat::Json`](crate::TraceFormat::Json)) back into a [`TraceReport`].
 pub fn trace_from_json(text: &str) -> Result<TraceReport, String> {
     let root = parse(text).map_err(|e| format!("trace json: {e}"))?;
 
@@ -316,7 +316,7 @@ pub fn trace_from_json(text: &str) -> Result<TraceReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{JsonSink, Sink, Telemetry};
+    use crate::{Telemetry, TraceFormat};
 
     #[test]
     fn round_trips_an_emitted_trace() {
@@ -328,7 +328,7 @@ mod tests {
         tel.add("compile.cache_hits", 3);
         tel.gauge("threads", 8.0);
         let report = tel.snapshot().unwrap();
-        let json = JsonSink.render(&report).unwrap();
+        let json = TraceFormat::Json.render(&report);
         let back = trace_from_json(&json).unwrap();
         assert_eq!(back, report);
     }
@@ -338,7 +338,7 @@ mod tests {
         let tel = Telemetry::new_enabled();
         let _open = tel.root("serve \"v1\"\n");
         let report = tel.snapshot().unwrap();
-        let json = JsonSink.render(&report).unwrap();
+        let json = TraceFormat::Json.render(&report);
         let back = trace_from_json(&json).unwrap();
         assert_eq!(back.spans[0].name, "serve \"v1\"\n");
         assert_eq!(back.spans[0].duration_us, None);

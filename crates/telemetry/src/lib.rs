@@ -16,10 +16,9 @@
 //!   [`Span::finish`]); timing uses the monotonic [`Instant`] clock.
 //!   Counters ([`Telemetry::add`]) and gauges ([`Telemetry::gauge`]) are
 //!   typed registries keyed by dotted names (`compile.cache_hits`).
-//! * [`Sink`] — how a finished [`TraceReport`] leaves the process: the
-//!   near-zero-overhead [`NoopSink`] default, the human-readable
-//!   [`TreeSink`], or the [`JsonSink`] flat-JSON emitter whose output
-//!   round-trips through [`trace_from_json`].
+//! * [`TraceFormat::render`] — how a finished [`TraceReport`] leaves the
+//!   process: the human-readable span tree, or the flat-JSON document
+//!   that round-trips through [`trace_from_json`].
 //! * [`json`] — the stack's one bounded JSON reader, behind both
 //!   [`trace_from_json`] and the serve protocol.
 //!
@@ -36,7 +35,7 @@
 //!
 //! let report = tel.snapshot().unwrap();
 //! assert_eq!(report.spans.len(), 2);
-//! let json = TraceFormat::Json.sink().render(&report).unwrap();
+//! let json = TraceFormat::Json.render(&report);
 //! let back = tiscc_telemetry::trace_from_json(&json).unwrap();
 //! assert_eq!(back.counters, report.counters);
 //! ```
@@ -267,51 +266,18 @@ impl TraceReport {
     }
 }
 
-/// A consumer of finished traces. Sinks render; the caller decides where
-/// the text goes (the CLI writes to stderr so stdout stays byte-identical
-/// with tracing off).
-pub trait Sink {
-    /// Renders the trace, or `None` when the sink discards it.
-    fn render(&self, trace: &TraceReport) -> Option<String>;
-}
-
-/// The default sink: discards every trace.
-pub struct NoopSink;
-
-impl Sink for NoopSink {
-    fn render(&self, _trace: &TraceReport) -> Option<String> {
-        None
-    }
-}
-
-/// Renders the span tree, counters and gauges as aligned human-readable
-/// text (the `--trace=tree` format).
-pub struct TreeSink;
-
-impl Sink for TreeSink {
-    fn render(&self, trace: &TraceReport) -> Option<String> {
-        Some(render::render_tree(trace))
-    }
-}
-
-/// Renders the trace as one line of `tiscc.trace.v1` JSON (the
-/// `--trace=json` format). Nested span structure is carried by flat
-/// `parent` indices and slash-joined `path` strings, matching the flat
-/// style of the serve protocol; [`trace_from_json`] parses it back.
-pub struct JsonSink;
-
-impl Sink for JsonSink {
-    fn render(&self, trace: &TraceReport) -> Option<String> {
-        Some(render::render_json(trace))
-    }
-}
-
-/// The trace output format selected by `--trace[=json|tree]`.
+/// The trace output format selected by `--trace[=json|tree]`. Rendering
+/// only produces text; the caller decides where it goes (the CLI writes to
+/// stderr so stdout stays byte-identical with tracing off).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceFormat {
-    /// Human-readable span tree (`--trace` or `--trace=tree`).
+    /// Human-readable span tree, counters and gauges as aligned text
+    /// (`--trace` or `--trace=tree`).
     Tree,
-    /// One-line `tiscc.trace.v1` JSON (`--trace=json`).
+    /// One line of `tiscc.trace.v1` JSON (`--trace=json`). Nested span
+    /// structure is carried by flat `parent` indices and slash-joined
+    /// `path` strings, matching the flat style of the serve protocol;
+    /// [`trace_from_json`] parses it back.
     Json,
 }
 
@@ -327,11 +293,11 @@ impl TraceFormat {
         }
     }
 
-    /// The sink implementing this format.
-    pub fn sink(&self) -> Box<dyn Sink> {
+    /// Renders a finished trace in this format.
+    pub fn render(&self, trace: &TraceReport) -> String {
         match self {
-            TraceFormat::Tree => Box::new(TreeSink),
-            TraceFormat::Json => Box::new(JsonSink),
+            TraceFormat::Tree => render::render_tree(trace),
+            TraceFormat::Json => render::render_json(trace),
         }
     }
 }
@@ -422,14 +388,13 @@ mod tests {
     }
 
     #[test]
-    fn sinks_render_or_discard() {
+    fn formats_render_and_parse() {
         let tel = Telemetry::new_enabled();
         tel.root("estimate").finish();
         let report = tel.snapshot().unwrap();
-        assert!(NoopSink.render(&report).is_none());
-        let tree = TreeSink.render(&report).unwrap();
+        let tree = TraceFormat::Tree.render(&report);
         assert!(tree.contains("estimate"), "{tree}");
-        let json = JsonSink.render(&report).unwrap();
+        let json = TraceFormat::Json.render(&report);
         assert!(json.contains("\"tiscc.trace.v1\""), "{json}");
         assert_eq!(TraceFormat::parse("").unwrap(), TraceFormat::Tree);
         assert_eq!(TraceFormat::parse("tree").unwrap(), TraceFormat::Tree);

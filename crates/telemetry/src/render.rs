@@ -1,5 +1,4 @@
-//! Renderers behind [`TreeSink`](crate::TreeSink) and
-//! [`JsonSink`](crate::JsonSink).
+//! Renderers behind [`TraceFormat::render`](crate::TraceFormat::render).
 
 use crate::TraceReport;
 

@@ -10,8 +10,8 @@
 //!   and space-time resource accounting,
 //! * [`math`] — GF(2) and Pauli algebra,
 //! * [`telemetry`] — hand-rolled pipeline observability: span trees with
-//!   monotonic timing, counter/gauge registries, and pluggable
-//!   no-op/tree/JSON sinks behind the CLI's `--trace` flag,
+//!   monotonic timing, counter/gauge registries, and the tree and JSON
+//!   renderings behind the CLI's `--trace` flag,
 //! * [`core`] — the surface-code compiler (patches, syndrome extraction,
 //!   lattice surgery, the Table 1/3 instruction sets),
 //! * [`orqcs`] — the quasi-Clifford simulator used for verification,

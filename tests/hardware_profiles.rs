@@ -2,7 +2,7 @@
 //!
 //! * Golden: `HardwareSpec::h1()` reproduces the exact Table 5 durations —
 //!   the parameterisation the whole paper's resource accounting rests on —
-//!   and the default-profile rows equal the legacy (pre-`Compiler`) rows.
+//!   and the memoized default-profile rows equal the compiled artifacts'.
 //! * Property: uniformly scaling every duration by `k` scales every
 //!   compiled instruction's `execution_time_s` by exactly `k` (ASAP
 //!   scheduling is duration-homogeneous).
@@ -55,21 +55,14 @@ fn h1_reproduces_table5_durations_exactly() {
 
 #[test]
 fn default_profile_rows_match_the_legacy_pipeline() {
-    // The Compiler front door with the default spec must reproduce what the
-    // seed's ad-hoc pipeline produced (tables 1-3 golden accounting is
-    // separately pinned by tests/table_rows.rs).
+    // The memoized row path (`compile_row`, through the compile cache) must
+    // reproduce the artifact's own row under the default spec (tables 1-3
+    // golden accounting is separately pinned by tests/table_rows.rs).
     let compiler = Compiler::new();
     for &instr in &[Instruction::PrepareZ, Instruction::Idle, Instruction::MeasureXX] {
-        let artifact = compiler.compile(&CompileRequest::new(instr, 2, 2, 1)).unwrap();
-        let legacy = tiscc::estimator::tables::compile_instruction_row(
-            &HardwareSpec::default(),
-            instr,
-            2,
-            2,
-            1,
-        )
-        .unwrap();
-        assert_eq!(artifact.row(), legacy, "{}", instr.name());
+        let request = CompileRequest::new(instr, 2, 2, 1);
+        let artifact = compiler.compile(&request).unwrap();
+        assert_eq!(artifact.row(), compiler.compile_row(&request).unwrap(), "{}", instr.name());
         assert_eq!(artifact.row().profile, "h1");
     }
 }

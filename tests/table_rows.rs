@@ -8,7 +8,8 @@
 //! accounting fails loudly here.
 
 use tiscc::core::instruction::Instruction;
-use tiscc::estimator::tables::{compile_instruction_row, table2_rows, table3_rows};
+use tiscc::estimator::compiler::{CompileRequest, Compiler};
+use tiscc::estimator::tables::{table2_rows, table3_rows};
 use tiscc::hw::HardwareSpec;
 
 /// Paper Table 1: `(id, logical_time_steps, tiles)` for every instruction.
@@ -47,9 +48,12 @@ fn golden_table_covers_exactly_the_instruction_set() {
 }
 
 fn check_table1_at(d: usize) {
+    let compiler = Compiler::new();
     for &instr in Instruction::all() {
-        let row = compile_instruction_row(&HardwareSpec::default(), instr, d, d, d)
-            .unwrap_or_else(|e| panic!("{} failed to compile at d={d}: {e}", instr.name()));
+        let row = compiler
+            .compile(&CompileRequest::new(instr, d, d, d))
+            .unwrap_or_else(|e| panic!("{} failed to compile at d={d}: {e}", instr.name()))
+            .row();
         let (steps, tiles) = golden_for(instr.id());
         assert_eq!(
             row.logical_time_steps,

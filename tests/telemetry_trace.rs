@@ -1,13 +1,13 @@
 //! End-to-end telemetry integration: estimating a real program under an
 //! enabled recorder produces the documented span taxonomy with sane
-//! timing, the JSON sink round-trips through `trace_from_json`, and the
+//! timing, the JSON rendering round-trips through `trace_from_json`, and the
 //! whole apparatus is inert (and allocation-free on the hot path) when
 //! telemetry is off.
 
 use tiscc::estimator::{estimate_program_with, Compiler, ProgramEstimateSpec};
 use tiscc::hw::HardwareSpec;
 use tiscc::program::examples;
-use tiscc::telemetry::{trace_from_json, JsonSink, Sink, Telemetry, TraceFormat};
+use tiscc::telemetry::{trace_from_json, Telemetry, TraceFormat};
 
 /// Runs one teleport estimate under an enabled recorder and returns the
 /// snapshot.
@@ -52,11 +52,11 @@ fn estimate_records_the_documented_span_taxonomy() {
     assert!(counter("schedule.routed_merges").is_some());
 }
 
-/// The JSON sink's output parses back into an equivalent report.
+/// The `--trace=json` rendering parses back into an equivalent report.
 #[test]
 fn json_sink_round_trips_through_trace_from_json() {
     let trace = traced_estimate();
-    let json = JsonSink.render(&trace).unwrap();
+    let json = TraceFormat::Json.render(&trace);
     let parsed = trace_from_json(&json).unwrap();
     assert_eq!(parsed.spans.len(), trace.spans.len());
     for (a, b) in trace.spans.iter().zip(&parsed.spans) {
