@@ -76,14 +76,6 @@ pub fn move_logical_x_to_row(patch: &mut LogicalQubit, row: usize) -> Result<(),
     move_tracker(patch, StabKind::X, new_support)
 }
 
-/// Moves a patch's logical Z representative to the given data column.
-pub fn move_logical_z_to_column(patch: &mut LogicalQubit, col: usize) -> Result<(), CoreError> {
-    let dz = patch.dz();
-    let new_support: Vec<((usize, usize), PauliOp)> =
-        (0..dz).map(|i| ((i, col), PauliOp::Z)).collect();
-    move_tracker(patch, StabKind::Z, new_support)
-}
-
 fn move_tracker(
     patch: &mut LogicalQubit,
     kind: StabKind,

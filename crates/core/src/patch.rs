@@ -182,21 +182,6 @@ impl LogicalQubit {
         self.data_by_unit.get(&(r, c)).copied()
     }
 
-    /// The syndrome ion parked at the measure home of the tile-relative unit
-    /// `(r, c)`.
-    pub fn measure_ion_at_unit(&self, r: u32, c: u32) -> Option<QubitId> {
-        self.measure_by_unit.get(&(r, c)).copied()
-    }
-
-    /// The syndrome ion assigned to a stabilizer cell.
-    pub fn measure_ion_for_cell(&self, cell: (i32, i32)) -> Result<QubitId, CoreError> {
-        let rel = ((row_offset(self.dz) as i32 + cell.0) as u32, (cell.1 + 1) as u32);
-        self.measure_by_unit
-            .get(&rel)
-            .copied()
-            .ok_or_else(|| CoreError::MissingIon(format!("measure ion for cell {cell:?}")))
-    }
-
     /// Cells of all stabilizers of the given kind.
     pub fn cells_of_kind(&self, kind: StabKind) -> Vec<(i32, i32)> {
         self.stabilizers.iter().filter(|p| p.kind == kind).map(|p| p.cell).collect()
@@ -453,10 +438,13 @@ impl LogicalQubit {
     ///
     /// With round templating enabled on `hw` (see
     /// [`HardwareModel::set_round_templating`]) and `rounds ≥ 3`, rounds 0
-    /// and 1 are compiled normally and the remainder is replicated
-    /// analytically from round 1 — round 1 is the provably
-    /// barrier-quiescent representative (round 0 may overlap whatever
-    /// preceded the sequence). Replication reproduces the materialized
+    /// and 1 are compiled and the remainder is replicated analytically from
+    /// round 1 — round 1 is the provably barrier-quiescent representative
+    /// (round 0 may overlap whatever preceded the sequence). Round 1 is
+    /// round 0's op sequence again whenever round 0 was stored and left
+    /// every ion where it found it, so it is re-emitted from round 0
+    /// ([`HardwareModel::reemit_ops`]) instead of routed afresh; only its
+    /// times are scheduled anew. Replication reproduces the materialized
     /// schedule bit-for-bit; if the hardware model cannot prove the round
     /// replicable it falls back to materializing every round.
     pub fn syndrome_rounds(
@@ -466,13 +454,24 @@ impl LogicalQubit {
         ctx: impl Fn(u32) -> RoundLabel,
     ) -> Result<Vec<RoundRecord>, CoreError> {
         let mut out = Vec::with_capacity(rounds);
-        if rounds == 0 {
+        if !(hw.round_templating() && rounds >= 3) {
+            for r in 0..rounds {
+                out.push(self.syndrome_round(hw, ctx(r as u32))?);
+            }
             return Ok(out);
         }
+        let (first_op, unstored) = (hw.circuit().len(), hw.unstored_ops());
+        let positions = hw.grid().snapshot();
         out.push(self.syndrome_round(hw, ctx(0))?);
-        let mut next = 1;
-        if hw.round_templating() && rounds >= 3 {
-            hw.begin_round_capture();
+        let repeatable = hw.unstored_ops() == unstored && hw.grid().snapshot() == positions;
+        hw.begin_round_capture();
+        if repeatable {
+            let shift = hw.reemit_ops(first_op..hw.circuit().len(), ctx(1));
+            hw.barrier();
+            let record = out[0].shifted(shift);
+            self.latest_round = record.measurements.clone();
+            out.push(record);
+        } else {
             match self.syndrome_round(hw, ctx(1)) {
                 Ok(record) => out.push(record),
                 Err(e) => {
@@ -480,24 +479,15 @@ impl LogicalQubit {
                     return Err(e);
                 }
             }
-            next = 2;
-            if let Some(info) = hw.replicate_captured_round(rounds - 2) {
-                let template = out[1].clone();
-                for r in 2..rounds {
-                    let shift = (r - 1) * info.meas_per_round;
-                    out.push(RoundRecord {
-                        measurements: template
-                            .measurements
-                            .iter()
-                            .map(|(&cell, &idx)| (cell, idx + shift))
-                            .collect(),
-                    });
-                }
-                self.latest_round = out.last().expect("rounds >= 3").measurements.clone();
-                return Ok(out);
-            }
         }
-        for r in next..rounds {
+        if let Some(info) = hw.replicate_captured_round(rounds - 2) {
+            for r in 2..rounds {
+                out.push(out[1].shifted((r - 1) * info.meas_per_round));
+            }
+            self.latest_round = out.last().expect("rounds >= 3").measurements.clone();
+            return Ok(out);
+        }
+        for r in 2..rounds {
             out.push(self.syndrome_round(hw, ctx(r as u32))?);
         }
         Ok(out)

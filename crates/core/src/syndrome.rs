@@ -31,6 +31,14 @@ impl RoundRecord {
     pub fn index_of(&self, cell: (i32, i32)) -> Option<usize> {
         self.measurements.get(&cell).copied()
     }
+
+    /// The record of the same cells with every index moved by `by`: the
+    /// record of a later round emitted `by` records after this one.
+    pub(crate) fn shifted(&self, by: usize) -> RoundRecord {
+        RoundRecord {
+            measurements: self.measurements.iter().map(|(&cell, &idx)| (cell, idx + by)).collect(),
+        }
+    }
 }
 
 /// Everything the syndrome compiler needs to know about a (possibly merged)

@@ -173,25 +173,29 @@ impl Compiler {
 }
 
 /// The stateless compile pipeline behind [`Compiler::compile`] and the
-/// misses of [`CompileCache::resolve`].
+/// misses of [`CompileCache::resolve`]. Input tiles are prepared inside
+/// [`HardwareModel::unrecorded`]: the preparation is scheduled (the
+/// instruction's ops start after it and its measurement records keep their
+/// indices) but not stored, so the instruction's ops are the whole circuit.
 pub(crate) fn compile_uncached(request: &CompileRequest) -> Result<CompileArtifact, CoreError> {
     let CompileRequest { instruction, dx, dz, dt, ref spec } = *request;
-    let (hw, before, report) = if instruction.tiles() == 2 {
+    let (hw, report) = if instruction.tiles() == 2 {
         let mut fixture = match instruction {
             Instruction::MeasureZZ => TwoTiles::new_horizontal_with_spec(dx, dz, dt, spec.clone())?,
             _ => TwoTiles::with_spec(dx, dz, dt, spec.clone())?,
         };
         fixture.hw.set_round_templating(true);
-        Fiducial::Zero.prepare(&mut fixture.hw, &mut fixture.upper)?;
-        Fiducial::Zero.prepare(&mut fixture.hw, &mut fixture.lower)?;
-        let before = fixture.hw.circuit().len();
+        fixture.hw.unrecorded(|hw| {
+            Fiducial::Zero.prepare(hw, &mut fixture.upper)?;
+            Fiducial::Zero.prepare(hw, &mut fixture.lower)
+        })?;
         let report = apply_two_tile_instruction(
             &mut fixture.hw,
             instruction,
             &mut fixture.upper,
             &mut fixture.lower,
         )?;
-        (fixture.hw, before, report)
+        (fixture.hw, report)
     } else {
         let mut fixture = SingleTile::with_spec(dx, dz, dt, spec.clone())?;
         fixture.hw.set_round_templating(true);
@@ -204,17 +208,16 @@ pub(crate) fn compile_uncached(request: &CompileRequest) -> Result<CompileArtifa
                 | Instruction::InjectT
         );
         if needs_input {
-            Fiducial::Zero.prepare(&mut fixture.hw, &mut fixture.patch)?;
+            fixture.hw.unrecorded(|hw| Fiducial::Zero.prepare(hw, &mut fixture.patch))?;
         }
-        let before = fixture.hw.circuit().len();
         let report = apply_instruction(&mut fixture.hw, instruction, &mut fixture.patch)?;
-        (fixture.hw, before, report)
+        (fixture.hw, report)
     };
     // Total the stalls while the model still holds its per-op flags, then
     // consume it: the instruction's ops move into the rounds uncloned.
-    let junction_stalls = junction_stalls_of(&hw, before);
+    let junction_stalls = junction_stalls_of(&hw, 0);
     let layout = hw.grid().layout().clone();
-    let rounds = CompiledRounds::from_circuit(hw.into_circuit(), before);
+    let rounds = CompiledRounds::from_circuit(hw.into_circuit(), 0);
     let (rounds, resources, batched_pulses) = batch_and_account(rounds, &layout, spec);
     let stats = CompileStats { junction_stalls, batched_pulses };
     Ok(CompileArtifact { request: request.clone(), rounds, report, resources, stats })

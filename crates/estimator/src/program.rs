@@ -81,12 +81,6 @@ impl ProgramEstimateSpec {
         self
     }
 
-    /// Replaces the error model.
-    pub fn with_model(mut self, model: ErrorModel) -> Self {
-        self.model = model;
-        self
-    }
-
     /// Replaces the floorplan.
     pub fn with_layout(mut self, layout: LayoutSpec) -> Self {
         self.layout = layout;

@@ -15,15 +15,21 @@
 //! cold run exactly.
 //!
 //! The cache is corruption-tolerant by construction: an entry is used only
-//! if the whole file parses, its header stem matches its file name, and
-//! the decoded row agrees with the distances encoded in the stem.
-//! Anything else is counted as corrupt, ignored, and recomputed — a bad
-//! byte can cost time, never correctness. Bumping
+//! if it is a regular file of at most 64 KiB, the whole file
+//! parses, its header stem matches its file name, and the decoded row
+//! agrees with the distances encoded in the stem. Anything else — a
+//! symlink, a FIFO, an oversized file — is counted as corrupt, ignored,
+//! and recomputed, without being opened or read whole: a bad byte can cost
+//! time, never correctness, and a stray file can neither hang the open nor
+//! exhaust memory. Writers that share a directory never disturb each
+//! other: each writes its own temporary file and renames it into place.
+//! Bumping
 //! [`CACHE_FORMAT_VERSION`] changes the directory name, so old-format
 //! entries are invisible to new binaries rather than misread.
 
 use std::collections::HashMap;
 use std::fs;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -37,6 +43,10 @@ use crate::spec::FrontierError;
 /// layout; each version lives in its own `v<N>/` subdirectory, so a
 /// mismatched cache directory is simply empty, never misinterpreted.
 pub const CACHE_FORMAT_VERSION: u32 = 3;
+
+/// The largest entry [`DiskCache::open`] reads. Real entries are a few
+/// hundred bytes; a larger file is corrupt and is not read.
+const MAX_ENTRY_BYTES: u64 = 64 * 1024;
 
 /// A persistent, versioned, corruption-tolerant store of estimator rows
 /// keyed by [`SweepKey`].
@@ -84,7 +94,7 @@ impl DiskCache {
                     continue;
                 }
             };
-            match fs::read_to_string(&path).ok().and_then(|t| decode_entry(&stem, &t, version)) {
+            match read_entry(&path).and_then(|t| decode_entry(&stem, &t, version)) {
                 Some(row) => {
                     entries.insert(stem, row);
                 }
@@ -144,10 +154,16 @@ impl DiskCache {
     /// Persists a freshly computed row. The entry is written to a
     /// temporary file and atomically renamed into place, so readers never
     /// observe a half-written entry even if the process dies mid-write.
+    /// The temporary is named per writer (process id and a counter), so
+    /// writers of the same entry in one or several processes never rename
+    /// each other's file away; the last rename wins with an intact entry.
+    /// [`DiskCache::open`] ignores temporaries a killed writer left.
     pub fn insert(&self, key: &SweepKey, row: &ResourceRow) -> Result<(), FrontierError> {
+        static WRITES: AtomicUsize = AtomicUsize::new(0);
         let stem = entry_stem(key);
         let text = encode_entry(&stem, row);
-        let tmp = self.dir.join(format!("{stem}.tmp"));
+        let writer = format!("{}-{}", std::process::id(), WRITES.fetch_add(1, Ordering::Relaxed));
+        let tmp = self.dir.join(format!("{stem}.{writer}.tmp"));
         let dest = self.dir.join(format!("{stem}.entry"));
         fs::write(&tmp, &text)
             .map_err(|e| FrontierError::Cache(format!("cannot write {}: {e}", tmp.display())))?;
@@ -156,6 +172,20 @@ impl DiskCache {
         self.entries.lock().unwrap().insert(stem, row.clone());
         Ok(())
     }
+}
+
+/// The text of the entry file at `path`, if it is a regular file (not
+/// followed through a symlink) of at most [`MAX_ENTRY_BYTES`]. Nothing
+/// else is opened, so a FIFO cannot block the open, and the read stops
+/// past the cap even if the file grew after it was measured.
+fn read_entry(path: &Path) -> Option<String> {
+    let meta = fs::symlink_metadata(path).ok()?;
+    if !meta.file_type().is_file() || meta.len() > MAX_ENTRY_BYTES {
+        return None;
+    }
+    let mut text = String::new();
+    fs::File::open(path).ok()?.take(MAX_ENTRY_BYTES + 1).read_to_string(&mut text).ok()?;
+    (text.len() as u64 <= MAX_ENTRY_BYTES).then_some(text)
 }
 
 /// The file stem an entry for `key` is stored under. Built only from
@@ -282,6 +312,100 @@ mod tests {
         let healed = DiskCache::open(&root).unwrap();
         assert_eq!(healed.corrupt_entries(), 1, "only the pure-garbage file remains corrupt");
         assert_eq!(healed.get(&key).unwrap(), row);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Two writers, each with its own cache on one directory, insert the
+    /// same rows again and again, as two processes sharing a
+    /// `--cache-dir` do. No insert may fail, and the directory ends with
+    /// the intact entries only.
+    #[test]
+    fn concurrent_writers_never_fail_each_other() {
+        let root = scratch_dir("race");
+        let (key, row) = sample_row();
+        let keys: Vec<SweepKey> = (1..=3).map(|dt| SweepKey { dt, ..key }).collect();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let cache = DiskCache::open(&root).unwrap();
+                    start.wait();
+                    for _ in 0..300 {
+                        for key in &keys {
+                            cache.insert(key, &row).unwrap();
+                        }
+                    }
+                });
+            }
+        });
+        let reopened = DiskCache::open(&root).unwrap();
+        assert_eq!((reopened.len(), reopened.corrupt_entries()), (3, 0));
+        let leftovers = fs::read_dir(reopened.dir()).unwrap().count();
+        assert_eq!(leftovers, 3, "every temporary was renamed into place");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn leftover_temporaries_are_ignored() {
+        let root = scratch_dir("leftover");
+        let (key, row) = sample_row();
+        let cache = DiskCache::open(&root).unwrap();
+        cache.insert(&key, &row).unwrap();
+        // A writer killed between its write and its rename.
+        let stem = entry_stem(&key);
+        fs::write(cache.dir().join(format!("{stem}.4242-0.tmp")), "half an entr").unwrap();
+        let reopened = DiskCache::open(&root).unwrap();
+        assert_eq!((reopened.len(), reopened.corrupt_entries()), (1, 0));
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A FIFO named like an entry is counted corrupt without being opened:
+    /// opening it would block until a writer appeared, that is forever.
+    #[cfg(unix)]
+    #[test]
+    fn a_fifo_entry_is_skipped_without_blocking() {
+        let root = scratch_dir("fifo");
+        let dir = DiskCache::open(&root).unwrap().dir().to_path_buf();
+        let made = std::process::Command::new("mkfifo").arg(dir.join("x.entry")).status();
+        assert!(made.expect("mkfifo runs").success());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let opener_root = root.clone();
+        let opener = std::thread::spawn(move || {
+            let _ = tx.send(DiskCache::open(&opener_root).map(|c| c.corrupt_entries()));
+        });
+        // A hung open leaves its thread blocked: fail without joining it.
+        let opened = rx.recv_timeout(std::time::Duration::from_secs(20));
+        assert_eq!(opened.expect("open returns, not hangs on the FIFO").unwrap(), 1);
+        opener.join().unwrap();
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Only regular files of at most `MAX_ENTRY_BYTES` are read: an entry
+    /// padded past the cap (blank lines, which the record parser skips)
+    /// and a symlink to an intact entry elsewhere are both corrupt.
+    #[cfg(unix)]
+    #[test]
+    fn oversized_entries_and_symlinks_are_corrupt() {
+        let root = scratch_dir("oversized");
+        let (key, row) = sample_row();
+        let cache = DiskCache::open(&root).unwrap();
+        let stem = entry_stem(&key);
+        let text = encode_entry(&stem, &row);
+        let padded = format!("{text}{}", "\n".repeat(MAX_ENTRY_BYTES as usize));
+        fs::write(cache.dir().join(format!("{stem}.entry")), padded).unwrap();
+        let outside = root.join("elsewhere.entry");
+        let other = SweepKey { dt: key.dt + 1, ..key };
+        let other_stem = entry_stem(&other);
+        fs::write(&outside, encode_entry(&other_stem, &row)).unwrap();
+        std::os::unix::fs::symlink(&outside, cache.dir().join(format!("{other_stem}.entry")))
+            .unwrap();
+        let reopened = DiskCache::open(&root).unwrap();
+        assert_eq!((reopened.len(), reopened.corrupt_entries()), (0, 2));
+        // Recomputed rows replace both files with intact entries.
+        reopened.insert(&key, &row).unwrap();
+        reopened.insert(&other, &row).unwrap();
+        let healed = DiskCache::open(&root).unwrap();
+        assert_eq!((healed.len(), healed.corrupt_entries()), (2, 0));
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -222,11 +222,6 @@ impl Layout {
         QSite::new(4 * unit_row + 3, 4 * unit_col)
     }
 
-    /// The unit `(row, col)` owning a fine-coordinate site.
-    pub fn unit_of(&self, site: QSite) -> (u32, u32) {
-        (site.row / 4, site.col / 4)
-    }
-
     /// ASCII rendering of the layout with site kinds (`J`, `O`, `M`) and `.`
     /// for non-existent positions. Intended for examples and reports
     /// reproducing the look of paper Fig. 1.

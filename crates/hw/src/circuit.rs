@@ -18,7 +18,7 @@ use tiscc_grid::{QSite, QubitId};
 use crate::label::Label;
 use crate::operands::Operands;
 use crate::ops::NativeOp;
-use crate::rounds::{replay_round, ReplicatedSpan};
+use crate::rounds::{first_replica_base, replay_round, Replicas, ReplicatedSpan};
 
 /// One scheduled native operation.
 #[derive(Clone, Debug, PartialEq)]
@@ -90,6 +90,31 @@ impl OpView<'_> {
     }
 }
 
+/// A run of a stream: one op sequence occurring `repeats` times back to
+/// back, yielded by [`OpStream::for_each_run`].
+#[derive(Clone, Copy, Debug)]
+pub struct OpRun<'a> {
+    /// The ops of one occurrence, in stream order.
+    pub ops: &'a [TimedOp],
+    /// Occurrences of `ops` in a row.
+    pub repeats: usize,
+    /// The latest [`OpView::end_us`] of any op in any occurrence (µs);
+    /// negative infinity for an empty run.
+    pub end_us: f64,
+}
+
+impl<'a> OpRun<'a> {
+    /// The run of `ops` occurring once at their stored times, viewed with
+    /// `rebase_us` subtracted from each start.
+    pub(crate) fn stored(ops: &'a [TimedOp], rebase_us: f64) -> Self {
+        let end_us = ops
+            .iter()
+            .map(|op| (op.start_us - rebase_us) + op.duration_us)
+            .fold(f64::NEG_INFINITY, f64::max);
+        OpRun { ops, repeats: 1, end_us }
+    }
+}
+
 /// Anything that can stream its scheduled operations in logical order.
 ///
 /// Implemented by [`Circuit`] (materialized ops plus replicated-span
@@ -100,6 +125,13 @@ impl OpView<'_> {
 pub trait OpStream {
     /// Calls `f` once per logical operation, in stream (causal) order.
     fn for_each_op(&self, f: &mut dyn FnMut(OpView<'_>));
+
+    /// Calls `f` once per run, in stream order: the runs' ops, each
+    /// repeated its run's `repeats` times, are the stream of
+    /// [`OpStream::for_each_op`]. A replicated round is one run, so
+    /// per-round accounting ([`crate::ResourceReport`]) costs one replay
+    /// of it, not one per occurrence.
+    fn for_each_run(&self, f: &mut dyn FnMut(OpRun<'_>));
 
     /// Calls `f` once per *distinct* operation (each replicated round's ops
     /// once, not per occurrence). Sufficient for set-valued accounting such
@@ -157,9 +189,9 @@ impl Circuit {
         idx
     }
 
-    /// Replaces a measurement record once its schedule is known.
-    pub(crate) fn replace_measurement(&mut self, idx: usize, rec: MeasurementRecord) {
-        self.measurements[idx] = rec;
+    /// Sets a measurement record's start time once its schedule is known.
+    pub(crate) fn set_measurement_start(&mut self, idx: usize, start_us: f64) {
+        self.measurements[idx].start_us = start_us;
     }
 
     /// Marks an op range as a replicated round (see [`ReplicatedSpan`]).
@@ -300,7 +332,7 @@ impl OpStream for Circuit {
                 f(OpView { op, start_us: op.start_us, measurement: op.measurement });
             }
             let ops = &self.ops[span.op_start..span.op_end];
-            let mut base = ops.iter().map(TimedOp::end_us).fold(span.base_us, f64::max);
+            let mut base = first_replica_base(ops, span.base_us);
             for r in 1..=span.extra {
                 base =
                     replay_round(ops, &span.preds, base, span.recovery_us, &mut starts, &mut ends);
@@ -318,6 +350,24 @@ impl OpStream for Circuit {
         for op in &self.ops[next..] {
             f(OpView { op, start_us: op.start_us, measurement: op.measurement });
         }
+    }
+
+    fn for_each_run(&self, f: &mut dyn FnMut(OpRun<'_>)) {
+        let mut next = 0usize;
+        for span in &self.spans {
+            f(OpRun::stored(&self.ops[next..span.op_end], 0.0));
+            let replicas = Replicas {
+                ops: &self.ops[span.op_start..span.op_end],
+                preds: &span.preds,
+                recovery_us: span.recovery_us,
+                base_us: span.base_us,
+                last_base_us: span.last_base_us,
+                extra: span.extra,
+            };
+            f(replicas.run(0.0));
+            next = span.op_end;
+        }
+        f(OpRun::stored(&self.ops[next..], 0.0));
     }
 
     fn for_each_distinct_op(&self, f: &mut dyn FnMut(&TimedOp)) {
@@ -448,6 +498,7 @@ mod tests {
             meas_per_round: 1,
             extra: 1,
             base_us: 100.0,
+            last_base_us: 230.0,
             end_makespan_us: 360.0,
             recovery_us: 0.0,
             preds: vec![None, Some(0)],

@@ -108,6 +108,16 @@ impl Label {
         self.to_string()
     }
 
+    /// The same label in round context `round`: syndrome labels take it as
+    /// their round context, every other variant is round-independent and
+    /// unchanged. Used when a compiled round is re-emitted as the next one.
+    pub(crate) fn with_round(self, round: RoundLabel) -> Label {
+        match self {
+            Label::Syndrome { x_type, row, col, .. } => Label::Syndrome { round, x_type, row, col },
+            other => other,
+        }
+    }
+
     /// The same label `by` rounds later: syndrome labels advance their round
     /// context, every other variant is round-independent and unchanged.
     /// Used when a captured round template is replicated analytically.

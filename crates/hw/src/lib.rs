@@ -21,7 +21,8 @@
 //!   compiles composite gates (Hadamard, CNOT) into natives following the
 //!   Quantinuum H1 constructions,
 //! * [`ResourceReport`] — the space-time resource counters of paper Sec. 3.4,
-//!   computed with running accumulators over any [`OpStream`],
+//!   computed per run of any [`OpStream`]: a replicated round costs one
+//!   pass over its ops, not one per occurrence,
 //! * [`passes`] — the explicit pass pipeline (schedule → batch → template)
 //!   behind the model: contention-aware junction scheduling with an
 //!   explicit capacity and stall accounting, plus SIMD gate batching
@@ -47,7 +48,7 @@ pub mod rounds;
 pub mod spec;
 pub mod validity;
 
-pub use circuit::{Circuit, MeasurementRecord, OpStream, OpView, TimedOp};
+pub use circuit::{Circuit, MeasurementRecord, OpRun, OpStream, OpView, TimedOp};
 pub use label::{Label, RoundLabel};
 pub use model::{HardwareModel, HwError, RoundReplication};
 pub use operands::Operands;

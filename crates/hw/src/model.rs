@@ -20,12 +20,12 @@
 use tiscc_grid::{GridError, GridManager, MoveStep, QSite, QubitId, Router};
 
 use crate::circuit::{Circuit, MeasurementRecord, TimedOp};
-use crate::label::Label;
+use crate::label::{Label, RoundLabel};
 use crate::operands::Operands;
 use crate::ops::NativeOp;
 use crate::passes::Scheduler;
 use crate::resources::ResourceReport;
-use crate::rounds::{replay_round, ReplicatedSpan};
+use crate::rounds::{first_replica_base, replay_round, ReplicatedSpan};
 use crate::spec::HardwareSpec;
 
 /// Errors raised while compiling onto the hardware model.
@@ -76,6 +76,9 @@ pub struct RoundReplication {
 #[derive(Clone, Debug)]
 struct CaptureState {
     op_start: usize,
+    // Unstored ops at capture start: a round that schedules an unstored op
+    // has no stored ops to replicate from.
+    unstored: usize,
     meas_start: usize,
     base_us: f64,
     snapshot: Vec<(QubitId, QSite)>,
@@ -96,6 +99,12 @@ pub struct HardwareModel {
     // Per materialized op: did a saturated junction delay its start? Kept
     // beside the circuit (not on `TimedOp`) so the op encoding is unchanged.
     stall_flags: Vec<bool>,
+    // Ops scheduled but not stored (see `unrecorded`). Scheduler ids count
+    // every scheduled op: the next op's id is `circuit.len() + unstored`.
+    unstored: usize,
+    recording: bool,
+    // The latest end of every scheduled op and every replica (µs).
+    makespan_us: f64,
     spec: HardwareSpec,
     templating: bool,
     capture: Option<CaptureState>,
@@ -118,6 +127,9 @@ impl HardwareModel {
             router: Router::new(),
             circuit: Circuit::new(),
             stall_flags: Vec::new(),
+            unstored: 0,
+            recording: true,
+            makespan_us: 0.0,
             spec,
             templating: false,
             capture: None,
@@ -177,9 +189,30 @@ impl HardwareModel {
         self.circuit
     }
 
-    /// Current makespan of the compiled circuit in microseconds.
+    /// Current makespan in microseconds: the latest end of every op
+    /// scheduled so far, stored or not, replicated rounds included.
     pub fn now_us(&self) -> f64 {
-        self.circuit.makespan_us()
+        self.makespan_us
+    }
+
+    /// Runs `f` with op storage off. Every op `f` emits is scheduled as
+    /// usual: it occupies its ions, zones and junction, a junction delay is
+    /// noted for later hops, and a measurement pushes its record. But the
+    /// op is not added to the circuit and gets no stall flag. A compile
+    /// prepares its input tiles this way, since a row accounts the
+    /// instruction alone (paper Sec. 3.4): the instruction's ops then start
+    /// at index 0 of the circuit.
+    pub fn unrecorded<T>(&mut self, f: impl FnOnce(&mut HardwareModel) -> T) -> T {
+        let recording = std::mem::replace(&mut self.recording, false);
+        let out = f(self);
+        self.recording = recording;
+        out
+    }
+
+    /// Number of ops scheduled but not stored (emitted inside
+    /// [`HardwareModel::unrecorded`]).
+    pub fn unstored_ops(&self) -> usize {
+        self.unstored
     }
 
     /// Loads a new ion at `site`.
@@ -216,10 +249,11 @@ impl HardwareModel {
         let slot = self.sched.ready(&qubits, &sites, junction);
         let (start, src) = (slot.start_us, slot.src);
         let end = start + duration;
-        let op_idx = self.circuit.len();
+        let op_id = self.circuit.len() + self.unstored;
         if let Some(cap) = &mut self.capture {
+            let id_start = cap.op_start + cap.unstored;
             let pred = match src {
-                Some(j) if j >= cap.op_start => Some((j - cap.op_start) as u32),
+                Some(j) if j >= id_start => Some((j - id_start) as u32),
                 // A predecessor from before the captured round means the
                 // round is not barrier-quiescent: refuse to replicate it.
                 Some(_) => {
@@ -230,9 +264,14 @@ impl HardwareModel {
             };
             cap.preds.push(pred);
         }
-        self.sched.occupy(&qubits, &sites, junction, end, op_idx);
+        self.sched.occupy(&qubits, &sites, junction, end, op_id);
         if slot.junction_bound {
-            self.sched.note_junction_delay(op_idx);
+            self.sched.note_junction_delay(op_id);
+        }
+        self.makespan_us = self.makespan_us.max(end);
+        if !self.recording {
+            self.unstored += 1;
+            return start;
         }
         self.stall_flags.push(slot.junction_stall);
         self.circuit.push(TimedOp {
@@ -247,6 +286,51 @@ impl HardwareModel {
         start
     }
 
+    /// Emits a `Measure_Z` of `qubit` at `site` with a fresh record, and
+    /// returns the record's index.
+    fn emit_measurement(&mut self, qubit: QubitId, site: QSite, label: Label) -> usize {
+        let idx = self.circuit.push_measurement(MeasurementRecord {
+            index: 0,
+            qubit,
+            site,
+            start_us: 0.0,
+            label,
+        });
+        let start = self.emit(NativeOp::MeasureZ, [qubit].into(), [site].into(), None, Some(idx));
+        // Patch the recorded start time now that the schedule is known.
+        self.circuit.set_measurement_start(idx, start);
+        idx
+    }
+
+    /// Schedules the stored ops `range` again as the next ops, in order:
+    /// same kinds, ions, sites and junctions, with fresh start times. Each
+    /// measurement gets a fresh record with the same ion and site, its
+    /// syndrome label moved to round context `round`. Returns the number
+    /// of records pushed.
+    ///
+    /// Ion positions are not stepped. The caller guarantees the range is
+    /// position-neutral (every ion ends where it started) and starts from
+    /// the positions it was compiled from, so the grid after re-emission is
+    /// the grid before it. Routing is a pure function of the layout, the
+    /// endpoints and the occupancy, so re-compiling such a round emits
+    /// this exact op sequence; re-emitting it skips the routing.
+    pub fn reemit_ops(&mut self, range: std::ops::Range<usize>, round: RoundLabel) -> usize {
+        let mut records = 0;
+        for i in range {
+            let op = &self.circuit.ops()[i];
+            if let Some(m) = op.measurement {
+                let rec = &self.circuit.measurements()[m];
+                let (qubit, site, label) = (rec.qubit, rec.site, rec.label.with_round(round));
+                self.emit_measurement(qubit, site, label);
+                records += 1;
+            } else {
+                let (kind, qubits, sites) = (op.op, op.qubits.clone(), op.sites.clone());
+                self.emit(kind, qubits, sites, op.junction, None);
+            }
+        }
+        records
+    }
+
     // ----- round capture / analytic replication ------------------------------
 
     /// Starts capturing a syndrome-extraction round for analytic
@@ -256,11 +340,12 @@ impl HardwareModel {
     pub fn begin_round_capture(&mut self) {
         debug_assert!(self.capture.is_none(), "nested round capture");
         debug_assert!(
-            self.sched.barrier_us() >= self.circuit.makespan_us(),
+            self.sched.barrier_us() >= self.makespan_us,
             "round capture must begin at a barrier-quiescent point"
         );
         self.capture = Some(CaptureState {
             op_start: self.circuit.len(),
+            unstored: self.unstored,
             meas_start: self.circuit.measurements().len(),
             base_us: self.sched.barrier_us(),
             snapshot: self.grid.snapshot(),
@@ -283,13 +368,18 @@ impl HardwareModel {
     ///
     /// Returns `None` — leaving the model exactly as if no capture had
     /// happened — when the captured round is not provably replicable: it
-    /// scheduled against pre-round operations, emitted nothing, or moved
-    /// ions away from their round-start positions. Callers then fall back
-    /// to materializing the remaining rounds.
+    /// scheduled against pre-round operations, emitted nothing, was not
+    /// stored ([`HardwareModel::unrecorded`]), or moved ions away from
+    /// their round-start positions. Callers then fall back to
+    /// materializing the remaining rounds.
     pub fn replicate_captured_round(&mut self, extra: usize) -> Option<RoundReplication> {
         let cap = self.capture.take()?;
         let op_end = self.circuit.len();
-        if cap.poisoned || op_end == cap.op_start || self.grid.snapshot() != cap.snapshot {
+        if cap.poisoned
+            || op_end == cap.op_start
+            || self.unstored != cap.unstored
+            || self.grid.snapshot() != cap.snapshot
+        {
             return None;
         }
         let meas_per_round = self.circuit.measurements().len() - cap.meas_start;
@@ -298,7 +388,7 @@ impl HardwareModel {
             return Some(info);
         }
 
-        let (new_records, end_makespan) = {
+        let (new_records, last_base, end_makespan) = {
             let ops = &self.circuit.ops()[cap.op_start..op_end];
             // (record index, op position) pairs of the captured round, in
             // record order (records are emitted monotonically with ops).
@@ -313,10 +403,12 @@ impl HardwareModel {
                 .eq(cap.meas_start..cap.meas_start + meas_per_round));
             let template_recs = &self.circuit.measurements()[cap.meas_start..];
 
-            let mut base = ops.iter().map(TimedOp::end_us).fold(cap.base_us, f64::max);
+            let mut base = first_replica_base(ops, cap.base_us);
+            let mut last_base = base;
             let (mut starts, mut ends) = (Vec::new(), Vec::new());
             let mut new_records = Vec::with_capacity(extra * meas_per_round);
             for r in 1..=extra {
+                last_base = base;
                 base = replay_round(
                     ops,
                     &cap.preds,
@@ -336,13 +428,14 @@ impl HardwareModel {
                     });
                 }
             }
-            (new_records, base)
+            (new_records, last_base, base)
         };
 
         for rec in new_records {
             self.circuit.push_measurement(rec);
         }
         self.sched.barrier(end_makespan);
+        self.makespan_us = self.makespan_us.max(end_makespan);
         self.circuit.push_span(ReplicatedSpan {
             op_start: cap.op_start,
             op_end,
@@ -350,6 +443,7 @@ impl HardwareModel {
             meas_per_round,
             extra,
             base_us: cap.base_us,
+            last_base_us: last_base,
             end_makespan_us: end_makespan,
             recovery_us: self.spec.junction_recovery_us,
             preds: cap.preds,
@@ -379,21 +473,7 @@ impl HardwareModel {
     /// Measures the ion in the Z basis; returns the measurement index.
     pub fn measure_z(&mut self, qubit: QubitId, label: impl Into<Label>) -> Result<usize, HwError> {
         let site = self.position_of(qubit)?;
-        let idx = self.circuit.push_measurement(MeasurementRecord {
-            index: 0,
-            qubit,
-            site,
-            start_us: 0.0,
-            label: label.into(),
-        });
-        let start = self.emit(NativeOp::MeasureZ, [qubit].into(), [site].into(), None, Some(idx));
-        // Patch the recorded start time now that the schedule is known.
-        if let Some(rec) = self.circuit.measurements().get(idx) {
-            let mut rec = rec.clone();
-            rec.start_us = start;
-            self.circuit.replace_measurement(idx, rec);
-        }
-        Ok(idx)
+        Ok(self.emit_measurement(qubit, site, label.into()))
     }
 
     /// Measures the ion in the X basis (native Hadamard, then `Measure_Z`).
@@ -429,11 +509,6 @@ impl HardwareModel {
     /// The S gate (`Z_{π/4}` up to global phase).
     pub fn s_gate(&mut self, qubit: QubitId) -> Result<(), HwError> {
         self.apply_1q(NativeOp::ZPi4, qubit)
-    }
-
-    /// The S† gate.
-    pub fn s_dag(&mut self, qubit: QubitId) -> Result<(), HwError> {
-        self.apply_1q(NativeOp::ZPi4Dag, qubit)
     }
 
     /// The T gate (`Z_{π/8}` up to global phase) — the only non-Clifford.

@@ -422,7 +422,10 @@ pub fn batch_rounds(
             template: RoundTemplate {
                 ops: template_ops,
                 preds: new_preds,
+                // Merged pulses share their members' start, duration and
+                // predecessor, so the template replays to the same barriers.
                 base_us: rounds.template.base_us,
+                last_base_us: rounds.template.last_base_us,
                 recovery_us: rounds.template.recovery_us,
                 meas_per_round: rounds.template.meas_per_round,
             },

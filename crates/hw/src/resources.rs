@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use tiscc_grid::{Layout, QSite};
 
-use crate::circuit::{OpStream, OpView};
+use crate::circuit::{OpRun, OpStream};
 use crate::ops::NativeOp;
 use crate::spec::HardwareSpec;
 
@@ -51,11 +51,15 @@ impl ResourceReport {
     /// `layout` under the given hardware profile: the physical area uses
     /// the profile's zone pitch, and time-dependent quantities are read off
     /// the stream's schedule, which was already laid out with the profile's
-    /// durations. The report is built with running accumulators over the
-    /// logical op stream. Streaming a periodic circuit costs the arithmetic
-    /// of every occurrence but never clones or materializes its operations,
-    /// and the accumulation order matches a fully materialized walk, so
-    /// reports agree bit-for-bit. Distinct zones and junctions are counted
+    /// durations.
+    ///
+    /// The additive accounting is per run ([`OpStream::for_each_run`]), so
+    /// a replicated round costs one pass over its ops, not one per
+    /// occurrence, and agrees bit for bit with a walk over every logical op:
+    /// kind counts are the run's counts times its repeats; the makespan is
+    /// the maximum of the runs' latest ends; and `active_zone_seconds` adds
+    /// each op's contribution, computed once per run, in stream order, the
+    /// very sum the walk performs. Distinct zones and junctions are counted
     /// in bitsets over [`Layout::index_of`], once per distinct op.
     pub fn from_stream_with_spec(
         stream: &(impl OpStream + ?Sized),
@@ -75,18 +79,27 @@ impl ResourceReport {
         let trapping_zones = footprint.zones.len();
         let junctions = footprint.junctions.len();
 
-        // One pass over the logical stream for the additive accounting.
-        // Kinds are counted by discriminant and named once at the end.
+        // One pass over the runs for the additive accounting. Kinds are
+        // counted by discriminant and named once at the end.
         let mut makespan_us = 0.0f64;
         let mut kind_counts = [0usize; NATIVE_OP_KINDS];
         let mut active_zone_seconds = 0.0;
         let mut total_ops = 0usize;
-        stream.for_each_op(&mut |v: OpView<'_>| {
-            makespan_us = makespan_us.max(v.end_us());
-            kind_counts[v.op.op as usize] += 1;
-            let zones_involved = v.op.sites.len() + usize::from(v.op.junction.is_some());
-            active_zone_seconds += v.op.duration_us * 1e-6 * zones_involved as f64;
-            total_ops += 1;
+        let mut seconds = Vec::new();
+        stream.for_each_run(&mut |run: OpRun<'_>| {
+            makespan_us = makespan_us.max(run.end_us);
+            seconds.clear();
+            for op in run.ops {
+                kind_counts[op.op as usize] += run.repeats;
+                let zones_involved = op.sites.len() + usize::from(op.junction.is_some());
+                seconds.push(op.duration_us * 1e-6 * zones_involved as f64);
+            }
+            for _ in 0..run.repeats {
+                for &s in &seconds {
+                    active_zone_seconds += s;
+                }
+            }
+            total_ops += run.repeats * run.ops.len();
         });
         let execution_time_s = makespan_us * 1e-6;
         let measure_ops = kind_counts[NativeOp::MeasureZ as usize];

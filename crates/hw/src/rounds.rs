@@ -23,7 +23,7 @@
 //! replicas replay exactly the addition chain the scheduler would have
 //! performed ([`replay_round`]).
 
-use crate::circuit::{Circuit, MeasurementRecord, OpStream, OpView, TimedOp};
+use crate::circuit::{Circuit, MeasurementRecord, OpRun, OpStream, OpView, TimedOp};
 
 /// Marks a materialized op range of a [`Circuit`] as logically repeating.
 ///
@@ -45,6 +45,10 @@ pub struct ReplicatedSpan {
     pub extra: usize,
     /// Barrier time the captured round was scheduled from (µs, absolute).
     pub base_us: f64,
+    /// Barrier time the last replica starts from (µs, absolute). Replica
+    /// bases never decrease, so the last replica holds every op's latest
+    /// end (see [`RoundTemplate::last_base_us`]).
+    pub last_base_us: f64,
     /// Circuit makespan after the last replica (µs, absolute).
     pub end_makespan_us: f64,
     /// Junction recovery window the round was scheduled under
@@ -129,6 +133,11 @@ pub struct RoundTemplate {
     pub preds: Vec<Option<u32>>,
     /// Barrier the captured occurrence was scheduled from (µs, absolute).
     pub base_us: f64,
+    /// Barrier the last occurrence starts from (µs, absolute): the barrier
+    /// after the stored occurrence, advanced by `repeats − 2` replays
+    /// ([`replay_round`]; see [`ReplicatedSpan::last_base_us`]). Unused
+    /// when the template occurs fewer than twice.
+    pub last_base_us: f64,
     /// Junction recovery window the round was scheduled under (µs); see
     /// [`ReplicatedSpan::recovery_us`].
     pub recovery_us: f64,
@@ -145,6 +154,70 @@ impl RoundTemplate {
     /// True if the template holds no operations.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+}
+
+/// The barrier after a round's stored occurrence, scheduled from `base_us`:
+/// the base its first replica starts from.
+pub(crate) fn first_replica_base(ops: &[TimedOp], base_us: f64) -> f64 {
+    ops.iter().map(TimedOp::end_us).fold(base_us, f64::max)
+}
+
+/// The replicas of a captured round: its `ops` (with their critical
+/// predecessors, scheduled under `recovery_us`) occurring `extra` more
+/// times after the stored occurrence, which was scheduled from `base_us`.
+/// The last replica starts from `last_base_us`.
+pub(crate) struct Replicas<'a> {
+    pub ops: &'a [TimedOp],
+    pub preds: &'a [Option<u32>],
+    pub recovery_us: f64,
+    pub base_us: f64,
+    pub last_base_us: f64,
+    pub extra: usize,
+}
+
+impl<'a> Replicas<'a> {
+    /// The replicas as one run ([`OpStream::for_each_run`]), viewed with
+    /// `rebase_us` subtracted from each start: its latest end is that of
+    /// the last replica, replayed once from `last_base_us`.
+    ///
+    /// That is exact. Replica bases never decrease, and each replayed start
+    /// is a chain of rounded additions from the base, so it is monotone in
+    /// the base; rounded `x − rebase` and `x + duration` are monotone in
+    /// `x` too. No op of an earlier replica ends later than the same op in
+    /// the last one. Debug builds re-derive `last_base_us` by replaying
+    /// every replica.
+    pub(crate) fn run(&self, rebase_us: f64) -> OpRun<'a> {
+        let (mut starts, mut ends) = (Vec::new(), Vec::new());
+        if cfg!(debug_assertions) {
+            let mut base = first_replica_base(self.ops, self.base_us);
+            for _ in 1..self.extra {
+                base = replay_round(
+                    self.ops,
+                    self.preds,
+                    base,
+                    self.recovery_us,
+                    &mut starts,
+                    &mut ends,
+                );
+            }
+            assert_eq!(base.to_bits(), self.last_base_us.to_bits(), "the last replica's barrier");
+        }
+        replay_round(
+            self.ops,
+            self.preds,
+            self.last_base_us,
+            self.recovery_us,
+            &mut starts,
+            &mut ends,
+        );
+        let end_us = self
+            .ops
+            .iter()
+            .zip(&starts)
+            .map(|(op, start)| (start - rebase_us) + op.duration_us)
+            .fold(f64::NEG_INFINITY, f64::max);
+        OpRun { ops: self.ops, repeats: self.extra, end_us }
     }
 }
 
@@ -275,6 +348,7 @@ impl CompiledRounds {
             template: RoundTemplate {
                 ops: template,
                 base_us: span.base_us,
+                last_base_us: span.last_base_us,
                 recovery_us: span.recovery_us,
                 meas_per_round: span.meas_per_round,
                 preds: span.preds,
@@ -346,8 +420,7 @@ impl OpStream for CompiledRounds {
                     measurement: op.measurement,
                 });
             }
-            let mut base =
-                self.template.ops.iter().map(TimedOp::end_us).fold(self.template.base_us, f64::max);
+            let mut base = first_replica_base(&self.template.ops, self.template.base_us);
             let (mut starts, mut ends) = (Vec::new(), Vec::new());
             for r in 1..self.repeats {
                 base = replay_round(
@@ -369,6 +442,26 @@ impl OpStream for CompiledRounds {
             }
         }
         self.epilogue.for_each_op(f);
+    }
+
+    fn for_each_run(&self, f: &mut dyn FnMut(OpRun<'_>)) {
+        self.prologue.for_each_run(f);
+        if self.repeats > 0 {
+            let t = &self.template;
+            f(OpRun::stored(&t.ops, self.rebase_us));
+            if self.repeats > 1 {
+                let replicas = Replicas {
+                    ops: &t.ops,
+                    preds: &t.preds,
+                    recovery_us: t.recovery_us,
+                    base_us: t.base_us,
+                    last_base_us: t.last_base_us,
+                    extra: self.repeats - 1,
+                };
+                f(replicas.run(self.rebase_us));
+            }
+        }
+        self.epilogue.for_each_run(f);
     }
 
     fn for_each_distinct_op(&self, f: &mut dyn FnMut(&TimedOp)) {
@@ -447,6 +540,7 @@ mod tests {
                 meas_per_round: 0,
                 extra: 1,
                 base_us: start,
+                last_base_us: start + 10.0,
                 end_makespan_us: start + 20.0,
                 recovery_us: 0.0,
                 preds: vec![None],

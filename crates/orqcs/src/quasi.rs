@@ -65,30 +65,6 @@ impl QuasiCliffordEstimator {
         }
         Ok(acc / self.samples as f64)
     }
-
-    /// Estimates the expectation value of a Pauli observable whose sign is
-    /// additionally corrected by the parity of the listed measurement
-    /// outcomes in each sample (the Sec. 4.5 post-processing rule applied
-    /// shot by shot).
-    pub fn estimate_corrected_expectation<R: Rng + ?Sized>(
-        &self,
-        interpreter: &Interpreter,
-        circuit: &Circuit,
-        observable: &[(QubitId, PauliOp)],
-        correction_measurements: &[usize],
-        rng: &mut R,
-    ) -> Result<f64, SimError> {
-        let mut acc = 0.0f64;
-        for _ in 0..self.samples {
-            let result = interpreter.run_with_policy(circuit, rng, NonCliffordPolicy::Sample)?;
-            let mut value = result.expectation_on_ions(observable) as f64;
-            if result.outcome_parity(correction_measurements) {
-                value = -value;
-            }
-            acc += result.sample_weight * value;
-        }
-        Ok(acc / self.samples as f64)
-    }
 }
 
 #[cfg(test)]

@@ -145,11 +145,6 @@ impl StabilizerTableau {
         let prod_sign = prod.hermitian_sign().expect("products of stabilizers are Hermitian");
         op_sign * prod_sign
     }
-
-    /// True if `op` (with its sign) is an element of the stabilizer group.
-    pub fn is_stabilized_by(&self, op: &Pauli) -> bool {
-        self.expectation(op) == 1
-    }
 }
 
 /// Conjugates one tableau row by a single-qubit Clifford on `qubit`.

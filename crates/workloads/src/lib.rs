@@ -201,12 +201,6 @@ impl GenSpec {
         self
     }
 
-    /// Sets the transverse field h.
-    pub fn with_field_h(mut self, h: f64) -> Self {
-        self.field_h = h;
-        self
-    }
-
     /// Sets the T-gadget fraction of the random mix.
     pub fn with_t_fraction(mut self, t: f64) -> Self {
         self.t_fraction = t;

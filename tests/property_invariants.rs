@@ -8,8 +8,10 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
 use proptest::prelude::*;
 
 use tiscc::core::plaquette::{build_stabilizers, logical_x_support, logical_z_support};
-use tiscc::core::{Arrangement, LogicalQubit};
+use tiscc::core::{Arrangement, Instruction, LogicalQubit};
+use tiscc::estimator::{CompileRequest, Compiler};
 use tiscc::grid::{route, route_avoiding, Layout, MoveStep, QSite, QubitId, Router, SiteKind};
+use tiscc::hw::rounds::replay_round;
 use tiscc::hw::validity::check_stream_with_capacity;
 use tiscc::hw::{
     Circuit, CompiledRounds, HardwareModel, HardwareSpec, NativeOp, OpStream, OpView,
@@ -181,6 +183,33 @@ fn reference_report(stream: &dyn OpStream, spec: &HardwareSpec) -> ResourceRepor
         total_ops,
         measurements: stream.measurement_count().max(measure_ops),
     }
+}
+
+/// The per-round report a compile stores equals the per-occurrence walk
+/// of [`reference_report`] on every instruction's compiled rounds, under
+/// the paper profile, the non-dyadic `projected` profile and the contended
+/// `slow_junction` profile with SIMD width 2 (batched templates), at
+/// d = dt = 3, 5 and 9.
+#[test]
+fn compiled_artifacts_report_per_round_as_the_walk_does() {
+    let mut contended = HardwareSpec::slow_junction();
+    contended.simd_width = 2;
+    let compiler = Compiler::new();
+    let mut replicated = 0usize;
+    for spec in [HardwareSpec::h1(), HardwareSpec::projected(), contended] {
+        for &instruction in Instruction::all() {
+            for d in [3usize, 5, 9] {
+                let request = CompileRequest::new(instruction, d, d, d).with_spec(spec.clone());
+                let artifact = compiler.compile(&request).unwrap();
+                let expected = reference_report(&artifact.rounds, &spec);
+                let ctx = format!("{instruction:?} d={d} {} width={}", spec.name, spec.simd_width);
+                assert_eq!(artifact.resources.to_record(), expected.to_record(), "{ctx}");
+                assert_eq!(artifact.resources, expected, "{ctx}");
+                replicated += usize::from(artifact.rounds.repeats > 1);
+            }
+        }
+    }
+    assert!(replicated > 0, "some compiles must replicate rounds");
 }
 
 /// One hand-built op of the zone-accounting property: a kind selector, five
@@ -361,27 +390,37 @@ proptest! {
         check_report_matches_reference(&Circuit::from_ops(ops.clone()), &layout, &ctx);
 
         // The same ops as prologue, a template repeating 2–4 times with
-        // chained predecessors, and an epilogue.
+        // chained predecessors, and an epilogue. The report accounts the
+        // template per round, the reference walks every occurrence.
         let (a, b, repeats, seed) = split;
         let a = a % (ops.len() + 1);
         let b = a + b % (ops.len() - a + 1);
         let template_ops = ops[a..b].to_vec();
-        let preds = (0..template_ops.len())
+        let preds: Vec<Option<u32>> = (0..template_ops.len())
             .map(|i| (i > 0 && (seed >> (i % 10)) & 1 == 1).then(|| (seed % i) as u32))
             .collect();
+        let recovery_us = if seed % 2 == 0 { 0.0 } else { 25.0 };
+        // The barrier the last occurrence starts from, by replay.
+        let (mut starts, mut ends) = (Vec::new(), Vec::new());
+        let mut last_base_us = template_ops.iter().map(TimedOp::end_us).fold(0.0, f64::max);
+        for _ in 2..repeats {
+            last_base_us =
+                replay_round(&template_ops, &preds, last_base_us, recovery_us, &mut starts, &mut ends);
+        }
         let rounds = CompiledRounds {
             prologue: Circuit::from_ops(ops[..a].to_vec()),
             template: RoundTemplate {
                 ops: template_ops,
                 preds,
                 base_us: 0.0,
-                recovery_us: if seed % 2 == 0 { 0.0 } else { 25.0 },
+                last_base_us,
+                recovery_us,
                 meas_per_round: 0,
             },
             repeats,
             epilogue: Circuit::from_ops(ops[b..].to_vec()),
             measurements: Vec::new(),
-            rebase_us: 0.0,
+            rebase_us: 0.1 * (seed % 50) as f64,
         };
         check_report_matches_reference(&rounds, &layout, &format!("rounds x{repeats}, {ctx}"));
 

@@ -116,6 +116,18 @@ fn assert_equivalent(instruction: Instruction, d: usize, dt: usize, spec: &Hardw
     // The periodic sub-range flattens to the reference sub-range.
     assert_eq!(rounds.materialize().ops(), ref_rounds.materialize().ops());
 
+    // The batch pass keeps the template replayable to the same barriers:
+    // the per-round report of the batched rounds equals the report of
+    // their materialization, at the profile's SIMD width.
+    let (batched, _) = batch_rounds(&rounds, spec);
+    assert_eq!(
+        ResourceReport::from_stream_with_spec(&batched, &layout, spec),
+        ResourceReport::from_stream_with_spec(&batched.materialize(), &layout, spec),
+        "batched {instruction:?} d={d} dt={dt} profile={} width={}",
+        spec.name,
+        spec.simd_width
+    );
+
     // Validity: the checker accepts the periodic circuit, streamed and
     // flattened, exactly as it accepts the materialized reference.
     let capacity = spec.junction_capacity;
@@ -148,7 +160,9 @@ proptest! {
 
 /// Deterministic coverage of the three replicated-round sequences (idle,
 /// merge, extension) at a round count that guarantees replication, under
-/// the non-dyadic `projected` profile.
+/// the non-dyadic `projected` profile, the contended `slow_junction`
+/// profile (junction recovery windows, stalls inside the re-emitted and
+/// replicated rounds) and SIMD width 2 (batched templates).
 #[test]
 fn replicated_sequences_match_materialized_per_kind() {
     let projected = HardwareSpec::projected();
@@ -156,6 +170,117 @@ fn replicated_sequences_match_materialized_per_kind() {
     assert_equivalent(Instruction::MeasureXX, 2, 4, &projected);
     assert_equivalent(Instruction::MeasureZZ, 2, 4, &projected);
     assert_equivalent(Instruction::PrepareZ, 3, 4, &HardwareSpec::h1());
+    let slow = HardwareSpec::slow_junction();
+    assert_equivalent(Instruction::Idle, 3, 5, &slow);
+    assert_equivalent(Instruction::MeasureZZ, 3, 4, &slow);
+    for base in [HardwareSpec::h1(), slow] {
+        let mut simd2 = base;
+        simd2.simd_width = 2;
+        assert_equivalent(Instruction::Idle, 3, 5, &simd2);
+        assert_equivalent(Instruction::MeasureXX, 3, 4, &simd2);
+        assert_equivalent(Instruction::PrepareX, 3, 4, &simd2);
+    }
+}
+
+/// An instruction compiled after its inputs were prepared unrecorded (the
+/// compile path) is the instruction compiled after a recorded preparation:
+/// the same ops with bit-identical times, the same measurement records
+/// (the preparation's included, so indices agree), the same stall flags
+/// and replicated spans, moved down by the preparation's op count, which is
+/// the model's unstored-op count.
+#[test]
+fn unstored_preparation_matches_recorded_preparation() {
+    let mut contended = HardwareSpec::slow_junction();
+    contended.simd_width = 2;
+    let mut stalled = 0usize;
+    for spec in [HardwareSpec::h1(), HardwareSpec::projected(), contended] {
+        for &instruction in Instruction::all() {
+            for d in [3usize, 5] {
+                let ctx = format!("{instruction:?} d={d} {}", spec.name);
+                let (recorded, _, before) = compile_fixture(instruction, d, d, &spec, true);
+                let unstored = compile_unrecorded(instruction, d, d, &spec);
+                assert_eq!(unstored.unstored_ops(), before, "unstored-op count: {ctx}");
+                assert_eq!(recorded.unstored_ops(), 0, "{ctx}");
+
+                let ops = &recorded.circuit().ops()[before..];
+                assert_eq!(unstored.circuit().ops(), ops, "ops: {ctx}");
+                for (a, b) in unstored.circuit().ops().iter().zip(ops) {
+                    assert_eq!(a.start_us.to_bits(), b.start_us.to_bits(), "start: {ctx}");
+                }
+                assert_eq!(
+                    unstored.circuit().measurements(),
+                    recorded.circuit().measurements(),
+                    "records: {ctx}"
+                );
+                let flags = &recorded.stall_flags()[before..];
+                assert_eq!(unstored.stall_flags(), flags, "stall flags: {ctx}");
+                stalled += flags.iter().filter(|&&f| f).count();
+                let shifted: Vec<_> = unstored
+                    .circuit()
+                    .spans()
+                    .iter()
+                    .map(|s| (s.op_start + before, s.op_end + before, s.last_base_us.to_bits()))
+                    .collect();
+                let spans: Vec<_> = recorded
+                    .circuit()
+                    .spans()
+                    .iter()
+                    .filter(|s| s.op_start >= before)
+                    .map(|s| (s.op_start, s.op_end, s.last_base_us.to_bits()))
+                    .collect();
+                assert_eq!(shifted, spans, "spans: {ctx}");
+                assert_eq!(unstored.now_us().to_bits(), recorded.now_us().to_bits(), "{ctx}");
+            }
+        }
+    }
+    assert!(stalled > 0, "the contended profile must stall inside some instruction");
+}
+
+/// [`compile_fixture`] with the input preparation inside
+/// [`HardwareModel::unrecorded`], as [`Compiler::compile`] prepares it.
+fn compile_unrecorded(
+    instruction: Instruction,
+    d: usize,
+    dt: usize,
+    spec: &HardwareSpec,
+) -> HardwareModel {
+    if instruction.tiles() == 2 {
+        let mut fixture = match instruction {
+            Instruction::MeasureZZ => {
+                TwoTiles::new_horizontal_with_spec(d, d, dt, spec.clone()).unwrap()
+            }
+            _ => TwoTiles::with_spec(d, d, dt, spec.clone()).unwrap(),
+        };
+        fixture.hw.set_round_templating(true);
+        fixture.hw.unrecorded(|hw| {
+            Fiducial::Zero.prepare(hw, &mut fixture.upper).unwrap();
+            Fiducial::Zero.prepare(hw, &mut fixture.lower).unwrap();
+        });
+        assert!(fixture.hw.circuit().is_empty(), "nothing stored before the instruction");
+        apply_two_tile_instruction(
+            &mut fixture.hw,
+            instruction,
+            &mut fixture.upper,
+            &mut fixture.lower,
+        )
+        .unwrap();
+        fixture.hw
+    } else {
+        let mut fixture = SingleTile::with_spec(d, d, dt, spec.clone()).unwrap();
+        fixture.hw.set_round_templating(true);
+        if !matches!(
+            instruction,
+            Instruction::PrepareZ
+                | Instruction::PrepareX
+                | Instruction::InjectY
+                | Instruction::InjectT
+        ) {
+            fixture.hw.unrecorded(|hw| Fiducial::Zero.prepare(hw, &mut fixture.patch).unwrap());
+        }
+        assert!(fixture.hw.circuit().is_empty(), "nothing stored before the instruction");
+        apply_instruction(&mut fixture.hw, instruction, &mut fixture.patch).unwrap();
+        fixture.hw
+    }
 }
 
 /// Patch extension replicates its rounds too (the Table 3 path).
@@ -275,6 +400,7 @@ fn assert_same_rounds(a: &CompiledRounds, b: &CompiledRounds, ctx: &str) {
     same_ops(a.epilogue.ops(), b.epilogue.ops(), "epilogue");
     assert_eq!(a.template.preds, b.template.preds, "preds: {ctx}");
     assert_eq!(a.template.base_us.to_bits(), b.template.base_us.to_bits(), "{ctx}");
+    assert_eq!(a.template.last_base_us.to_bits(), b.template.last_base_us.to_bits(), "{ctx}");
     assert_eq!(a.template.recovery_us.to_bits(), b.template.recovery_us.to_bits(), "{ctx}");
     assert_eq!(a.template.meas_per_round, b.template.meas_per_round, "{ctx}");
     assert_eq!(a.repeats, b.repeats, "repeats: {ctx}");
